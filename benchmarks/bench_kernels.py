@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
-"""Compare the numba kernels against their pure-numpy twins on realistic
-workloads: subgroup-closure batches and full word-law pair sweeps.
+"""Compare the numba word-law pair sweep against its pure-numpy twin.
 
 Run:  python benchmarks/bench_kernels.py
 The numpy path is also what FORMATIONLAB_NO_JIT=1 selects package-wide.
+Subgroup closure has only a numpy kernel, so it is not compared here.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from formationlab import _kernels
 from formationlab.corpus import build_group, order75_witness, order294_candidate, symmetric
 from formationlab.groups import exponent
-from formationlab.lattice import _cyclic_masks
 
 
 def time_call(func, *args, repeat: int = 3) -> float:
@@ -25,26 +22,6 @@ def time_call(func, *args, repeat: int = 3) -> float:
         func(*args)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def closure_workload(table):
-    """Extend every cyclic subgroup by every other one: the same call
-    pattern the lattice enumeration produces."""
-    cyclics = _cyclic_masks(table)
-
-    def run(close):
-        for base, _ in cyclics:
-            closed = close(table.mul, np.zeros(table.order, np.bool_) | _identity_mask(table), base)
-            for extra, _ in cyclics:
-                close(table.mul, closed, extra)
-
-    return run
-
-
-def _identity_mask(table):
-    m = np.zeros(table.order, np.bool_)
-    m[0] = True
-    return m
 
 
 def sweep_workload(table):
@@ -63,40 +40,23 @@ def main() -> None:
         "C5^2:L3 (order 75)": build_group(order75_witness()),
         "C7^2:S3 (order 294)": build_group(order294_candidate()),
     }
-    have_jit = _kernels.JIT_ENABLED or hasattr(_kernels, "_close_mask_jit")
+    have_jit = hasattr(_kernels, "_brandl_sweep_jit")
     print(f"numba available: {have_jit}   package backend: "
           f"{'jit' if _kernels.JIT_ENABLED else 'numpy'}")
     print()
     print(f"{'workload':<42} {'numpy':>10} {'numba':>10} {'speedup':>9}")
     for name, table in groups.items():
-        for label, workload in (
-            ("closure batch", closure_workload(table)),
-            ("word-law sweep", sweep_workload(table)),
-        ):
-            impls = {"numpy": _kernels.close_mask_np if label == "closure batch" else _kernels.brandl_sweep_np}
-            if have_jit:
-                impls["numba"] = (
-                    _kernels._close_mask_jit if label == "closure batch" else _kernels._brandl_sweep_jit
-                )
-                impls["numba"](*_warm_args(table, label))  # compile outside the timer
-            t_np = time_call(workload, impls["numpy"])
-            if have_jit:
-                t_jit = time_call(workload, impls["numba"])
-                print(f"{name + ' ' + label:<42} {t_np:>9.4f}s {t_jit:>9.4f}s {t_np / t_jit:>8.1f}x")
-            else:
-                print(f"{name + ' ' + label:<42} {t_np:>9.4f}s {'-':>10} {'-':>9}")
+        workload = sweep_workload(table)
+        t_np = time_call(workload, _kernels.brandl_sweep_np)
+        label = name + " word-law sweep"
+        if have_jit:
+            workload(_kernels._brandl_sweep_jit)  # compile outside the timer
+            t_jit = time_call(workload, _kernels._brandl_sweep_jit)
+            print(f"{label:<42} {t_np:>9.4f}s {t_jit:>9.4f}s {t_np / t_jit:>8.1f}x")
+        else:
+            print(f"{label:<42} {t_np:>9.4f}s {'-':>10} {'-':>9}")
     print()
-    print("closure batch = every cyclic subgroup extended by every other one")
     print("word-law sweep = all ordered pairs of the pair-termination scan")
-
-
-def _warm_args(table, label):
-    if label == "closure batch":
-        base = _identity_mask(table)
-        extra = _identity_mask(table)
-        return table.mul, base, extra
-    e = exponent(table)
-    return table.mul, table.inv, _kernels.negative_power_table(table.mul, table.inv, e), e
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Hot inner loops over Cayley tables: subgroup closure and the pair sweep of
 the iterated-commutator word.
 
-Each kernel has a numba ``@njit`` build and a vectorized pure-numpy build.
-``FORMATIONLAB_NO_JIT=1`` (or numba being unavailable) selects the numpy path;
-both are importable by name so tests and benchmarks can compare them directly.
+Subgroup closure is one vectorized numpy kernel.  The pair sweep has a numba
+``@njit`` build and a vectorized pure-numpy build; ``FORMATIONLAB_NO_JIT=1``
+(or numba being unavailable) selects the numpy path, and both are importable
+by name so tests and benchmarks can compare them directly.
 
 Conventions: ``mul`` is an (n, n) int32 table with ``mul[i, j]`` the index of
 "element i then element j"; index 0 is the identity; ``inv[i]`` is the index
@@ -19,7 +20,6 @@ import numpy as np
 __all__ = [
     "JIT_ENABLED",
     "close_mask",
-    "close_mask_np",
     "brandl_sweep",
     "brandl_sweep_np",
     "negative_power_table",
@@ -41,68 +41,29 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 JIT_ENABLED = _WANT_JIT and _HAVE_NUMBA
 
 
-def close_mask_np(mul: np.ndarray, base: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    """Close ``base | extra`` under the table product.
+def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
+    """Mask of the subgroup generated by the element indices ``gens``.
 
-    ``base`` must already be product-closed (it may be all-False); only
-    products touching the new elements are expanded.  In a finite group,
-    closure under the product alone also yields inverses and the identity.
+    ``base`` must be a product-closed mask inside that subgroup (the identity
+    alone will do).  Breadth-first search right-multiplies each newly found
+    element by every generator, about |K| * r products for a result of order
+    |K| from r generators.  Every element is a word in the generators, and
+    each prefix of a word is reached: a prefix in ``base`` times a generator
+    in ``base`` stays in ``base``, so base members need only the generators
+    outside it.
     """
-    mask = base | extra
-    frontier = np.flatnonzero(extra & ~base)
-    while frontier.size:
-        members = np.flatnonzero(mask)
-        prods = np.concatenate(
-            (
-                mul[np.ix_(frontier, members)].ravel(),
-                mul[np.ix_(members, frontier)].ravel(),
-            )
-        )
+    gens = np.asarray(gens, dtype=np.intp)
+    mask = base.copy()
+    prods = mul[np.flatnonzero(base)[:, None], gens[~base[gens]]].ravel()
+    while True:
         new = np.zeros_like(mask)
         new[prods] = True
         new &= ~mask
-        mask |= new
         frontier = np.flatnonzero(new)
-    return mask
-
-
-def _close_mask_loop(mul, base, extra):
-    n = mul.shape[0]
-    mask = np.empty(n, np.bool_)
-    order = np.empty(n, np.int64)
-    m = 0
-    for i in range(n):
-        mask[i] = base[i]
-        if base[i]:
-            order[m] = i
-            m += 1
-    head = m  # members of base are mutually closed; start the worklist after them
-    for i in range(n):
-        if extra[i] and not mask[i]:
-            mask[i] = True
-            order[m] = i
-            m += 1
-    while head < m:
-        x = order[head]
-        head += 1
-        t = 0
-        snapshot = m
-        while t < snapshot:
-            y = order[t]
-            t += 1
-            p = mul[x, y]
-            if not mask[p]:
-                mask[p] = True
-                order[m] = p
-                m += 1
-            p = mul[y, x]
-            if not mask[p]:
-                mask[p] = True
-                order[m] = p
-                m += 1
-        # pairs with elements appended after the snapshot are handled when
-        # those elements reach the head of the worklist
-    return mask
+        if not frontier.size:
+            return mask
+        mask |= new
+        prods = mul[frontier[:, None], gens].ravel()
 
 
 def negative_power_table(mul: np.ndarray, inv: np.ndarray, e: int) -> np.ndarray:
@@ -192,12 +153,6 @@ def brandl_sweep_np(mul, inv, pow_neg, e, chunk: int = 8192):
 
 
 if _HAVE_NUMBA:
-    _close_mask_jit = njit(cache=True)(_close_mask_loop)
     _brandl_sweep_jit = njit(cache=True)(_brandl_sweep_loop)
 
-if JIT_ENABLED:
-    close_mask = _close_mask_jit
-    brandl_sweep = _brandl_sweep_jit
-else:
-    close_mask = close_mask_np
-    brandl_sweep = brandl_sweep_np
+brandl_sweep = _brandl_sweep_jit if JIT_ENABLED else brandl_sweep_np

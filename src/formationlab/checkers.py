@@ -290,9 +290,9 @@ def classify(
 ) -> ClassReport:
     """Build the lattice once and evaluate all six predicates.
 
-    Resource errors gain the group's name; predicate disagreement among the
-    four chain/law/local tests is reported as status "mismatch", never
-    raised, so a sweep can show the offending group.
+    Resource and invariant errors gain the group's name; predicate
+    disagreement among the four chain/law/local tests is reported as status
+    "mismatch", never raised, so a sweep can show the offending group.
     """
     from .lattice import DEFAULT_SUBGROUP_BOUND
 
@@ -321,6 +321,8 @@ def classify(
         run("cond_lf", lambda: _condition_lf_impl(g, lat))
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"group {name or '?'}: {exc.raw_message}", exc.bound)
+    except InvariantError as exc:
+        raise InvariantError(f"group {name or '?'}: {exc}") from exc
 
     report = ClassReport(name, g.degree, g.order, predicates, witnesses, times)
     report.status = "ok" if report.theorem_consistent() else "mismatch"

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
-from .groups import GroupTable, close_generators
+from .groups import GroupTable, _greedy_generators, close_generators
 from .lattice import all_subgroups
 from .perms import Permutation, format_cycles, parse_cycles
 from .primes import is_prime
@@ -207,7 +207,8 @@ def affine_semidirect(p: int, *matrices) -> GroupSpec:
 
 def subgroups_of_symmetric(n: int, *, confirm_s6: bool = False) -> list[GroupSpec]:
     """One spec per subgroup of S_n (bitmask-distinct, no isomorphism
-    deduplication), generators read off the lattice entries.
+    deduplication), with the greedy generators of each subgroup's mask, so
+    the specs do not depend on how the lattice was enumerated.
 
     n = 6 enumerates 1455 subgroups of a 720-element group and takes a
     while; it must be requested explicitly.
@@ -220,9 +221,9 @@ def subgroups_of_symmetric(n: int, *, confirm_s6: bool = False) -> list[GroupSpe
     lat = all_subgroups(table)
     specs = []
     for i, sub in enumerate(lat.subgroups):
-        specs.append(
-            _spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, sub.generators(), "sn-subgroup")
-        )
+        gens = _greedy_generators(table.mul, sub.mask_array())[1]
+        perms = [table.elements[j] for j in gens]
+        specs.append(_spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, perms, "sn-subgroup"))
     return specs
 
 

@@ -149,8 +149,7 @@ class Subgroup:
         prods = parent.mul[np.ix_(members, members)]
         if not arr[prods].all():
             raise InputError("element set is not closed under multiplication")
-        gens = _greedy_generators(parent.mul, arr)
-        return cls(parent, mask, gens)
+        return cls(parent, mask, _greedy_generators(parent.mul, arr)[1])
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask_array())
@@ -183,26 +182,18 @@ class Subgroup:
         return f"Subgroup(order={self.order}, gens=[{gens}])"
 
 
-def _greedy_generators(mul: np.ndarray, member_arr: np.ndarray) -> tuple[int, ...]:
-    """Short generator list for a closed member set: scan members in index
-    order, keeping each element not yet generated."""
-    n = mul.shape[0]
-    want = int(member_arr.sum())
-    current = np.zeros(n, np.bool_)
+def _greedy_generators(mul: np.ndarray, seed_arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The subgroup generated by a seed mask, with a short generator list:
+    scan the seeds in index order, keeping each one not yet generated and
+    closing once per kept seed.  Returns (closed mask, generators)."""
+    current = np.zeros(mul.shape[0], np.bool_)
     current[0] = True
-    have = 1
     gens: list[int] = []
-    extra = np.zeros(n, np.bool_)
-    for i in np.flatnonzero(member_arr):
-        if have == want:
-            break
+    for i in np.flatnonzero(seed_arr):
         if not current[i]:
-            extra[:] = False
-            extra[i] = True
-            current = _kernels.close_mask(mul, current, extra)
-            have = int(current.sum())
             gens.append(int(i))
-    return tuple(gens)
+            current = _kernels.close_mask(mul, current, gens)
+    return current, tuple(gens)
 
 
 def close_generators(
@@ -299,21 +290,14 @@ def as_subgroup(g: Union[GroupTable, Subgroup]) -> Subgroup:
 
 def subgroup_generated(g: GroupTable, seed: Iterable[int]) -> Subgroup:
     """Least subgroup containing the given element indices."""
-    seed = sorted(set(int(i) for i in seed))
+    seed_arr = np.zeros(g.order, np.bool_)
     for i in seed:
+        i = int(i)
         if not 0 <= i < g.order:
             raise InputError(f"element index {i} out of range 0..{g.order - 1}")
-    current = np.zeros(g.order, np.bool_)
-    current[0] = True
-    gens: list[int] = []
-    extra = np.zeros(g.order, np.bool_)
-    for i in seed:
-        if not current[i]:
-            extra[:] = False
-            extra[i] = True
-            current = _kernels.close_mask(g.mul, current, extra)
-            gens.append(i)
-    return Subgroup(g, array_to_mask(current), gens)
+        seed_arr[i] = True
+    closed, gens = _greedy_generators(g.mul, seed_arr)
+    return Subgroup(g, array_to_mask(closed), gens)
 
 
 def is_normal_mask(g: GroupTable, member_arr: np.ndarray, conj_gen_indices: Sequence[int]) -> bool:
@@ -381,10 +365,8 @@ def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
     t = g.mul[t, bi[None, :]]
     seed = np.zeros(g.order, np.bool_)
     seed[t.ravel()] = True
-    base = np.zeros(g.order, np.bool_)
-    base[0] = True
-    closed = _kernels.close_mask(g.mul, base, seed)
-    return Subgroup(g, array_to_mask(closed), _greedy_generators(g.mul, closed))
+    closed, gens = _greedy_generators(g.mul, seed)
+    return Subgroup(g, array_to_mask(closed), gens)
 
 
 def derived_series(g: Union[GroupTable, Subgroup]) -> list[Subgroup]:
@@ -439,7 +421,7 @@ def centralizer(g: GroupTable, s: Subgroup) -> Subgroup:
     k_arr = np.zeros(g.order, np.bool_)
     k_arr[0] = True
     mask_arr = _relative_centralizer(g, s.generator_indices, k_arr)
-    return Subgroup(g, array_to_mask(mask_arr), _greedy_generators(g.mul, mask_arr))
+    return Subgroup(g, array_to_mask(mask_arr), _greedy_generators(g.mul, mask_arr)[1])
 
 
 def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
@@ -450,4 +432,4 @@ def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
     if not is_normal_mask(g, k.mask_array(), g.gen_indices):
         raise InputError("centralizer_mod requires K normal in the group")
     mask_arr = _relative_centralizer(g, h.generator_indices, k.mask_array())
-    return Subgroup(g, array_to_mask(mask_arr), _greedy_generators(g.mul, mask_arr))
+    return Subgroup(g, array_to_mask(mask_arr), _greedy_generators(g.mul, mask_arr)[1])

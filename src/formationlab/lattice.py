@@ -2,11 +2,14 @@
 consume: maximal/normal/minimal-normal subgroups, the Frattini subgroup,
 Sylow subgroups, pi-cores, chief series, and prime-index reachability.
 
-Enumeration is by cyclic extension: every known subgroup is extended by one
-new element (equivalently, by the cyclic subgroup it generates) and closed,
-repeated to a fixpoint.  Subgroups are deduplicated by bitmask, never by
-isomorphism, and the lattice order is (order, mask) so every downstream
-choice is reproducible.
+Enumeration is by cyclic extension over conjugacy classes of subgroups
+(Neubüser's method, as in Cannon, Cox and Holt, "Computing the subgroup
+lattice of a permutation group", J. Symb. Comput. 31, 2001): one
+representative of each class is extended by every cyclic subgroup and
+closed, and each newly found subgroup brings its whole class, found by
+permuting its mask under conjugation by the group's generators.  Subgroups
+are deduplicated by bitmask, never by isomorphism, and the lattice order is
+(order, mask) so every downstream choice is reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, InvariantError, ResourceLimitError
-from .groups import GroupTable, Subgroup, array_to_mask, is_normal_mask, mask_to_array
+from .groups import (
+    GroupTable,
+    Subgroup,
+    _greedy_generators,
+    array_to_mask,
+    is_normal_mask,
+    mask_to_array,
+)
 from .primes import is_prime, p_part, prime_divisors
 
 __all__ = [
@@ -169,61 +179,76 @@ class Lattice:
 
 
 def _cyclic_masks(g: GroupTable) -> list[tuple[np.ndarray, int]]:
-    """Deduplicated cyclic subgroup masks with their first generator index."""
+    """One mask per cyclic subgroup, with its least generator index.  The
+    generators of <x> are the x^k with gcd(k, |x|) = 1, so each cyclic
+    subgroup is walked once."""
     n = g.order
-    seen: set[bytes] = set()
+    done = np.zeros(n, np.bool_)
     out: list[tuple[np.ndarray, int]] = []
     for i in range(1, n):
+        if done[i]:
+            continue
+        powers = [i]  # powers[k - 1] = x^k, ending at the identity
+        while powers[-1] != 0:
+            powers.append(int(g.mul[powers[-1], i]))
+        powers = np.array(powers)
+        ks = np.arange(1, len(powers) + 1)
+        done[powers[np.gcd(ks, len(powers)) == 1]] = True
         arr = np.zeros(n, np.bool_)
-        arr[0] = True
-        j = i
-        while j != 0:
-            arr[j] = True
-            j = int(g.mul[j, i])
-        key = arr.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append((arr, i))
+        arr[powers] = True
+        out.append((arr, i))
     return out
 
 
 def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND) -> Lattice:
-    """Enumerate every subgroup of g by cyclic extension.
+    """Enumerate every subgroup of g by cyclic extension of class
+    representatives.
 
-    Complete because any subgroup arises by adjoining generators one at a
-    time; adding an element and adding the cyclic subgroup it generates close
-    to the same thing, so candidates are deduplicated at the cyclic level.
+    Only the first-found member of each conjugacy class is extended by the
+    cyclic subgroups; the rest of its class is added at once by conjugating
+    masks under the group's generators.  Complete because every subgroup K
+    is <H, c> for a maximal subgroup H of K and some c, and conjugation
+    carries this over: <H, c>^x = <H^x, c^x>, so extending H's
+    representative H^x by <c^x> gives a member of K's class.
     """
     n = g.order
     mul = g.mul
     cyclics = _cyclic_masks(g)
+    # conj[x] = s^-1 x s for each group generator s; scattering a mask
+    # through conj conjugates the subgroup by s
+    conjugators = [mul[mul[g.inv[s]], s] for s in g.gen_indices]
 
     trivial = np.zeros(n, np.bool_)
     trivial[0] = True
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {trivial.tobytes(): (trivial, ())}
     seeds_done: set[bytes] = set()
-    frontier = [(trivial, ())]
-    while frontier:
-        next_frontier: list[tuple[np.ndarray, tuple[int, ...]]] = []
-        for h_arr, h_gens in frontier:
-            for cyc_arr, cyc_gen in cyclics:
-                if not (cyc_arr & ~h_arr).any():
-                    continue  # already inside h
-                seed_key = (h_arr | cyc_arr).tobytes()
-                if seed_key in found or seed_key in seeds_done:
-                    continue  # closed already, or closure computed before
-                seeds_done.add(seed_key)
-                closed = _kernels.close_mask(mul, h_arr, cyc_arr)
-                res_key = closed.tobytes()
-                if res_key not in found:
-                    gens = h_gens + (cyc_gen,)
-                    found[res_key] = (closed, gens)
-                    next_frontier.append((closed, gens))
-                    if len(found) > subgroup_bound:
-                        raise ResourceLimitError(
-                            "subgroup count exceeds the enumeration bound", subgroup_bound
-                        )
-        frontier = next_frontier
+    reps = [(trivial, ())]
+    for h_arr, h_gens in reps:  # grows while iterating: new representatives queue up
+        for cyc_arr, cyc_gen in cyclics:
+            if not (cyc_arr & ~h_arr).any():
+                continue  # already inside h
+            seed_key = (h_arr | cyc_arr).tobytes()
+            if seed_key in found or seed_key in seeds_done:
+                continue  # closed already, or closure computed before
+            seeds_done.add(seed_key)
+            gens = h_gens + (cyc_gen,)
+            closed = _kernels.close_mask(mul, h_arr, gens)
+            key = closed.tobytes()
+            if key in found:
+                continue
+            reps.append((closed, gens))
+            found[key] = (closed, gens)
+            orbit = [(closed, gens)]
+            for arr, arr_gens in orbit:
+                for conj in conjugators:
+                    image = np.empty_like(arr)
+                    image[conj] = arr
+                    if image.tobytes() not in found:
+                        member = (image, tuple(conj[list(arr_gens)].tolist()))
+                        found[image.tobytes()] = member
+                        orbit.append(member)
+            if len(found) > subgroup_bound:
+                raise ResourceLimitError("subgroup count exceeds the enumeration bound", subgroup_bound)
 
     entries = sorted(
         ((array_to_mask(arr), gens) for arr, gens in found.values()),
@@ -285,10 +310,7 @@ def _join_of(lat: Lattice, members: list[Subgroup]) -> Subgroup:
     mask = 1
     for s in members:
         mask |= s.mask
-    n = lat.parent.order
-    base = np.zeros(n, np.bool_)
-    base[0] = True
-    closed = _kernels.close_mask(lat.parent.mul, base, mask_to_array(mask, n))
+    closed, _ = _greedy_generators(lat.parent.mul, mask_to_array(mask, lat.parent.order))
     idx = lat._mask_index.get(array_to_mask(closed))
     if idx is None:
         raise InvariantError("join of normal subgroups is missing from the lattice")

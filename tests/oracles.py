@@ -3,12 +3,18 @@
 Everything here is deliberately dumb pure Python: closures by worklist over
 int bitmasks, subgroup enumeration by closing S union T for every subset T of
 size at most 2 of each known subgroup's complement, prime-step subnormality
-by top-down recursion, and quotients by explicit coset-product tables.
+by top-down recursion, and quotients by explicit coset-product tables.  The
+one exception is ``cyclic_extension_oracle``, the package's earlier
+enumerator (every subgroup extended by every cyclic subgroup, closed by
+frontier x members products), kept as a differential reference that is fast
+enough for whole-corpus comparisons.
 """
 
 from __future__ import annotations
 
-from formationlab.groups import GroupTable, Subgroup
+import numpy as np
+
+from formationlab.groups import GroupTable, Subgroup, array_to_mask
 from formationlab.lattice import Lattice
 from formationlab.primes import is_prime
 
@@ -61,6 +67,56 @@ def all_subgroups_oracle(g: GroupTable) -> set[int]:
                         fresh.append(k2)
         frontier = fresh
     return found
+
+
+def _close_pair_products(mul: np.ndarray, base: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Close ``base | extra`` (base product-closed) by multiplying every new
+    element by every member on both sides until nothing new appears."""
+    mask = base | extra
+    frontier = np.flatnonzero(extra & ~base)
+    while frontier.size:
+        members = np.flatnonzero(mask)
+        prods = np.concatenate(
+            (mul[np.ix_(frontier, members)].ravel(), mul[np.ix_(members, frontier)].ravel())
+        )
+        new = np.zeros_like(mask)
+        new[prods] = True
+        new &= ~mask
+        mask |= new
+        frontier = np.flatnonzero(new)
+    return mask
+
+
+def cyclic_extension_oracle(g: GroupTable) -> Lattice:
+    """Every subgroup, found by extending every known subgroup (not just one
+    per conjugacy class) by every cyclic subgroup, to a fixpoint."""
+    n = g.order
+    cyclics: dict[bytes, np.ndarray] = {}
+    for i in range(1, n):
+        arr = np.zeros(n, np.bool_)
+        arr[0] = True
+        j = i
+        while j != 0:
+            arr[j] = True
+            j = int(g.mul[j, i])
+        cyclics.setdefault(arr.tobytes(), arr)
+    trivial = np.zeros(n, np.bool_)
+    trivial[0] = True
+    found = {trivial.tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for h_arr in frontier:
+            for cyc_arr in cyclics.values():
+                if not (cyc_arr & ~h_arr).any():
+                    continue  # already inside h
+                closed = _close_pair_products(g.mul, h_arr, cyc_arr)
+                if closed.tobytes() not in found:
+                    found[closed.tobytes()] = closed
+                    fresh.append(closed)
+        frontier = fresh
+    masks = sorted((array_to_mask(arr) for arr in found.values()), key=lambda m: (m.bit_count(), m))
+    return Lattice(g, g.full_subgroup(), [Subgroup.from_mask(g, m) for m in masks])
 
 
 def p_subnormal_oracle(lat: Lattice, h: Subgroup, _memo=None) -> bool:

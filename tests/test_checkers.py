@@ -204,3 +204,14 @@ class TestClassify:
         with pytest.raises(ResourceLimitError) as err:
             checkers.classify(big, "S5", subgroup_bound=5)
         assert "S5" in str(err.value)
+
+    def test_invariant_error_names_group(self, s3, monkeypatch):
+        import formationlab.checkers as checkers
+        from formationlab.errors import InvariantError
+
+        def broken(lat):
+            raise InvariantError("chief series is inconsistent")
+
+        monkeypatch.setattr(checkers, "chief_series", broken)
+        with pytest.raises(InvariantError, match="group S3: chief series is inconsistent"):
+            classify(s3, "S3")

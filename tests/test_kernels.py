@@ -1,4 +1,5 @@
-"""The numba kernels and their numpy twins must make identical decisions."""
+"""The closure kernel against the pure-Python oracle, and the numba pair
+sweep against its numpy twin (skipped without numba)."""
 
 from __future__ import annotations
 
@@ -7,13 +8,14 @@ import pytest
 
 from formationlab import _kernels
 from formationlab.corpus import build_group, dihedral, order75_witness, quaternion_generalized
-from formationlab.groups import exponent
+from formationlab.groups import array_to_mask, exponent
 
 from conftest import group_of
+from oracles import py_close
 
-HAVE_JIT = hasattr(_kernels, "_close_mask_jit")
+HAVE_JIT = hasattr(_kernels, "_brandl_sweep_jit")
 
-pytestmark = pytest.mark.skipif(not HAVE_JIT, reason="numba unavailable")
+needs_jit = pytest.mark.skipif(not HAVE_JIT, reason="numba unavailable")
 
 
 def groups():
@@ -26,38 +28,24 @@ def groups():
     ]
 
 
-class TestClosureAgreement:
-    @pytest.mark.parametrize("seed", range(7))
-    def test_random_seeds(self, seed):
+class TestClosure:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_generators_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
         for g in groups():
-            n = g.order
-            base = np.zeros(n, np.bool_)
-            base[0] = True
-            extra = np.zeros(n, np.bool_)
-            extra[rng.integers(0, n, size=rng.integers(1, 4))] = True
-            got_jit = _kernels._close_mask_jit(g.mul, base, extra)
-            got_np = _kernels.close_mask_np(g.mul, base, extra)
-            assert np.array_equal(got_jit, got_np)
-
-    def test_incremental_from_closed_base(self):
-        g = build_group(dihedral(6))
-        rot_mask = _kernels.close_mask_np(
-            g.mul, _one_hot(g.order, 0), _one_hot(g.order, g.gen_indices[0])
-        )
-        extra = _one_hot(g.order, g.gen_indices[1])
-        assert np.array_equal(
-            _kernels._close_mask_jit(g.mul, rot_mask, extra),
-            _kernels.close_mask_np(g.mul, rot_mask, extra),
-        )
+            mul_rows = g.mul.tolist()
+            gens = [int(v) for v in rng.integers(0, g.order, size=rng.integers(1, 4))]
+            identity = np.zeros(g.order, np.bool_)
+            identity[0] = True
+            got = _kernels.close_mask(g.mul, identity, gens)
+            want = py_close(mul_rows, sum(1 << i for i in set(gens)))
+            assert array_to_mask(got) == want
+            # from a closed base generated by a prefix of the generators
+            base = _kernels.close_mask(g.mul, identity, gens[:1])
+            assert array_to_mask(_kernels.close_mask(g.mul, base, gens)) == want
 
 
-def _one_hot(n, i):
-    arr = np.zeros(n, np.bool_)
-    arr[i] = True
-    return arr
-
-
+@needs_jit
 class TestSweepAgreement:
     def test_same_verdict_and_witness(self):
         for g in groups():
@@ -98,25 +86,28 @@ class TestSweepAgreement:
                 assert (bx, by) == min(failing)
 
 
+@needs_jit
 class TestBackendSelection:
     def test_flag_controls_backend(self):
         import subprocess
         import sys
 
+        # only the pair sweep has a numba build; closure is numpy either way
         code = (
             "import formationlab._kernels as k; "
-            "print(k.JIT_ENABLED, k.close_mask is k.close_mask_np)"
+            "print(k.JIT_ENABLED, k.brandl_sweep is k.brandl_sweep_np, "
+            "k.close_mask.__module__, k.close_mask.__name__)"
         )
         on = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=_env_with(FORMATIONLAB_NO_JIT="1"),
         )
-        assert on.stdout.split() == ["False", "True"]
+        assert on.stdout.split() == ["False", "True", "formationlab._kernels", "close_mask"]
         off = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=_env_with(FORMATIONLAB_NO_JIT=""),
         )
-        assert off.stdout.split()[0] == "True"
+        assert off.stdout.split() == ["True", "False", "formationlab._kernels", "close_mask"]
 
 
 def _env_with(**extra):

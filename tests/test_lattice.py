@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from formationlab.corpus import build_group, dihedral, quaternion_generalized
+from formationlab.corpus import build_group, dihedral, quaternion_generalized, standard_corpus
 from formationlab.groups import subgroup_generated
 from formationlab.lattice import (
     all_subgroups,
@@ -22,7 +22,7 @@ from formationlab.perms import parse_cycles
 from formationlab.primes import prime_divisors
 
 from conftest import group_of
-from oracles import all_subgroups_oracle
+from oracles import all_subgroups_oracle, cyclic_extension_oracle
 
 
 def sub_of(g, *texts):
@@ -51,6 +51,23 @@ class TestEnumeration:
         g = maker()
         lat = all_subgroups(g)
         assert {s.mask for s in lat.subgroups} == all_subgroups_oracle(g)
+
+    def test_matches_cyclic_extension_oracle(self):
+        # every subgroup extended, not one per conjugacy class: same masks and
+        # edges, and each member's generators regenerate its mask
+        checked = 0
+        for spec in standard_corpus():
+            g = build_group(spec)
+            if g.order > 60:
+                continue
+            checked += 1
+            lat = all_subgroups(g)
+            ref = cyclic_extension_oracle(g)
+            assert [s.mask for s in lat.subgroups] == [s.mask for s in ref.subgroups], spec.name
+            assert lat.up_edges == ref.up_edges, spec.name
+            for s in lat.subgroups:
+                assert subgroup_generated(g, s.generator_indices).mask == s.mask, spec.name
+        assert checked > 300
 
     def test_subgroup_count_bound(self, s4):
         with pytest.raises(ResourceLimitError):
