@@ -1,10 +1,5 @@
 """Hot inner loops over Cayley tables: subgroup closure and the pair sweep of
-the iterated-commutator word.
-
-Subgroup closure is one vectorized numpy kernel.  The pair sweep has a numba
-``@njit`` build and a vectorized pure-numpy build; ``FORMATIONLAB_NO_JIT=1``
-(or numba being unavailable) selects the numpy path, and both are importable
-by name so tests and benchmarks can compare them directly.
+the iterated-commutator word, both vectorized numpy kernels.
 
 Conventions: ``mul`` is an (n, n) int32 table with ``mul[i, j]`` the index of
 "element i then element j"; index 0 is the identity; ``inv[i]`` is the index
@@ -13,32 +8,17 @@ of the inverse.  Masks are boolean arrays of length n.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
     "JIT_ENABLED",
     "close_mask",
     "brandl_sweep",
-    "brandl_sweep_np",
     "negative_power_table",
 ]
 
-_WANT_JIT = os.environ.get("FORMATIONLAB_NO_JIT", "").strip().lower() not in {
-    "1",
-    "true",
-    "yes",
-}
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-JIT_ENABLED = _WANT_JIT and _HAVE_NUMBA
+# Every kernel is numpy; the name stays because perfbench/run.py reports it.
+JIT_ENABLED = False
 
 
 def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
@@ -77,57 +57,17 @@ def negative_power_table(mul: np.ndarray, inv: np.ndarray, e: int) -> np.ndarray
     return table
 
 
-def _brandl_sweep_loop(mul, inv, pow_neg, e):
-    """Scan ordered pairs (x, y) in index order; for each, iterate
-    u_{k+1} = u_k^(-k) * (u_k^-1 y^-1 u_k y) from u_1 = [x, y].
+def brandl_sweep(mul, inv, pow_neg, e, chunk: int = 8192):
+    """Scan ordered pairs (x, y) for one whose sequence u_1 = [x, y],
+    u_{k+1} = u_k^(-k) * (u_k^-1 y^-1 u_k y) never reaches the identity.
 
-    Returns (status, x, y): status 1 = every pair reaches the identity,
-    0 = (x, y) is the first pair whose (value, k mod e) state repeats,
-    -2 = iteration cap breached without a repeat (an invariant violation).
-    """
-    n = mul.shape[0]
-    cap = n * e + 1
-    visited = np.zeros(n * e, np.bool_)
-    touched = np.empty(n * e, np.int64)
-    for x in range(n):
-        ix = inv[x]
-        for y in range(n):
-            v = mul[mul[mul[ix, inv[y]], x], y]
-            k = 1
-            nt = 0
-            ok = False
-            overflow = False
-            while True:
-                if v == 0:
-                    ok = True
-                    break
-                s = v * e + (k % e)
-                if visited[s]:
-                    break
-                visited[s] = True
-                touched[nt] = s
-                nt += 1
-                c = mul[mul[mul[inv[v], inv[y]], v], y]
-                v = mul[pow_neg[v, k % e], c]
-                k += 1
-                if k > cap:
-                    overflow = True
-                    break
-            for t in range(nt):
-                visited[touched[t]] = False
-            if overflow:
-                return -2, x, y
-            if not ok:
-                return 0, x, y
-    return 1, -1, -1
-
-
-def brandl_sweep_np(mul, inv, pow_neg, e, chunk: int = 8192):
-    """Numpy twin of the pair sweep: pairs advance in lockstep, chunked in
-    index order so the reported witness is still the least failing pair.
-
-    A pair still unterminated after n*e + 1 values has revisited a
-    (value, k mod e) state by pigeonhole, hence never terminates.
+    Returns (1, -1, -1) when every pair terminates, else (0, x, y) with
+    (x, y) the least failing pair in index order.  Pairs advance in lockstep
+    in chunks taken in index order.  A pair fails once its (value, k mod e)
+    state repeats; since all pairs share k, that is checked by Brent's
+    doubling windows (windows of e, 2e, 4e, ... steps, comparing with the
+    value saved at the window start every e steps).  A pair still alive
+    after n*e + 1 values has repeated a state by pigeonhole.
     """
     n = mul.shape[0]
     cap = n * e + 1
@@ -136,23 +76,29 @@ def brandl_sweep_np(mul, inv, pow_neg, e, chunk: int = 8192):
         x = ids // n
         y = ids % n
         v = mul[mul[mul[inv[x], inv[y]], x], y]
+        saved = v  # saved[i]: value of pair start + i at step k_saved
         alive = v != 0
         ids, y, v = ids[alive], y[alive], v[alive]
-        k = 1
+        k = k_saved = 1
+        window = e
+        least = n * n  # least pair seen to repeat a state
         while ids.size and k <= cap:
             c = mul[mul[mul[inv[v], inv[y]], v], y]
             v = mul[pow_neg[v, k % e], c]
             k += 1
             keep = v != 0
+            if (k - k_saved) % e == 0:
+                repeated = v == saved[ids - start]
+                if repeated.any():
+                    least = min(least, int(ids[repeated.argmax()]))
+                    keep &= ids < least
+                if k - k_saved == window:
+                    saved[ids - start] = v
+                    k_saved, window = k, 2 * window
             if not keep.all():
                 ids, y, v = ids[keep], y[keep], v[keep]
         if ids.size:
-            bad = int(ids[0])
-            return 0, bad // n, bad % n
+            least = min(least, int(ids[0]))
+        if least < n * n:
+            return 0, least // n, least % n
     return 1, -1, -1
-
-
-if _HAVE_NUMBA:
-    _brandl_sweep_jit = njit(cache=True)(_brandl_sweep_loop)
-
-brandl_sweep = _brandl_sweep_jit if JIT_ENABLED else brandl_sweep_np

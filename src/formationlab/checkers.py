@@ -191,8 +191,6 @@ def _condition_b_law_impl(
     mul = np.ascontiguousarray(g.mul.T) if opposite_convention else g.mul
     pow_neg = _kernels.negative_power_table(mul, g.inv, e)
     status, x, y = _kernels.brandl_sweep(mul, g.inv, pow_neg, e)
-    if status == -2:
-        raise InvariantError("pair sweep exceeded the pigeonhole cap without repeating")
     if status == 1:
         return True, None
     return False, (

@@ -205,18 +205,15 @@ def affine_semidirect(p: int, *matrices) -> GroupSpec:
     return _spec_from_perms(f"C{p}^2:L{k}", p * p, perms)
 
 
-def subgroups_of_symmetric(n: int, *, confirm_s6: bool = False) -> list[GroupSpec]:
+def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     """One spec per subgroup of S_n (bitmask-distinct, no isomorphism
     deduplication), with the greedy generators of each subgroup's mask, so
     the specs do not depend on how the lattice was enumerated.
 
-    n = 6 enumerates 1455 subgroups of a 720-element group and takes a
-    while; it must be requested explicitly.
+    n = 6 gives 1455 subgroups of a 720-element group (a few seconds).
     """
     if not 1 <= n <= 6:
         raise InputError(f"subgroups_of_symmetric supports 1 <= n <= 6, got {n}")
-    if n == 6 and not confirm_s6:
-        raise InputError("subgroups_of_symmetric(6) is expensive; pass confirm_s6=True")
     table = build_group(symmetric(n))
     lat = all_subgroups(table)
     specs = []
@@ -329,7 +326,7 @@ def standard_corpus(sn_levels: Sequence[int] = (4, 5)) -> list[GroupSpec]:
         direct_product(d5, c4),
     ]
     for n in sn_levels:
-        specs += subgroups_of_symmetric(n, confirm_s6=True)
+        specs += subgroups_of_symmetric(n)
     specs.append(order75_witness())
     specs.append(order294_candidate())
     return specs

@@ -128,6 +128,18 @@ class TestVerify:
         assert main(["verify", "--corpus", small_corpus_dir, "--jobs", "3", "--report", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.slow
+    def test_s6_census_sweep(self, tmp_path):
+        # the 1455 subgroups of S6 plus the named families
+        report = tmp_path / "s6.tsv"
+        assert main(["verify", "--sn", "6", "--jobs", "1", "--report", str(report)]) == 0
+        header, *lines = report.read_text().splitlines()
+        rows = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
+        assert len(rows) == 1633
+        for r in rows:
+            u, x, d = (r[key] == "true" for key in ("supersoluble", "cond_x", "sylow_tower"))
+            assert r["status"] == "ok" and x >= u and d >= x, r["name"]
+
     def test_corrupted_predicate_exits_1(self, small_corpus_dir, tmp_path, monkeypatch, capsys):
         import formationlab.checkers as checkers
 

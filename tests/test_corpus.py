@@ -96,13 +96,9 @@ class TestSymmetricCensus:
         assert orders[0] == 1 and orders[-1] == math.factorial(4)
         assert orders.count(24) == 1 and orders.count(1) == 1
 
-    def test_s6_needs_confirmation(self):
-        with pytest.raises(InputError):
-            subgroups_of_symmetric(6)
-
     def test_rejects_seven(self):
         with pytest.raises(InputError):
-            subgroups_of_symmetric(7, confirm_s6=True)
+            subgroups_of_symmetric(7)
 
     def test_conjugate_subgroups_classify_identically(self):
         # conjugate copies inside S4 must agree on every predicate

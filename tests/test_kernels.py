@@ -1,5 +1,5 @@
-"""The closure kernel against the pure-Python oracle, and the numba pair
-sweep against its numpy twin (skipped without numba)."""
+"""The closure kernel against the pure-Python oracle, and the pair sweep
+against the permutation-level word iteration."""
 
 from __future__ import annotations
 
@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from formationlab import _kernels
-from formationlab.corpus import build_group, dihedral, order75_witness, quaternion_generalized
+from formationlab.corpus import (
+    alternating,
+    build_group,
+    cyclic,
+    dihedral,
+    direct_product,
+    order75_witness,
+    quaternion_generalized,
+)
 from formationlab.groups import array_to_mask, exponent
 
 from conftest import group_of
 from oracles import py_close
-
-HAVE_JIT = hasattr(_kernels, "_brandl_sweep_jit")
-
-needs_jit = pytest.mark.skipif(not HAVE_JIT, reason="numba unavailable")
 
 
 def groups():
@@ -45,16 +49,7 @@ class TestClosure:
             assert array_to_mask(_kernels.close_mask(g.mul, base, gens)) == want
 
 
-@needs_jit
-class TestSweepAgreement:
-    def test_same_verdict_and_witness(self):
-        for g in groups():
-            e = exponent(g)
-            pow_neg = _kernels.negative_power_table(g.mul, g.inv, e)
-            got_jit = _kernels._brandl_sweep_jit(g.mul, g.inv, pow_neg, e)
-            got_np = _kernels.brandl_sweep_np(g.mul, g.inv, pow_neg, e)
-            assert tuple(int(v) for v in got_jit) == tuple(int(v) for v in got_np)
-
+class TestSweep:
     def test_negative_power_table_is_inverse_powers(self):
         g = group_of(4, "(1 2)", "(1 2 3 4)")
         e = exponent(g)
@@ -65,54 +60,28 @@ class TestSweepAgreement:
                 assert table[v, j] == acc
                 acc = int(g.mul[acc, g.inv[v]])
 
-    def test_sweep_matches_permutation_level_iteration(self):
-        # dual route: the table kernel must agree pair-by-pair with the
-        # permutation-level trace on every pair of a few small groups
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_sweep_matches_permutation_level_iteration(self, chunk):
+        # dual route: the returned pair must be the least pair in index order
+        # whose permutation-level trace cycles.  S4 is a group where the
+        # first pair found to cycle in one chunk is not the least one;
+        # A4xC7 is the smallest group of the law workload.
         from formationlab.checkers import brandl_terminates
 
+        kwargs = {} if chunk is None else {"chunk": chunk}
         for g in (group_of(3, "(1 2)", "(1 2 3)"), group_of(4, "(1 2 3)", "(2 3 4)"),
-                  build_group(quaternion_generalized(2))):
+                  group_of(4, "(1 2)", "(1 2 3 4)"), build_group(quaternion_generalized(2)),
+                  build_group(direct_product(alternating(4), cyclic(7)))):
+            n = g.order
             e = exponent(g)
             pow_neg = _kernels.negative_power_table(g.mul, g.inv, e)
-            failing = {
-                (x, y)
-                for x in range(g.order)
-                for y in range(g.order)
-                if not brandl_terminates(g.elements[x], g.elements[y], e, group_order=g.order).terminated
-            }
-            status, bx, by = _kernels._brandl_sweep_jit(g.mul, g.inv, pow_neg, e)
-            assert (status == 1) == (not failing)
-            if failing:
-                assert (bx, by) == min(failing)
 
+            def terminates(i):
+                return brandl_terminates(g.elements[i // n], g.elements[i % n], e, group_order=n).terminated
 
-@needs_jit
-class TestBackendSelection:
-    def test_flag_controls_backend(self):
-        import subprocess
-        import sys
-
-        # only the pair sweep has a numba build; closure is numpy either way
-        code = (
-            "import formationlab._kernels as k; "
-            "print(k.JIT_ENABLED, k.brandl_sweep is k.brandl_sweep_np, "
-            "k.close_mask.__module__, k.close_mask.__name__)"
-        )
-        on = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=_env_with(FORMATIONLAB_NO_JIT="1"),
-        )
-        assert on.stdout.split() == ["False", "True", "formationlab._kernels", "close_mask"]
-        off = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=_env_with(FORMATIONLAB_NO_JIT=""),
-        )
-        assert off.stdout.split() == ["True", "False", "formationlab._kernels", "close_mask"]
-
-
-def _env_with(**extra):
-    import os
-
-    env = dict(os.environ)
-    env.update(extra)
-    return env
+            status, bx, by = _kernels.brandl_sweep(g.mul, g.inv, pow_neg, e, **kwargs)
+            least = n * n if status == 1 else bx * n + by
+            assert status in (0, 1)
+            assert all(terminates(i) for i in range(least))
+            if status == 0:
+                assert not terminates(least)
