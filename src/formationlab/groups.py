@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, InvariantError, ResourceLimitError
-from .perms import Permutation, format_cycles, order_of
+from .perms import Permutation, format_cycles
 
 __all__ = [
     "DEFAULT_ORDER_BOUND",
@@ -69,7 +69,10 @@ class GroupTable:
     ``elements[0]`` is the identity; ``mul[i, j]`` is the index of "element i
     then element j"; the ordering is the insertion order of the generator
     closure, so equal generator sequences give bit-identical tables.
-    Instances are immutable after construction.
+    ``elem_orders`` and ``inv`` are read off the table: the powers x^k of
+    every element are stepped together until each reaches the identity,
+    where x^(k-1) is its inverse.  Instances are immutable after
+    construction.
     """
 
     __slots__ = (
@@ -92,8 +95,19 @@ class GroupTable:
         self.order = len(self.elements)
         self.element_index = {p: i for i, p in enumerate(self.elements)}
         self.mul = mul
-        self.inv = np.ascontiguousarray((mul == 0).argmax(axis=1).astype(np.int32))
-        self.elem_orders = np.array([order_of(p) for p in self.elements], dtype=np.int64)
+        self.inv, self.elem_orders = np.zeros(self.order, np.int32), np.zeros(self.order, np.int64)
+        xs = np.arange(self.order)  # elements whose order is not yet known
+        prev = np.zeros(self.order, np.int32)  # prev[i] = xs[i]^(k-1)
+        for k in range(1, self.order + 1):
+            power = mul[prev, xs]
+            done = power == 0
+            self.elem_orders[xs[done]] = k
+            self.inv[xs[done]] = prev[done]
+            xs, prev = xs[~done], power[~done]
+            if not xs.size:
+                break
+        else:
+            raise InvariantError("an element's powers never reach the identity")
         self.gen_indices = tuple(self.element_index[g] for g in self.generators)
         self._full = None
 
@@ -207,7 +221,9 @@ def close_generators(
     Inductive closure: extend by one generator at a time, appending whole
     right cosets of the previously closed set, with new coset representatives
     produced by multiplying known representatives by the generators taken so
-    far.  Insertion order (hence the table) is deterministic.
+    far.  Insertion order (hence the table) is deterministic.  The Cayley
+    table is built by rows: each generator's row is looked up, and the row of
+    (s then i) is ``mul[s][mul[i]]`` by associativity, filled breadth-first.
     """
     if degree < 1:
         raise InputError(f"degree must be a positive integer, got {degree}")
@@ -243,45 +259,28 @@ def close_generators(
             for s in taken:
                 queue.append(s[rep])  # (rep then s)
 
-    elements = [Permutation(int(v) + 1 for v in row) for row in rows]
-    mul = _build_mul_table(np.array(rows, dtype=np.int32))
+    n = len(rows)
+    mul = np.full((n, n), -1, dtype=np.int32)  # -1 marks a row not yet built
+    mul[0] = np.arange(n)
+    left: list[int] = []  # the distinct non-identity generators
+    for grow in gen_rows:
+        s = index[grow.tobytes()]
+        if mul[s, 0] < 0:
+            mul[s] = [index[row[grow].tobytes()] for row in rows]  # (s then j): j[s[p]]
+            left.append(s)
+    # Products of validated generators skip the checks; images share one int per point.
+    pts = list(range(1, degree + 1))
+    elements = [Permutation._trusted(tuple(map(pts.__getitem__, row.tolist()))) for row in rows]
+    reached = [0, *left]
+    for i in reached:  # grows while iterating
+        for s in left:
+            k = int(mul[s, i])
+            if mul[k, 0] < 0:
+                mul[k] = mul[s][mul[i]]
+                reached.append(k)
+    if (mul[:, 0] < 0).any():
+        raise InvariantError("Cayley table rows not reached from the generators")
     return GroupTable(degree, gens, elements, mul)
-
-
-def _find_base(rowmat: np.ndarray) -> list[int]:
-    """Greedy set of points whose images distinguish all elements."""
-    n, d = rowmat.shape
-    if n == 1:
-        return []
-    base: list[int] = []
-    ids = np.zeros(n, dtype=np.int64)
-    distinct = 1
-    for p in range(d):
-        if distinct == n:
-            break
-        combined = ids * d + rowmat[:, p]
-        uniq, new_ids = np.unique(combined, return_inverse=True)
-        if len(uniq) > distinct:
-            base.append(p)
-            ids = new_ids
-            distinct = len(uniq)
-    if distinct != n:
-        raise InvariantError("element rows are not distinct")
-    return base
-
-
-def _build_mul_table(rowmat: np.ndarray) -> np.ndarray:
-    n = rowmat.shape[0]
-    mul = np.empty((n, n), dtype=np.int32)
-    if n == 1:
-        mul[0, 0] = 0
-        return mul
-    base = _find_base(rowmat)
-    lookup = {rowmat[j, base].tobytes(): j for j in range(n)}
-    for i in range(n):
-        partial = rowmat[:, rowmat[i, base]]  # row j = images of (i then j) at base
-        mul[i] = [lookup[partial[j].tobytes()] for j in range(n)]
-    return mul
 
 
 def as_subgroup(g: Union[GroupTable, Subgroup]) -> Subgroup:
@@ -317,7 +316,8 @@ class QuotientMap(NamedTuple):
 
 
 def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
-    """Quotient acting on right cosets by right multiplication.
+    """Quotient acting on right cosets by right multiplication (a bijection
+    by construction, so the coset permutations are not re-checked).
 
     Coset representatives are the least element index in each coset; the
     projection is verified to be a homomorphism with kernel exactly ``n_sub``.
@@ -338,7 +338,7 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     reps_arr = np.array(reps, dtype=np.int64)
 
     def coset_perm(x: int) -> Permutation:
-        return Permutation(int(v) + 1 for v in coset_id[g.mul[reps_arr, x]])
+        return Permutation._trusted(tuple((coset_id[g.mul[reps_arr, x]] + 1).tolist()))
 
     qgens = [coset_perm(i) for i in g.gen_indices]
     quotient = close_generators(m, qgens, order_bound=m)

@@ -14,6 +14,7 @@ are deduplicated by bitmask, never by isomorphism, and the lattice order is
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,23 +108,27 @@ class Lattice:
             for i in downs:
                 up[i].append(j)
         if validate:
-            self._assert_edges_maximal(up)
+            self._assert_edges_maximal(up, by_order)
         return tuple(tuple(sorted(js)) for js in up)
 
-    def _assert_edges_maximal(self, up: list[list[int]]) -> None:
+    def _assert_edges_maximal(self, up: list[list[int]], by_order: dict[int, list[int]]) -> None:
         # Prime index forces maximality (Lagrange); a violation means the
-        # enumeration or the subset relation is broken.
+        # enumeration or the subset relation is broken.  Only subgroups of an
+        # order strictly between the pair's can lie strictly between them.
         subs = self.subgroups
+        orders = sorted(by_order)
         for i, ups in enumerate(up):
             small = subs[i]
             for j in ups:
                 big = subs[j]
-                for k, mid in enumerate(subs):
-                    if small.order < mid.order < big.order and big.contains(mid) and mid.contains(small):
-                        raise InvariantError(
-                            f"subgroup strictly between a prime-index pair "
-                            f"({small.order} < {mid.order} < {big.order})"
-                        )
+                for order in orders[bisect_right(orders, small.order) : bisect_left(orders, big.order)]:
+                    for k in by_order[order]:
+                        mid = subs[k]
+                        if big.contains(mid) and mid.contains(small):
+                            raise InvariantError(
+                                f"subgroup strictly between a prime-index pair "
+                                f"({small.order} < {mid.order} < {big.order})"
+                            )
 
     # -- indexed access ------------------------------------------------
 

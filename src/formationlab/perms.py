@@ -44,6 +44,15 @@ class Permutation:
             seen[v - 1] = True
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an images tuple known to be a bijection on 1..n, unchecked:
+        for products of validated permutations and other bijections by
+        construction.  Outside input goes through the checking constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)

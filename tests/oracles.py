@@ -1,9 +1,10 @@
 """Independent brute-force oracles the production code is checked against.
 
-Everything here is deliberately dumb pure Python: closures by worklist over
-int bitmasks, subgroup enumeration by closing S union T for every subset T of
-size at most 2 of each known subgroup's complement, prime-step subnormality
-by top-down recursion, and quotients by explicit coset-product tables.  The
+Everything here is deliberately dumb pure Python: Cayley tables by composing
+every pair of permutations, closures by worklist over int bitmasks, subgroup
+enumeration by closing S union T for every subset T of size at most 2 of
+each known subgroup's complement, prime-step subnormality by top-down
+recursion, and quotients by explicit coset-product tables.  The
 one exception is ``cyclic_extension_oracle``, the package's earlier
 enumerator (every subgroup extended by every cyclic subgroup, closed by
 frontier x members products), kept as a differential reference that is fast
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from formationlab import perms
 from formationlab.groups import GroupTable, Subgroup, array_to_mask
 from formationlab.lattice import Lattice
 from formationlab.primes import is_prime
@@ -33,6 +35,16 @@ def py_close(mul_rows: list[list[int]], seed: int) -> int:
                     members.append(p)
                     queue.append(p)
     return mask
+
+
+def cayley_oracle(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cayley table, inverses and element orders of g's own elements, by
+    composing every pair of permutations and looking the product up."""
+    els = g.elements
+    mul = np.array([[g.index_of(perms.compose(a, b)) for b in els] for a in els], dtype=np.int32)
+    inv = np.array([g.index_of(perms.inverse(a)) for a in els], dtype=np.int32)
+    orders = np.array([perms.order_of(a) for a in els], dtype=np.int64)
+    return mul, inv, orders
 
 
 def all_subgroups_oracle(g: GroupTable) -> set[int]:

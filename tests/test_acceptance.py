@@ -3,10 +3,15 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The standard corpus is
 swept once through the real CLI in a session fixture; criteria that need
 group tables or lattices rebuild them per group (nothing is presumed from
-the sweep that the criterion itself does not check).
+the sweep that the criterion itself does not check).  The sweep's report is
+also compared byte for byte with ``tests/golden/standard.tsv``; regenerate
+that file with ``formationlab verify --jobs 1 --report tests/golden/standard.tsv``
+only for a change meant to alter verdicts or witnesses.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,8 @@ from formationlab.predicates import (
 )
 
 from oracles import all_subgroups_oracle, p_subnormal_oracle
+
+GOLDEN = Path(__file__).parent / "golden" / "standard.tsv"
 
 
 def _verdict(num: int, text: str, ok: bool) -> None:
@@ -192,14 +199,26 @@ def test_criterion_7_convention_robustness(corpus_specs):
     )
 
 
-def test_criterion_8_report_determinism(tmp_path):
-    r1 = tmp_path / "jobs1.tsv"
+def test_criterion_8_report_determinism(sweep, tmp_path):
+    code1, _, raw1 = sweep  # the --jobs 1 run
     r2 = tmp_path / "jobs2.tsv"
-    code1 = main(["verify", "--jobs", "1", "--report", str(r1)])
     code2 = main(["verify", "--jobs", "2", "--report", str(r2)])
-    identical = r1.read_bytes() == r2.read_bytes()
+    identical = raw1 == r2.read_bytes()
     _verdict(
         8,
         f"verify reports byte-identical across --jobs values (exits {code1}/{code2})",
         identical and code1 == code2 == 0,
     )
+
+
+def test_golden_standard_report(sweep):
+    """The standard-corpus report equals the checked-in one byte for byte,
+    so a rewrite cannot quietly change a verdict or a witness."""
+    _, _, raw = sweep
+    golden = GOLDEN.read_bytes()
+    changed = [
+        new.split("\t", 1)[0]
+        for old, new in zip(golden.decode().splitlines(), raw.decode().splitlines())
+        if old != new
+    ]
+    assert raw == golden, f"report differs from {GOLDEN.name}; changed rows: {changed[:5]}"

@@ -17,10 +17,10 @@ from formationlab.groups import (
     quotient_by,
     subgroup_generated,
 )
-from formationlab.perms import parse_cycles
+from formationlab.perms import Permutation, parse_cycles
 
 from conftest import group_of
-from oracles import commutator_values_oracle, quotient_oracle
+from oracles import cayley_oracle, commutator_values_oracle, quotient_oracle
 
 
 def sub_from_texts(g, *texts):
@@ -68,6 +68,51 @@ class TestCloseGenerators:
 
     def test_lagrange_on_element_orders(self, s4):
         assert all(s4.order % int(o) == 0 for o in s4.elem_orders)
+
+
+def assert_matches_cayley_oracle(g):
+    mul, inv, orders = cayley_oracle(g)
+    assert np.array_equal(g.mul, mul)
+    assert np.array_equal(g.inv, inv)
+    assert np.array_equal(g.elem_orders, orders)
+
+
+class TestCayleyTable:
+    @pytest.mark.parametrize(
+        "degree, gens",
+        [
+            (3, ["(1 2)", "(1 2 3)"]),  # S3
+            (4, ["(1 2)", "(1 2 3 4)"]),  # S4
+            (5, ["(1 2 3)", "(1 2 3 4 5)"]),  # A5
+            (4, []),  # trivial group
+            (4, ["()", "(1 2 3)"]),  # identity generator
+            (4, ["(1 2 3 4)", "(1 3)", "(1 2 3 4)"]),  # repeated generator
+            (7, ["(1 2 3)", "(2 3)"]),  # degree larger than the support
+        ],
+    )
+    def test_matches_oracle(self, degree, gens):
+        assert_matches_cayley_oracle(group_of(degree, *gens))
+
+    def test_q8_and_order75_witness_match_oracle(self, q8):
+        from formationlab.corpus import build_group, order75_witness
+
+        assert_matches_cayley_oracle(q8)
+        assert_matches_cayley_oracle(build_group(order75_witness()))
+
+    def test_random_generators_match_oracle(self):
+        from hypothesis import given, settings, strategies as st
+
+        gens_at_degree = st.integers(1, 6).flatmap(
+            lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(1, d + 1)), max_size=3))
+        )
+
+        @settings(max_examples=30, deadline=None)
+        @given(gens_at_degree)
+        def check(case):
+            degree, gens = case
+            assert_matches_cayley_oracle(close_generators(degree, [Permutation(p) for p in gens]))
+
+        check()
 
 
 class TestSubgroupGenerated:

@@ -17,7 +17,7 @@ from formationlab.lattice import (
     p_reachable,
     sylow_subgroup,
 )
-from formationlab.errors import InputError, ResourceLimitError
+from formationlab.errors import InputError, InvariantError, ResourceLimitError
 from formationlab.perms import parse_cycles
 from formationlab.primes import prime_divisors
 
@@ -250,6 +250,15 @@ class TestReachability:
                 small, big = lat.subgroups[i], lat.subgroups[j]
                 assert big.contains(small)
                 assert is_prime(big.order // small.order)
+
+    def test_composite_index_edge_is_rejected(self, monkeypatch):
+        # With every divisor taken for a prime, C4 gets the index-4 edge
+        # 1 < C4, which has C2 strictly between.
+        import formationlab.lattice as lattice
+
+        monkeypatch.setattr(lattice, "prime_divisors", lambda n: [d for d in range(2, n + 1) if n % d == 0])
+        with pytest.raises(InvariantError, match=r"strictly between a prime-index pair \(1 < 2 < 4\)"):
+            all_subgroups(group_of(4, "(1 2 3 4)"))
 
     def test_restrict_gives_complete_sublattice(self, s4):
         lat = all_subgroups(s4)
