@@ -1,5 +1,7 @@
-"""Hot inner loops over Cayley tables: subgroup closure and the pair sweep of
-the iterated-commutator word, both vectorized numpy kernels.
+"""Hot inner loops over Cayley tables, all vectorized numpy kernels:
+subgroup closure, the table of negative powers, and the pair sweep of the
+iterated-commutator word.  The sweep steps each distinct start state
+([x, y], y) once, not each of the n*n pairs.
 
 Conventions: ``mul`` is an (n, n) int32 table with ``mul[i, j]`` the index of
 "element i then element j"; index 0 is the identity; ``inv[i]`` is the index
@@ -48,13 +50,62 @@ def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
 
 def negative_power_table(mul: np.ndarray, inv: np.ndarray, e: int) -> np.ndarray:
     """Table P with P[v, j] = v^(-j) for 0 <= j < e, where e is a multiple of
-    every element order (the group exponent)."""
+    every element order (the group exponent).
+
+    Filled by doubling: with columns 0..m-1 known, column j + m is v^(-m)
+    times column j, one 2-D take per doubling.
+    """
     n = mul.shape[0]
     table = np.empty((n, e), dtype=np.int32)
     table[:, 0] = 0  # v^0 is the identity
-    for j in range(1, e):
-        table[:, j] = mul[table[:, j - 1], inv]
+    m = 1
+    while m < e:
+        step = mul[table[:, m - 1], inv]  # v^(-m)
+        width = min(m, e - m)
+        table[:, m:m + width] = mul[step[:, None], table[:, :width]]
+        m += width
     return table
+
+
+def _commutators(mul, inv, x, y):
+    """[x, y] = x^-1 y^-1 x y, elementwise."""
+    return mul[mul[mul[inv[x], inv[y]], x], y]
+
+
+def _failing_states(mul, inv, pow_neg, e, states):
+    """Bool array: which start states s = v*n + y (u_1 = v, right argument
+    y) never reach the identity.
+
+    States advance in lockstep.  A state fails once its (value, k mod e)
+    repeats; since all states share k, that is checked by Brent's doubling
+    windows (windows of e, 2e, 4e, ... steps, comparing with the value saved
+    at the window start every e steps).  A state still alive after n*e + 1
+    values has repeated by pigeonhole.
+    """
+    n = mul.shape[0]
+    cap = n * e + 1
+    v, y = np.divmod(states, n)
+    failed = np.zeros(states.size, np.bool_)
+    pos = np.arange(states.size)
+    saved = v.copy()  # saved[i]: value of state i at step k_saved
+    k = k_saved = 1
+    window = e
+    while pos.size and k <= cap:
+        c = _commutators(mul, inv, v, y)
+        v = mul[pow_neg[v, k % e], c]
+        k += 1
+        keep = v != 0
+        if (k - k_saved) % e == 0:
+            repeated = v == saved[pos]
+            failed[pos[repeated]] = True
+            keep &= ~repeated
+            if k - k_saved == window:
+                saved[pos] = v
+                k_saved, window = k, 2 * window
+        if not keep.all():
+            pos, y, v = pos[keep], y[keep], v[keep]
+    failed[pos] = True
+    return failed
 
 
 def brandl_sweep(mul, inv, pow_neg, e, chunk: int = 8192):
@@ -62,43 +113,37 @@ def brandl_sweep(mul, inv, pow_neg, e, chunk: int = 8192):
     u_{k+1} = u_k^(-k) * (u_k^-1 y^-1 u_k y) never reaches the identity.
 
     Returns (1, -1, -1) when every pair terminates, else (0, x, y) with
-    (x, y) the least failing pair in index order.  Pairs advance in lockstep
-    in chunks taken in index order.  A pair fails once its (value, k mod e)
-    state repeats; since all pairs share k, that is checked by Brent's
-    doubling windows (windows of e, 2e, 4e, ... steps, comparing with the
-    value saved at the window start every e steps).  A pair still alive
-    after n*e + 1 values has repeated a state by pigeonhole.
+    (x, y) the least failing pair in index order.  The sequence depends on
+    (x, y) only through its start state ([x, y], y), so the sweep runs in
+    three passes, each in chunks of ``chunk`` pairs or states:
+
+    1. mark every start state v*n + y with v = [x, y] not the identity in
+       one n*n bitmap;
+    2. step each marked state once (``_failing_states``) and keep only the
+       failing ones marked;
+    3. only when some state fails, return the first pair in index order
+       whose start state is marked.
     """
     n = mul.shape[0]
-    cap = n * e + 1
-    for start in range(0, n * n, chunk):
-        ids = np.arange(start, min(start + chunk, n * n), dtype=np.int64)
-        x = ids // n
-        y = ids % n
-        v = mul[mul[mul[inv[x], inv[y]], x], y]
-        saved = v  # saved[i]: value of pair start + i at step k_saved
-        alive = v != 0
-        ids, y, v = ids[alive], y[alive], v[alive]
-        k = k_saved = 1
-        window = e
-        least = n * n  # least pair seen to repeat a state
-        while ids.size and k <= cap:
-            c = mul[mul[mul[inv[v], inv[y]], v], y]
-            v = mul[pow_neg[v, k % e], c]
-            k += 1
-            keep = v != 0
-            if (k - k_saved) % e == 0:
-                repeated = v == saved[ids - start]
-                if repeated.any():
-                    least = min(least, int(ids[repeated.argmax()]))
-                    keep &= ids < least
-                if k - k_saved == window:
-                    saved[ids - start] = v
-                    k_saved, window = k, 2 * window
-            if not keep.all():
-                ids, y, v = ids[keep], y[keep], v[keep]
-        if ids.size:
-            least = min(least, int(ids[0]))
-        if least < n * n:
-            return 0, least // n, least % n
+    pairs = n * n
+    marked = np.zeros(pairs, np.bool_)
+
+    def start_states(lo):
+        x, y = np.divmod(np.arange(lo, min(lo + chunk, pairs), dtype=np.int64), n)
+        return _commutators(mul, inv, x, y) * np.int64(n) + y
+
+    for lo in range(0, pairs, chunk):
+        marked[start_states(lo)] = True
+    marked[:n] = False  # u_1 is the identity: the pair terminates at once
+    states = np.flatnonzero(marked)
+    marked[:] = False
+    for lo in range(0, states.size, chunk):
+        batch = states[lo:lo + chunk]
+        marked[batch[_failing_states(mul, inv, pow_neg, e, batch)]] = True
+    if marked.any():
+        for lo in range(0, pairs, chunk):
+            bad = marked[start_states(lo)]
+            if bad.any():
+                least = lo + int(bad.argmax())
+                return 0, least // n, least % n
     return 1, -1, -1

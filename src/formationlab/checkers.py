@@ -5,7 +5,14 @@ The word sequence for a pair (x, y) is u_1 = [x, y] and
 u_{k+1} = u_k^(-k) [u_k, y], applied for every k >= 1.  A pair terminates
 when some u_k is the identity; since u_{k+1} depends on k only through
 k mod e (e the ambient exponent), a repeated (value, k mod e) state proves
-the sequence never terminates.
+the sequence never terminates.  The sequence depends on (x, y) only through
+its start state ([x, y], y), so the all-pairs sweep (``_kernels.brandl_sweep``)
+steps each distinct start state once and then maps failures back to the
+least failing pair.
+
+``cond_b_subgroups`` takes the derived subgroup [H, H] of every lattice
+member as a normal closure of the commutators of its generators
+(``groups.commutator_subgroup``), not from all |H|^2 commutators.
 """
 
 from __future__ import annotations

@@ -196,13 +196,18 @@ class Subgroup:
         return f"Subgroup(order={self.order}, gens=[{gens}])"
 
 
-def _greedy_generators(mul: np.ndarray, seed_arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The subgroup generated by a seed mask, with a short generator list:
-    scan the seeds in index order, keeping each one not yet generated and
-    closing once per kept seed.  Returns (closed mask, generators)."""
-    current = np.zeros(mul.shape[0], np.bool_)
-    current[0] = True
-    gens: list[int] = []
+def _greedy_generators(
+    mul: np.ndarray, seed_arr: np.ndarray, current: np.ndarray | None = None, gens: Sequence[int] = ()
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The subgroup generated by a seed mask together with ``current``, the
+    closed mask that ``gens`` generate (by default the trivial subgroup),
+    with a short generator list: scan the seeds in index order, keeping each
+    one not yet generated and closing once per kept seed.  Returns
+    (closed mask, generators)."""
+    if current is None:
+        current = np.zeros(mul.shape[0], np.bool_)
+        current[0] = True
+    gens = list(gens)
     for i in np.flatnonzero(seed_arr):
         if not current[i]:
             gens.append(int(i))
@@ -357,16 +362,29 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
 
 
 def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
-    """Subgroup generated by all [x, y] with x in a, y in b."""
-    ai = a.indices()
-    bi = b.indices()
+    """[A, B], the subgroup generated by all [x, y] with x in a, y in b.
+
+    It is the normal closure in <A, B> of the commutators of generator
+    pairs (Robinson, A Course in the Theory of Groups, 5.1.7): close those,
+    then add conjugates of the generators found by the generators of a and
+    b until the set is stable.  Needs each subgroup's generators to
+    generate its mask.
+    """
+    ai = np.array(a.generator_indices, dtype=np.intp)
+    bi = np.array(b.generator_indices, dtype=np.intp)
     t = g.mul[np.ix_(g.inv[ai], g.inv[bi])]
     t = g.mul[t, ai[:, None]]
     t = g.mul[t, bi[None, :]]
     seed = np.zeros(g.order, np.bool_)
-    seed[t.ravel()] = True
+    seed[t] = True
     closed, gens = _greedy_generators(g.mul, seed)
-    return Subgroup(g, array_to_mask(closed), gens)
+    conj = np.concatenate([ai, bi])[:, None]
+    while True:
+        seed[:] = False
+        seed[g.mul[g.mul[g.inv[conj], np.array(gens, dtype=np.intp)], conj]] = True
+        if closed[seed].all():
+            return Subgroup(g, array_to_mask(closed), gens)
+        closed, gens = _greedy_generators(g.mul, seed, closed, gens)
 
 
 def derived_series(g: Union[GroupTable, Subgroup]) -> list[Subgroup]:

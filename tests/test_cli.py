@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -130,7 +131,11 @@ class TestVerify:
 
     @pytest.mark.slow
     def test_s6_census_sweep(self, tmp_path):
-        # the 1455 subgroups of S6 plus the named families
+        # the 1455 subgroups of S6 plus the named families; the census holds
+        # the perfect groups A5 and A6, where [H, H] = H.  Regenerate
+        # tests/golden/s6.tsv with `formationlab verify --sn 6 --jobs 1
+        # --report tests/golden/s6.tsv` only for a change meant to alter
+        # verdicts or witnesses.
         report = tmp_path / "s6.tsv"
         assert main(["verify", "--sn", "6", "--jobs", "1", "--report", str(report)]) == 0
         header, *lines = report.read_text().splitlines()
@@ -139,6 +144,8 @@ class TestVerify:
         for r in rows:
             u, x, d = (r[key] == "true" for key in ("supersoluble", "cond_x", "sylow_tower"))
             assert r["status"] == "ok" and x >= u and d >= x, r["name"]
+        golden = Path(__file__).parent / "golden" / "s6.tsv"
+        assert report.read_bytes() == golden.read_bytes(), f"report differs from {golden.name}"
 
     def test_corrupted_predicate_exits_1(self, small_corpus_dir, tmp_path, monkeypatch, capsys):
         import formationlab.checkers as checkers

@@ -203,6 +203,47 @@ class TestCommutatorSubgroup:
         assert got.order == 4
         assert got.mask == commutator_values_oracle(a4, full.mask, full.mask)
 
+    @pytest.mark.parametrize("name", ["s4", "a5", "q8"])
+    def test_lattice_pairs_match_oracle(self, name, request):
+        # (H, H) and (H, G), and every pair (H, K) whose join is larger than
+        # both, where [H, K] needs conjugates by the generators of H and K
+        from formationlab.lattice import all_subgroups
+
+        g = request.getfixturevalue(name)
+        subs = all_subgroups(g).subgroups
+        pairs = [(h, h) for h in subs] + [(h, g.full_subgroup()) for h in subs]
+        for i, h in enumerate(subs):
+            for k in subs[i + 1:]:
+                join = subgroup_generated(g, h.generator_indices + k.generator_indices)
+                if join.order > max(h.order, k.order):
+                    pairs.append((h, k))
+        for a, b in pairs:
+            assert commutator_subgroup(g, a, b).mask == commutator_values_oracle(g, a.mask, b.mask)
+
+    def test_random_generators_match_oracle(self):
+        from hypothesis import given, settings, strategies as st
+
+        gens_at_degree = st.integers(1, 6).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(st.permutations(range(1, d + 1)), max_size=2),
+                st.lists(st.permutations(range(1, d + 1)), max_size=2),
+            )
+        )
+
+        @settings(max_examples=20, deadline=None)
+        @given(gens_at_degree)
+        def check(case):
+            degree, a_gens, b_gens = case
+            g = close_generators(degree, [Permutation(p) for p in a_gens + b_gens])
+            a, b = (
+                subgroup_generated(g, [g.element_index[Permutation(p)] for p in gens])
+                for gens in (a_gens, b_gens)
+            )
+            assert commutator_subgroup(g, a, b).mask == commutator_values_oracle(g, a.mask, b.mask)
+
+        check()
+
     def test_derived_series_s4(self, s4):
         assert [s.order for s in derived_series(s4)] == [24, 12, 4, 1]
 

@@ -15,6 +15,7 @@ from formationlab.corpus import (
     direct_product,
     order75_witness,
     quaternion_generalized,
+    symmetric,
 )
 from formationlab.groups import array_to_mask, exponent
 
@@ -49,29 +50,52 @@ class TestClosure:
             assert array_to_mask(_kernels.close_mask(g.mul, base, gens)) == want
 
 
+def sweep_groups():
+    """S4 is a group where the first pair found to cycle in one chunk is not
+    the least one; A4xC7 is the smallest group of the law workload; the
+    order-75 witness lies in D but not X; S3xC3 has start states shared by
+    many pairs."""
+    return [
+        group_of(3, "(1 2)", "(1 2 3)"),
+        group_of(4, "(1 2 3)", "(2 3 4)"),
+        group_of(4, "(1 2)", "(1 2 3 4)"),
+        build_group(quaternion_generalized(2)),
+        build_group(direct_product(alternating(4), cyclic(7))),
+        build_group(order75_witness()),
+        build_group(direct_product(symmetric(3), cyclic(3))),
+    ]
+
+
 class TestSweep:
     def test_negative_power_table_is_inverse_powers(self):
-        g = group_of(4, "(1 2)", "(1 2 3 4)")
-        e = exponent(g)
-        table = _kernels.negative_power_table(g.mul, g.inv, e)
-        for v in range(g.order):
-            acc = 0  # identity index
-            for j in range(e):
-                assert table[v, j] == acc
-                acc = int(g.mul[acc, g.inv[v]])
+        # exponents 1, 2, an odd prime and non-prime non-powers of 2: the
+        # doubling loop's first step, a single doubling and a partial last one
+        cases = [
+            (group_of(1), 1),
+            (build_group(cyclic(2)), 2),
+            (build_group(cyclic(7)), 7),
+            (group_of(4, "(1 2)", "(1 2 3 4)"), 12),
+            (build_group(cyclic(12)), 12),
+            (build_group(order75_witness()), 15),
+        ]
+        for g, e in cases:
+            assert exponent(g) == e
+            table = _kernels.negative_power_table(g.mul, g.inv, e)
+            assert table.shape == (g.order, e)
+            for v in range(g.order):
+                acc = 0  # identity index
+                for j in range(e):
+                    assert table[v, j] == acc
+                    acc = int(g.mul[acc, g.inv[v]])
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_sweep_matches_permutation_level_iteration(self, chunk):
         # dual route: the returned pair must be the least pair in index order
-        # whose permutation-level trace cycles.  S4 is a group where the
-        # first pair found to cycle in one chunk is not the least one;
-        # A4xC7 is the smallest group of the law workload.
+        # whose permutation-level trace cycles.
         from formationlab.checkers import brandl_terminates
 
         kwargs = {} if chunk is None else {"chunk": chunk}
-        for g in (group_of(3, "(1 2)", "(1 2 3)"), group_of(4, "(1 2 3)", "(2 3 4)"),
-                  group_of(4, "(1 2)", "(1 2 3 4)"), build_group(quaternion_generalized(2)),
-                  build_group(direct_product(alternating(4), cyclic(7)))):
+        for g in sweep_groups():
             n = g.order
             e = exponent(g)
             pow_neg = _kernels.negative_power_table(g.mul, g.inv, e)
@@ -85,3 +109,9 @@ class TestSweep:
             assert all(terminates(i) for i in range(least))
             if status == 0:
                 assert not terminates(least)
+
+    def test_opposite_convention_agrees(self):
+        from formationlab.checkers import condition_b_law
+
+        for g in sweep_groups():
+            assert condition_b_law(g, opposite_convention=True) == condition_b_law(g)
