@@ -43,10 +43,7 @@ from .lattice import (
     maximal_subgroups,
     minimal_normal_subgroups,
     normal_subgroups,
-    o_pi,
-    o_pprime_p,
     p_reachable,
-    sylow_subgroup,
 )
 from .predicates import (
     has_sylow_tower_sst,
@@ -54,11 +51,9 @@ from .predicates import (
     is_abelian,
     is_cyclic,
     is_nilpotent,
-    is_nilpotent_sylow,
     is_primary,
     is_soluble,
     is_supersoluble,
-    is_supersoluble_chief,
 )
 from .checkers import (
     BrandlState,

@@ -10,8 +10,12 @@ its start state ([x, y], y), so the all-pairs sweep (``_kernels.brandl_sweep``)
 steps each distinct start state once and then maps failures back to the
 least failing pair.
 
-``cond_b_subgroups`` takes the derived subgroup [H, H] of every lattice
-member as a normal closure of the commutators of its generators
+``cond_b_subgroups`` judges one member per conjugacy class of subgroups
+(``Lattice.class_ids``), the first in lattice order: conjugation is an
+automorphism, so "[H, H] nilpotent" and "H supersoluble" hold for all of a
+class or for none, and the first failing member and its witness are those
+of a member-by-member scan.  It takes the derived subgroup [H, H] as a
+normal closure of the commutators of H's generators
 (``groups.commutator_subgroup``), not from all |H|^2 commutators.
 """
 
@@ -176,7 +180,11 @@ def condition_x(g, lat: Lattice) -> bool:
 
 def _condition_b_subgroups_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
-    for h in lat.subgroups:
+    judged: set[int] = set()  # classes whose first member passed
+    for h, class_id in zip(lat.subgroups, lat.class_ids()):
+        if class_id in judged:
+            continue
+        judged.add(class_id)
         derived = commutator_subgroup(lat.parent, h, h)
         if is_nilpotent(derived) and not is_supersoluble(h, lat.restrict(h)):
             return False, (

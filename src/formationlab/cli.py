@@ -230,7 +230,7 @@ def cmd_lattice(args) -> int:
     for s in lat.subgroups:
         counts[s.order] = counts.get(s.order, 0) + 1
     print(f"group {spec.name}  degree {table.degree}  order {table.order}")
-    print(f"subgroups: {len(lat.subgroups)}")
+    print(f"subgroups: {len(lat.subgroups)}  conjugacy classes: {len(set(lat.class_ids()))}")
     for order in sorted(counts):
         print(f"  order {order:>5}: {counts[order]}")
     normals = normal_subgroups(lat)

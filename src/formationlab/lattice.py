@@ -1,15 +1,18 @@
 """Complete subgroup lattices and the lattice-level objects the predicates
-consume: maximal/normal/minimal-normal subgroups, the Frattini subgroup,
-Sylow subgroups, pi-cores, chief series, and prime-index reachability.
+consume: conjugacy classes of subgroups, maximal/normal/minimal-normal
+subgroups, the Frattini subgroup, chief series, and prime-index
+reachability.
 
 Enumeration is by cyclic extension over conjugacy classes of subgroups
 (Neubüser's method, as in Cannon, Cox and Holt, "Computing the subgroup
 lattice of a permutation group", J. Symb. Comput. 31, 2001): one
-representative of each class is extended by every cyclic subgroup and
-closed, and each newly found subgroup brings its whole class, found by
-permuting its mask under conjugation by the group's generators.  Subgroups
-are deduplicated by bitmask, never by isomorphism, and the lattice order is
-(order, mask) so every downstream choice is reproducible.
+representative H of each class is extended by one cyclic subgroup per
+orbit of N_G(H) on the cyclic subgroups and closed, and each newly found
+subgroup brings its whole class, found by permuting its mask under
+conjugation by the group's generators.  Those orbits are the conjugacy
+classes, so the enumerated lattice carries a class id per member.
+Subgroups are deduplicated by bitmask, never by isomorphism, and the
+lattice order is (order, mask) so every downstream choice is reproducible.
 """
 
 from __future__ import annotations
@@ -25,12 +28,10 @@ from .errors import InputError, InvariantError, ResourceLimitError
 from .groups import (
     GroupTable,
     Subgroup,
-    _greedy_generators,
     array_to_mask,
     is_normal_mask,
-    mask_to_array,
 )
-from .primes import is_prime, p_part, prime_divisors
+from .primes import prime_divisors
 
 __all__ = [
     "DEFAULT_SUBGROUP_BOUND",
@@ -42,9 +43,6 @@ __all__ = [
     "maximal_subgroups",
     "minimal_normal_subgroups",
     "frattini",
-    "sylow_subgroup",
-    "o_pi",
-    "o_pprime_p",
     "chief_series",
     "p_reachable",
 ]
@@ -67,10 +65,20 @@ class Lattice:
 
     ``subgroups`` is sorted by (order, mask); ``up_edges[i]`` lists the
     lattice indices j with subgroups[i] < subgroups[j] at prime index.
-    Normality (of a member, in ``top``) is computed lazily and cached.
+    Normality (of a member, in ``top``) and conjugacy-class ids (under
+    conjugation by ``top``) are computed lazily and cached.
     """
 
-    __slots__ = ("parent", "top", "subgroups", "up_edges", "_mask_index", "_normal", "_maximal")
+    __slots__ = (
+        "parent",
+        "top",
+        "subgroups",
+        "up_edges",
+        "_mask_index",
+        "_normal",
+        "_maximal",
+        "_class_ids",
+    )
 
     def __init__(
         self,
@@ -79,6 +87,7 @@ class Lattice:
         subgroups: Sequence[Subgroup],
         *,
         _edges_prevalidated: bool = False,
+        _class_ids: tuple[int, ...] | None = None,
     ):
         self.parent = parent
         self.top = top
@@ -91,6 +100,7 @@ class Lattice:
         self.up_edges = self._build_edges(validate=not _edges_prevalidated)
         self._normal: np.ndarray | None = None
         self._maximal: tuple[int, ...] | None = None
+        self._class_ids = _class_ids
 
     def _build_edges(self, validate: bool = True) -> tuple[tuple[int, ...], ...]:
         subs = self.subgroups
@@ -156,6 +166,21 @@ class Lattice:
             self._normal = flags
         return self._normal
 
+    def class_ids(self) -> tuple[int, ...]:
+        """Conjugacy class of each member under ``top``, numbered 0, 1, ...
+        in order of each class's first member."""
+        if self._class_ids is None:
+            conjugators = _conjugators(self.parent, self.top.generator_indices)
+            ids = [-1] * len(self.subgroups)
+            count = 0
+            for i, s in enumerate(self.subgroups):
+                if ids[i] < 0:
+                    for arr, _ in _class_of(s.mask_array(), (), conjugators):
+                        ids[self._mask_index[array_to_mask(arr)]] = count
+                    count += 1
+            self._class_ids = tuple(ids)
+        return self._class_ids
+
     def maximal_indices(self) -> tuple[int, ...]:
         if self._maximal is None:
             subs = self.subgroups
@@ -183,84 +208,119 @@ class Lattice:
         return Lattice(self.parent, h, [self.subgroups[i] for i in keep], _edges_prevalidated=True)
 
 
-def _cyclic_masks(g: GroupTable) -> list[tuple[np.ndarray, int]]:
-    """One mask per cyclic subgroup, with its least generator index.  The
-    generators of <x> are the x^k with gcd(k, |x|) = 1, so each cyclic
-    subgroup is walked once."""
+def _cyclic_masks(g: GroupTable) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
+    """One mask per cyclic subgroup, with its least generator index, and
+    each element's cyclic-subgroup id: the position of <x> in that list (-1
+    for the identity).  The generators of <x> are the x^k with
+    gcd(k, |x|) = 1, so each cyclic subgroup is walked once."""
     n = g.order
-    done = np.zeros(n, np.bool_)
+    ids = np.full(n, -1, np.intp)
     out: list[tuple[np.ndarray, int]] = []
     for i in range(1, n):
-        if done[i]:
+        if ids[i] >= 0:
             continue
         powers = [i]  # powers[k - 1] = x^k, ending at the identity
         while powers[-1] != 0:
             powers.append(int(g.mul[powers[-1], i]))
         powers = np.array(powers)
         ks = np.arange(1, len(powers) + 1)
-        done[powers[np.gcd(ks, len(powers)) == 1]] = True
+        ids[powers[np.gcd(ks, len(powers)) == 1]] = len(out)
         arr = np.zeros(n, np.bool_)
         arr[powers] = True
         out.append((arr, i))
-    return out
+    return out, ids
+
+
+def _conjugators(g: GroupTable, gens: Sequence[int]) -> list[np.ndarray]:
+    """conj[x] = s^-1 x s for each s in gens; scattering a mask through conj
+    conjugates the subgroup by s (no n x n table)."""
+    return [g.mul[g.mul[g.inv[s]], s] for s in gens]
+
+
+def _class_of(
+    arr: np.ndarray, gens: tuple[int, ...], conjugators: list[np.ndarray]
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The conjugacy class of the subgroup with mask ``arr`` and generators
+    ``gens``, as (mask, generators) pairs in breadth-first order from it
+    under the conjugation maps (the orbit algorithm)."""
+    orbit = [(arr, gens)]
+    seen = {arr.tobytes()}
+    for member, member_gens in orbit:
+        for conj in conjugators:
+            image = np.empty_like(member)
+            image[conj] = member
+            key = image.tobytes()
+            if key not in seen:
+                seen.add(key)
+                orbit.append((image, tuple(conj[list(member_gens)].tolist())))
+    return orbit
 
 
 def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND) -> Lattice:
     """Enumerate every subgroup of g by cyclic extension of class
     representatives.
 
-    Only the first-found member of each conjugacy class is extended by the
-    cyclic subgroups; the rest of its class is added at once by conjugating
-    masks under the group's generators.  Complete because every subgroup K
-    is <H, c> for a maximal subgroup H of K and some c, and conjugation
-    carries this over: <H, c>^x = <H^x, c^x>, so extending H's
-    representative H^x by <c^x> gives a member of K's class.
+    Only the first-found member of each conjugacy class is extended; the
+    rest of its class is added at once by conjugating masks under the
+    group's generators.  Complete because every subgroup K is <H, c> for a
+    maximal subgroup H of K and some cyclic c, and conjugation carries this
+    over: <H, c>^x = <H^x, c^x>, so extending H's representative H^x by
+    <c^x> gives a member of K's class.
+
+    The representative H is extended by one cyclic subgroup per orbit of
+    its normaliser N_G(H): for x in N_G(H), <H, c^x> = <H, c>^x is in the
+    class that <H, c> brought.  The one closed is the orbit's least in
+    ``_cyclic_masks`` order, the first that extending by every cyclic
+    subgroup in that order would close; the later ones would only find
+    conjugates already known.  So members and their generators are the
+    same as under extension by every cyclic subgroup.
     """
     n = g.order
-    mul = g.mul
-    cyclics = _cyclic_masks(g)
-    # conj[x] = s^-1 x s for each group generator s; scattering a mask
-    # through conj conjugates the subgroup by s
-    conjugators = [mul[mul[g.inv[s]], s] for s in g.gen_indices]
+    mul, inv = g.mul, g.inv
+    elements = np.arange(n)
+    cyclics, cyclic_id = _cyclic_masks(g)
+    cyclic_gens = np.array([gen for _, gen in cyclics], np.intp)
+    conjugators = _conjugators(g, g.gen_indices)
 
     trivial = np.zeros(n, np.bool_)
     trivial[0] = True
-    found: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {trivial.tobytes(): (trivial, ())}
+    # mask bytes -> (mask, generators, class number in order of discovery)
+    found: dict[bytes, tuple[np.ndarray, tuple[int, ...], int]] = {trivial.tobytes(): (trivial, (), 0)}
     seeds_done: set[bytes] = set()
     reps = [(trivial, ())]
     for h_arr, h_gens in reps:  # grows while iterating: new representatives queue up
-        for cyc_arr, cyc_gen in cyclics:
-            if not (cyc_arr & ~h_arr).any():
-                continue  # already inside h
+        outside = np.flatnonzero(~h_arr[cyclic_gens])  # cyclic subgroups not inside H
+        if not outside.size:
+            continue
+        # x normalises H when x^-1 h x lies in H for each generator h of H
+        conjugated = mul[mul[inv[:, None], list(h_gens)], elements[:, None]]
+        normaliser = np.flatnonzero(h_arr[conjugated].all(axis=1))
+        # N_G(H) permutes the outside cyclic subgroups; keep each orbit's least
+        images = cyclic_id[mul[mul[inv[normaliser, None], cyclic_gens[outside]], normaliser[:, None]]]
+        for c in outside[images.min(axis=0) == outside]:
+            cyc_arr, cyc_gen = cyclics[c]
             seed_key = (h_arr | cyc_arr).tobytes()
             if seed_key in found or seed_key in seeds_done:
                 continue  # closed already, or closure computed before
             seeds_done.add(seed_key)
             gens = h_gens + (cyc_gen,)
             closed = _kernels.close_mask(mul, h_arr, gens)
-            key = closed.tobytes()
-            if key in found:
+            if closed.tobytes() in found:
                 continue
             reps.append((closed, gens))
-            found[key] = (closed, gens)
-            orbit = [(closed, gens)]
-            for arr, arr_gens in orbit:
-                for conj in conjugators:
-                    image = np.empty_like(arr)
-                    image[conj] = arr
-                    if image.tobytes() not in found:
-                        member = (image, tuple(conj[list(arr_gens)].tolist()))
-                        found[image.tobytes()] = member
-                        orbit.append(member)
+            for member, member_gens in _class_of(closed, gens, conjugators):
+                found[member.tobytes()] = (member, member_gens, len(reps) - 1)
             if len(found) > subgroup_bound:
                 raise ResourceLimitError("subgroup count exceeds the enumeration bound", subgroup_bound)
 
     entries = sorted(
-        ((array_to_mask(arr), gens) for arr, gens in found.values()),
+        ((array_to_mask(arr), gens, rep) for arr, gens, rep in found.values()),
         key=lambda t: (t[0].bit_count(), t[0]),
     )
-    subgroups = [Subgroup(g, mask, gens) for mask, gens in entries]
-    return Lattice(g, g.full_subgroup(), subgroups)
+    subgroups = [Subgroup(g, mask, gens) for mask, gens, _ in entries]
+    numbering: dict[int, int] = {}
+    class_ids = tuple(numbering.setdefault(rep, len(numbering)) for _, _, rep in entries)
+    return Lattice(g, g.full_subgroup(), subgroups, _class_ids=class_ids)
 
 
 def is_normal(lat: Lattice, s: Subgroup) -> bool:
@@ -297,64 +357,6 @@ def frattini(lat: Lattice) -> Subgroup:
     if idx is None:
         raise InvariantError("Frattini intersection is missing from the lattice")
     return lat.subgroups[idx]
-
-
-def sylow_subgroup(lat: Lattice, p: int) -> Subgroup:
-    """First lattice member whose order is the full p-part of |top|;
-    the trivial subgroup when p does not divide the order."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    part = p_part(lat.top.order, p)
-    for s in lat.subgroups:  # sorted, so the choice is deterministic
-        if s.order == part:
-            return s
-    raise InvariantError(f"no subgroup of order {part} found (Sylow violation)")
-
-
-def _join_of(lat: Lattice, members: list[Subgroup]) -> Subgroup:
-    mask = 1
-    for s in members:
-        mask |= s.mask
-    closed, _ = _greedy_generators(lat.parent.mul, mask_to_array(mask, lat.parent.order))
-    idx = lat._mask_index.get(array_to_mask(closed))
-    if idx is None:
-        raise InvariantError("join of normal subgroups is missing from the lattice")
-    return lat.subgroups[idx]
-
-
-def o_pi(lat: Lattice, pi) -> Subgroup:
-    """Largest normal subgroup whose order has prime support inside pi
-    (the join of all of them)."""
-    pi = frozenset(pi)
-    candidates = [s for s in normal_subgroups(lat) if set(prime_divisors(s.order)) <= pi]
-    top = _join_of(lat, candidates)
-    for s in candidates:
-        if not top.contains(s):
-            raise InvariantError("pi-core does not contain a normal pi-subgroup")
-    if not set(prime_divisors(top.order)) <= pi:
-        raise InvariantError("pi-core has primes outside pi")
-    return top
-
-
-def o_pprime_p(lat: Lattice, p: int) -> Subgroup:
-    """Preimage of the p-core of top/O_{p'}: the largest normal subgroup N
-    with O_{p'} <= N and |N : O_{p'}| a power of p."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    others = frozenset(q for q in prime_divisors(lat.top.order) if q != p)
-    core = o_pi(lat, others)
-    candidates = [
-        s
-        for s in normal_subgroups(lat)
-        if s.contains(core) and _is_p_power(s.order // core.order, p)
-    ]
-    return _join_of(lat, candidates)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def chief_series(lat: Lattice) -> list[ChiefFactor]:

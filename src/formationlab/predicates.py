@@ -2,8 +2,8 @@
 primary, soluble, nilpotent, supersoluble, Sylow tower of supersoluble type,
 and the local class "soluble of exponent dividing p-1".
 
-Nilpotency and supersolubility each have two independent algorithms; the
-pairs must agree everywhere (asserted by the test suite, not at runtime).
+The independent second algorithms for nilpotency and supersolubility live
+with the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ __all__ = [
     "is_primary",
     "is_soluble",
     "is_nilpotent",
-    "is_nilpotent_sylow",
     "is_supersoluble",
-    "is_supersoluble_chief",
     "has_sylow_tower_sst",
     "in_f_p",
 ]
@@ -71,18 +69,6 @@ def is_nilpotent(g: GroupLike) -> bool:
     return lower_central_series(g)[-1].order == 1
 
 
-def is_nilpotent_sylow(g: GroupLike) -> bool:
-    """Independent nilpotency test: every Sylow subgroup is normal,
-    i.e. for each prime the p-power-order elements number exactly the p-part."""
-    sub = as_subgroup(g)
-    orders = sub.parent.elem_orders[sub.indices()]
-    for p in prime_divisors(sub.order):
-        part = p_part(sub.order, p)
-        if int((part % orders == 0).sum()) != part:
-            return False
-    return True
-
-
 def _check_lattice(g: GroupLike, lat: Lattice) -> Subgroup:
     sub = as_subgroup(g)
     if lat.top.mask != sub.mask or lat.parent is not sub.parent:
@@ -110,14 +96,6 @@ def is_supersoluble(g: GroupLike, lat: Lattice) -> bool:
                 seen.add(j)
                 queue.append(j)
     return False
-
-
-def is_supersoluble_chief(g: GroupLike, lat: Lattice) -> bool:
-    """Independent algorithm: every chief factor has prime order."""
-    from .lattice import chief_series
-
-    _check_lattice(g, lat)
-    return all(is_prime(f.order) for f in chief_series(lat))
 
 
 def _normal_sylow_mask(g: GroupTable, p: int) -> np.ndarray | None:

@@ -4,7 +4,10 @@ Everything here is deliberately dumb pure Python: Cayley tables by composing
 every pair of permutations, closures by worklist over int bitmasks, subgroup
 enumeration by closing S union T for every subset T of size at most 2 of
 each known subgroup's complement, prime-step subnormality by top-down
-recursion, and quotients by explicit coset-product tables.  The
+recursion, quotients by explicit coset-product tables, and conjugacy
+classes of subgroups by conjugating each member by every element.  Second
+algorithms for nilpotency (normal Sylow subgroups) and supersolubility
+(prime-order chief factors) cross-check the package's.  The
 one exception is ``cyclic_extension_oracle``, the package's earlier
 enumerator (every subgroup extended by every cyclic subgroup, closed by
 frontier x members products), kept as a differential reference that is fast
@@ -16,9 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from formationlab import perms
-from formationlab.groups import GroupTable, Subgroup, array_to_mask
-from formationlab.lattice import Lattice
-from formationlab.primes import is_prime
+from formationlab.groups import GroupTable, Subgroup, array_to_mask, as_subgroup
+from formationlab.lattice import Lattice, chief_series
+from formationlab.predicates import _check_lattice
+from formationlab.primes import is_prime, p_part, prime_divisors
 
 
 def py_close(mul_rows: list[list[int]], seed: int) -> int:
@@ -192,3 +196,40 @@ def commutator_values_oracle(g: GroupTable, a_mask: int, b_mask: int) -> int:
             c = mul_rows[mul_rows[mul_rows[inv[x]][inv[y]]][x]][y]
             seed |= 1 << c
     return py_close(mul_rows, seed)
+
+
+def is_nilpotent_sylow(g) -> bool:
+    """Nilpotency as: every Sylow subgroup is normal, i.e. for each prime
+    the p-power-order elements number exactly the p-part."""
+    sub = as_subgroup(g)
+    orders = sub.parent.elem_orders[sub.indices()]
+    for p in prime_divisors(sub.order):
+        part = p_part(sub.order, p)
+        if int((part % orders == 0).sum()) != part:
+            return False
+    return True
+
+
+def is_supersoluble_chief(g, lat: Lattice) -> bool:
+    """Supersolubility as: every chief factor has prime order."""
+    _check_lattice(g, lat)
+    return all(is_prime(f.order) for f in chief_series(lat))
+
+
+def subgroup_classes_oracle(lat: Lattice) -> list[int]:
+    """Conjugacy class id of each member of a whole-group lattice, by
+    conjugating its mask by every element of the group; classes are
+    numbered in order of their first member."""
+    g = lat.parent
+    members = [[x for x in range(g.order) if s.mask >> x & 1] for s in lat.subgroups]
+    index = {s.mask: i for i, s in enumerate(lat.subgroups)}
+    ids = [-1] * len(members)
+    count = 0
+    for i, xs in enumerate(members):
+        if ids[i] >= 0:
+            continue
+        for y in range(g.order):
+            conj = sum(1 << int(g.mul[g.mul[g.inv[y], x], y]) for x in xs)
+            ids[index[conj]] = count
+        count += 1
+    return ids

@@ -25,14 +25,14 @@ from formationlab.corpus import build_group, standard_corpus
 from formationlab.groups import quotient_by
 from formationlab.lattice import all_subgroups, frattini, normal_subgroups
 from formationlab.perms import format_cycles, parse_cycles
-from formationlab.predicates import (
-    is_nilpotent,
-    is_nilpotent_sylow,
-    is_supersoluble,
-    is_supersoluble_chief,
-)
+from formationlab.predicates import is_nilpotent, is_supersoluble
 
-from oracles import all_subgroups_oracle, p_subnormal_oracle
+from oracles import (
+    all_subgroups_oracle,
+    is_nilpotent_sylow,
+    is_supersoluble_chief,
+    p_subnormal_oracle,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "standard.tsv"
 

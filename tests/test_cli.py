@@ -251,3 +251,9 @@ class TestLattice:
         save_group(cyclic(8), path)
         assert main(["lattice", str(path)]) == 0
         assert "subgroups: 4" in capsys.readouterr().out
+
+    def test_s4_conjugacy_classes(self, tmp_path, capsys):
+        path = tmp_path / "s4.group"
+        save_group(symmetric(4), path)
+        assert main(["lattice", str(path)]) == 0
+        assert "subgroups: 30  conjugacy classes: 11" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 from formationlab.corpus import build_group, dihedral, quaternion_generalized, standard_corpus
 from formationlab.groups import subgroup_generated
 from formationlab.lattice import (
+    Lattice,
     all_subgroups,
     chief_series,
     frattini,
@@ -12,17 +13,14 @@ from formationlab.lattice import (
     maximal_subgroups,
     minimal_normal_subgroups,
     normal_subgroups,
-    o_pi,
-    o_pprime_p,
     p_reachable,
-    sylow_subgroup,
 )
-from formationlab.errors import InputError, InvariantError, ResourceLimitError
+from formationlab.errors import InvariantError, ResourceLimitError
 from formationlab.perms import parse_cycles
-from formationlab.primes import prime_divisors
+from formationlab.primes import p_part, prime_divisors
 
 from conftest import group_of
-from oracles import all_subgroups_oracle, cyclic_extension_oracle
+from oracles import all_subgroups_oracle, cyclic_extension_oracle, subgroup_classes_oracle
 
 
 def sub_of(g, *texts):
@@ -88,6 +86,38 @@ class TestEnumeration:
                 assert count % p == 1
 
 
+class TestConjugacyClasses:
+    def test_class_ids_match_lazy_and_oracle(self, s5):
+        # the enumerator's ids, ids recomputed for the same members, and
+        # conjugation by every element all give the same partition
+        groups = [build_group(spec) for spec in standard_corpus()]
+        groups = [g for g in groups if g.order <= 60] + [s5]
+        assert len(groups) > 300
+        for g in groups:
+            lat = all_subgroups(g)
+            ids = lat.class_ids()
+            rebuilt = Lattice(g, g.full_subgroup(), lat.subgroups)
+            assert rebuilt.class_ids() == ids, g
+            assert ids == tuple(subgroup_classes_oracle(lat)), g
+            for c in set(ids):
+                assert g.order % ids.count(c) == 0, g
+
+    def test_sylow_subgroups_form_one_class(self, s4, s5):
+        for g in (s4, s5):
+            lat = all_subgroups(g)
+            ids = lat.class_ids()
+            for p in prime_divisors(g.order):
+                sylows = {ids[i] for i, s in enumerate(lat.subgroups) if s.order == p_part(g.order, p)}
+                assert len(sylows) == 1
+
+    def test_restricted_lattice_classes(self, s4):
+        # in A4 the three Klein-group involutions are one class, while in
+        # S4 the transpositions are a second class of order-2 subgroups
+        lat = all_subgroups(s4)
+        a4_lat = lat.restrict(sub_of(s4, "(1 2 3)", "(2 3 4)"))
+        assert len(set(a4_lat.class_ids())) == 5
+
+
 class TestNormalAndMaximal:
     def test_minimal_normals_a4(self, a4):
         lat = all_subgroups(a4)
@@ -132,60 +162,6 @@ class TestFrattini:
         for g in (a4, s4):
             lat = all_subgroups(g)
             assert is_normal(lat, frattini(lat))
-
-
-class TestSylowAndCores:
-    def test_sylow_s3(self, s3):
-        lat = all_subgroups(s3)
-        assert sylow_subgroup(lat, 3).order == 3
-        assert sylow_subgroup(lat, 2).order == 2
-
-    def test_sylow_s4(self, s4):
-        assert sylow_subgroup(all_subgroups(s4), 2).order == 8
-
-    def test_sylow_missing_prime(self, c6):
-        assert sylow_subgroup(all_subgroups(c6), 5).order == 1
-
-    def test_sylow_rejects_composite(self, c6):
-        with pytest.raises(InputError):
-            sylow_subgroup(all_subgroups(c6), 4)
-
-    def test_o_pi_a4(self, a4):
-        lat = all_subgroups(a4)
-        assert o_pi(lat, {2}).order == 4
-        assert o_pi(lat, {3}).order == 1
-        assert o_pi(lat, {2, 3}).order == 12
-
-    def test_o_pi_contains_all_normal_pi_subgroups(self, s4):
-        lat = all_subgroups(s4)
-        core = o_pi(lat, {2})
-        assert core.order == 4  # the Klein subgroup inside S4
-        for s in normal_subgroups(lat):
-            if set(prime_divisors(s.order)) <= {2}:
-                assert core.contains(s)
-
-    def test_o_pprime_p_a4(self, a4):
-        lat = all_subgroups(a4)
-        assert o_pprime_p(lat, 3).order == 12
-
-    def test_o_pprime_p_two_step_oracle(self, s4, a4, s3):
-        # independent route: quotient by O_{p'}, take the p-core there, pull back
-        from formationlab.groups import quotient_by
-
-        for g in (s4, a4, s3):
-            lat = all_subgroups(g)
-            for p in prime_divisors(g.order):
-                direct = o_pprime_p(lat, p)
-                others = frozenset(q for q in prime_divisors(g.order) if q != p)
-                core = o_pi(lat, others)
-                q = quotient_by(g, core)
-                qlat = all_subgroups(q.group)
-                qcore = o_pi(qlat, {p})
-                pulled = 0
-                for x in range(g.order):
-                    if qcore.mask >> int(q.projection[x]) & 1:
-                        pulled |= 1 << x
-                assert pulled == direct.mask
 
 
 class TestChiefSeries:

@@ -11,14 +11,13 @@ from formationlab.predicates import (
     is_abelian,
     is_cyclic,
     is_nilpotent,
-    is_nilpotent_sylow,
     is_primary,
     is_soluble,
     is_supersoluble,
-    is_supersoluble_chief,
 )
 
 from conftest import group_of
+from oracles import is_nilpotent_sylow, is_supersoluble_chief
 
 
 class TestBasicPredicates:
