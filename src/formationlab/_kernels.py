@@ -1,7 +1,8 @@
 """Hot inner loops over Cayley tables, all vectorized numpy kernels:
-subgroup closure, the table of negative powers, and the pair sweep of the
-iterated-commutator word.  The sweep steps each distinct start state
-([x, y], y) once, not each of the n*n pairs.
+subgroup closure, element conjugacy classes, the table of negative powers,
+and the pair sweep of the iterated-commutator word.  The sweep steps each
+distinct start state ([x, y], y) once, not each of the n*n pairs, and takes
+those states from the conjugacy classes, not from the n*n commutators.
 
 Conventions: ``mul`` is an (n, n) int32 table with ``mul[i, j]`` the index of
 "element i then element j"; index 0 is the identity; ``inv[i]`` is the index
@@ -15,6 +16,8 @@ import numpy as np
 __all__ = [
     "JIT_ENABLED",
     "close_mask",
+    "class_labels",
+    "start_states",
     "brandl_sweep",
     "negative_power_table",
 ]
@@ -48,19 +51,68 @@ def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
         prods = mul[frontier[:, None], gens].ravel()
 
 
-def negative_power_table(mul: np.ndarray, inv: np.ndarray, e: int) -> np.ndarray:
-    """Table P with P[v, j] = v^(-j) for 0 <= j < e, where e is a multiple of
-    every element order (the group exponent).
+def class_labels(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:
+    """Label of each element's conjugacy class: the least index in the
+    class.
+
+    The classes are the orbits of the group generated by the conjugation
+    maps x -> s^-1 x s of the generators s (the orbit algorithm; Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005).  Labels
+    start as the element indices; each round takes the minimum of a label
+    and the label at each map's image, then jumps every label to its own
+    label, until nothing changes.  A label is always an element of the same
+    class, so the fixed point is constant on each class and equals its least
+    element.
+    """
+    every = np.arange(mul.shape[0])
+    maps = [mul[mul[inv[s], every], s] for s in gens]
+    labels = every
+    while True:
+        new = labels
+        for conj in maps:
+            new = np.minimum(new, new[conj])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def start_states(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:
+    """Every distinct start state v*n + y, v = [x, y] not the identity, over
+    all pairs (x, y), as an int64 array with no repeats.
+
+    For fixed y, [x, y] = (y^-1)^x y and (y^-1)^x runs over the class of
+    y^-1 as x runs over the group, so the states with y in a class K are
+    the products c y with c in inv[K]: |K|^2 states, distinct by
+    construction, one of them (c = y^-1) the identity.  Central elements
+    add none.  Classes of one size are handled in one 3-D take.
+    """
+    n = mul.shape[0]
+    labels = class_labels(mul, inv, gens)
+    members = np.argsort(labels, kind="stable")  # each class contiguous
+    sorted_labels = labels[members]
+    firsts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
+    sizes = np.diff(np.r_[firsts, n])
+    parts = [np.empty(0, np.int64)]
+    for size in sorted(set(sizes.tolist()) - {1}):
+        k = members[firsts[sizes == size][:, None] + np.arange(size)]  # one class per row
+        v = mul[inv[k][:, :, None], k[:, None, :]].astype(np.int64)
+        parts.append((v * n + k[:, None, :])[v != 0])
+    return np.concatenate(parts)
+
+
+def negative_power_table(mul: np.ndarray, inv: np.ndarray, rows: np.ndarray, e: int) -> np.ndarray:
+    """Table P with P[i, j] = rows[i]^(-j) for 0 <= j < e, where e is a
+    multiple of every element order (the group exponent).
 
     Filled by doubling: with columns 0..m-1 known, column j + m is v^(-m)
     times column j, one 2-D take per doubling.
     """
-    n = mul.shape[0]
-    table = np.empty((n, e), dtype=np.int32)
+    table = np.empty((len(rows), e), dtype=np.int32)
     table[:, 0] = 0  # v^0 is the identity
     m = 1
     while m < e:
-        step = mul[table[:, m - 1], inv]  # v^(-m)
+        step = mul[table[:, m - 1], inv[rows]]  # v^(-m)
         width = min(m, e - m)
         table[:, m:m + width] = mul[step[:, None], table[:, :width]]
         m += width
@@ -72,9 +124,10 @@ def _commutators(mul, inv, x, y):
     return mul[mul[mul[inv[x], inv[y]], x], y]
 
 
-def _failing_states(mul, inv, pow_neg, e, states):
+def _failing_states(mul, inv, pow_neg, row_of, e, states):
     """Bool array: which start states s = v*n + y (u_1 = v, right argument
-    y) never reach the identity.
+    y) never reach the identity.  ``pow_neg[row_of[v], j]`` is v^(-j) for
+    every value v the states reach.
 
     States advance in lockstep.  A state fails once its (value, k mod e)
     repeats; since all states share k, that is checked by Brent's doubling
@@ -92,7 +145,7 @@ def _failing_states(mul, inv, pow_neg, e, states):
     window = e
     while pos.size and k <= cap:
         c = _commutators(mul, inv, v, y)
-        v = mul[pow_neg[v, k % e], c]
+        v = mul[pow_neg[row_of[v], k % e], c]
         k += 1
         keep = v != 0
         if (k - k_saved) % e == 0:
@@ -108,41 +161,49 @@ def _failing_states(mul, inv, pow_neg, e, states):
     return failed
 
 
-def brandl_sweep(mul, inv, pow_neg, e, chunk: int = 8192):
+def brandl_sweep(mul, inv, gens, e, chunk: int = 8192):
     """Scan ordered pairs (x, y) for one whose sequence u_1 = [x, y],
     u_{k+1} = u_k^(-k) * (u_k^-1 y^-1 u_k y) never reaches the identity.
+    ``gens`` are the indices of generators of the group.
 
     Returns (1, -1, -1) when every pair terminates, else (0, x, y) with
     (x, y) the least failing pair in index order.  The sequence depends on
     (x, y) only through its start state ([x, y], y), so the sweep runs in
-    three passes, each in chunks of ``chunk`` pairs or states:
+    three passes, each in chunks of ``chunk`` states or pairs:
 
-    1. mark every start state v*n + y with v = [x, y] not the identity in
-       one n*n bitmap;
-    2. step each marked state once (``_failing_states``) and keep only the
-       failing ones marked;
-    3. only when some state fails, return the first pair in index order
-       whose start state is marked.
+    1. take the distinct start states whose value is not the identity from
+       the conjugacy classes (``start_states``); abelian groups have none;
+    2. step each state once (``_failing_states``).  Every u_k lies in the
+       derived subgroup G', which the start values generate, so the table
+       of negative powers covers only the rows of G';
+    3. only when some state fails, mark the failing states in an n*n bitmap
+       and return the first pair in index order whose start state is
+       marked.
     """
     n = mul.shape[0]
-    pairs = n * n
-    marked = np.zeros(pairs, np.bool_)
-
-    def start_states(lo):
-        x, y = np.divmod(np.arange(lo, min(lo + chunk, pairs), dtype=np.int64), n)
-        return _commutators(mul, inv, x, y) * np.int64(n) + y
-
-    for lo in range(0, pairs, chunk):
-        marked[start_states(lo)] = True
-    marked[:n] = False  # u_1 is the identity: the pair terminates at once
-    states = np.flatnonzero(marked)
-    marked[:] = False
+    states = start_states(mul, inv, gens)
+    if not states.size:
+        return 1, -1, -1
+    values = np.zeros(n, np.bool_)
+    values[states // n] = True
+    identity = np.zeros(n, np.bool_)
+    identity[0] = True
+    rows = np.flatnonzero(close_mask(mul, identity, np.flatnonzero(values)))
+    row_of = np.zeros(n, np.intp)
+    row_of[rows] = np.arange(rows.size)
+    pow_neg = negative_power_table(mul, inv, rows, e)
+    failing = []
     for lo in range(0, states.size, chunk):
         batch = states[lo:lo + chunk]
-        marked[batch[_failing_states(mul, inv, pow_neg, e, batch)]] = True
-    if marked.any():
+        failing.append(batch[_failing_states(mul, inv, pow_neg, row_of, e, batch)])
+    failing = np.concatenate(failing)
+    if failing.size:
+        pairs = n * n
+        marked = np.zeros(pairs, np.bool_)
+        marked[failing] = True
         for lo in range(0, pairs, chunk):
-            bad = marked[start_states(lo)]
+            x, y = np.divmod(np.arange(lo, min(lo + chunk, pairs), dtype=np.int64), n)
+            bad = marked[_commutators(mul, inv, x, y) * np.int64(n) + y]
             if bad.any():
                 least = lo + int(bad.argmax())
                 return 0, least // n, least % n

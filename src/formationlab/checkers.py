@@ -17,6 +17,10 @@ class or for none, and the first failing member and its witness are those
 of a member-by-member scan.  It takes the derived subgroup [H, H] as a
 normal closure of the commutators of H's generators
 (``groups.commutator_subgroup``), not from all |H|^2 commutators.
+
+``cond_lf`` forms each quotient G / C_G(H/K) straight from the
+centralizer's member mask; nothing reads the centralizer's generators, so
+none are derived.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from .errors import InputError, InvariantError, ResourceLimitError
 from .groups import (
     GroupTable,
     Subgroup,
+    _centralizer_mod_mask,
+    _quotient_by_mask,
     commutator_subgroup,
     exponent,
-    quotient_by,
 )
 from .lattice import Lattice, all_subgroups, chief_series
 from .perms import Permutation, commutator, compose, format_cycles, power
@@ -204,12 +209,11 @@ def _condition_b_law_impl(
 ) -> tuple[bool, Optional[str]]:
     e = exponent(g)
     mul = np.ascontiguousarray(g.mul.T) if opposite_convention else g.mul
-    pow_neg = _kernels.negative_power_table(mul, g.inv, e)
-    status, x, y = _kernels.brandl_sweep(mul, g.inv, pow_neg, e)
+    status, x, y = _kernels.brandl_sweep(mul, g.inv, g.gen_indices, e)
     if status == 1:
         return True, None
     return False, (
-        f"pair x={format_cycles(g.elements[x])}, y={format_cycles(g.elements[y])} never terminates"
+        f"pair x={format_cycles(g.perm(x))}, y={format_cycles(g.perm(y))} never terminates"
     )
 
 
@@ -224,14 +228,12 @@ def condition_b_law(g: GroupTable, *, opposite_convention: bool = False) -> bool
 
 
 def _condition_lf_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
-    from .groups import centralizer_mod
-
     _check_lattice(g, lat)
     for factor in chief_series(lat):
-        cent = centralizer_mod(g, factor.upper, factor.lower)
-        if cent.is_whole():
+        cent = _centralizer_mod_mask(g, factor.upper, factor.lower)
+        if cent.all():
             continue  # the quotient is trivial and lies in every f(p)
-        quotient = quotient_by(g, cent).group
+        quotient = _quotient_by_mask(g, cent).group
         for p in factor.primes:
             if not in_f_p(quotient, p):
                 return False, (

@@ -151,8 +151,10 @@ def cmd_brandl(args) -> int:
     x = parse_cycles(args.x, table.degree)
     y = parse_cycles(args.y, table.degree)
     for p, label in ((x, "--x"), (y, "--y")):
-        if p not in table.element_index:
-            raise InputError(f"{label} {format_cycles(p)} is not an element of {spec.name}")
+        try:
+            table.index_of(p)
+        except InputError:
+            raise InputError(f"{label} {format_cycles(p)} is not an element of {spec.name}") from None
     trace = brandl_terminates(x, y, exponent(table), group_order=table.order)
     for k, value in enumerate(trace.steps, start=1):
         print(f"u_{k} = {format_cycles(value)}")

@@ -219,7 +219,7 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     specs = []
     for i, sub in enumerate(lat.subgroups):
         gens = _greedy_generators(table.mul, sub.mask_array())[1]
-        perms = [table.elements[j] for j in gens]
+        perms = [table.perm(j) for j in gens]
         specs.append(_spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, perms, "sn-subgroup"))
     return specs
 

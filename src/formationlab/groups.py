@@ -1,9 +1,12 @@
 """Fully enumerated finite groups built from permutation generators.
 
 A GroupTable carries a deterministic element ordering (identity first), the
-full Cayley table as a numpy array, and inverse/order arrays; subgroups are
-bitmasks over element indices, so containment is subset testing on ints and
-all heavy algebra runs through the kernels in ``_kernels``.
+elements as one array of image rows with a bytes-keyed row index, the full
+Cayley table as a numpy array, and inverse/order arrays read off the table.
+An element becomes a ``Permutation`` only when asked for (``perm``), for
+witness text, subgroup generators and census specs.  Subgroups are bitmasks
+over element indices, so containment is subset testing on ints and all
+heavy algebra runs through the kernels in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -66,50 +69,64 @@ def array_to_mask(arr: np.ndarray) -> int:
 class GroupTable:
     """A finite permutation group with every element enumerated.
 
-    ``elements[0]`` is the identity; ``mul[i, j]`` is the index of "element i
-    then element j"; the ordering is the insertion order of the generator
-    closure, so equal generator sequences give bit-identical tables.
-    ``elem_orders`` and ``inv`` are read off the table: the powers x^k of
-    every element are stepped together until each reaches the identity,
-    where x^(k-1) is its inverse.  Instances are immutable after
+    ``rows[i]`` holds element i's images of the points 0..degree-1 (one
+    (order, degree) array, int16 while degree < 2^15) and ``row_index`` maps
+    a row's bytes to its index.  Row 0 is the identity; ``mul[i, j]`` is the
+    index of "element i then element j"; the ordering is the insertion order
+    of the generator closure, so equal generator sequences give bit-identical
+    tables.  ``perm(i)`` builds element i as a ``Permutation`` when asked,
+    and ``elements`` builds all of them on first access.  ``elem_orders`` and
+    ``inv`` come from the table: for each divisor d of the order, in
+    increasing order, the elements not yet resolved are raised to the d-th
+    power by repeated squaring; the order of x is the least d with x^d = 1,
+    and its inverse is x^(order - 1).  Instances are immutable after
     construction.
     """
 
     __slots__ = (
         "degree",
         "generators",
-        "elements",
-        "element_index",
+        "rows",
+        "row_index",
         "order",
         "mul",
         "inv",
         "elem_orders",
         "gen_indices",
         "_full",
+        "_elements",
     )
 
-    def __init__(self, degree, generators, elements, mul):
+    def __init__(self, degree, generators, rows, row_index, mul):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self.order = len(self.elements)
-        self.element_index = {p: i for i, p in enumerate(self.elements)}
+        self.rows = rows
+        self.row_index = row_index
+        self.order = rows.shape[0]
         self.mul = mul
-        self.inv, self.elem_orders = np.zeros(self.order, np.int32), np.zeros(self.order, np.int64)
-        xs = np.arange(self.order)  # elements whose order is not yet known
-        prev = np.zeros(self.order, np.int32)  # prev[i] = xs[i]^(k-1)
-        for k in range(1, self.order + 1):
-            power = mul[prev, xs]
-            done = power == 0
-            self.elem_orders[xs[done]] = k
-            self.inv[xs[done]] = prev[done]
-            xs, prev = xs[~done], power[~done]
-            if not xs.size:
+        self.elem_orders = np.zeros(self.order, np.int64)
+        for d in range(1, self.order + 1):
+            if self.order % d:
+                continue
+            pending = np.flatnonzero(self.elem_orders == 0)
+            if not pending.size:
                 break
-        else:
+            self.elem_orders[pending[_powers(mul, pending, d) == 0]] = d
+        if not self.elem_orders.all():
             raise InvariantError("an element's powers never reach the identity")
-        self.gen_indices = tuple(self.element_index[g] for g in self.generators)
+        every = np.arange(self.order)
+        self.inv = _powers(mul, every, self.elem_orders - 1).astype(np.int32)
+        if (mul[every, self.inv] != 0).any():
+            raise InvariantError("an element times its computed inverse is not the identity")
+        self.gen_indices = tuple(self.index_of(g) for g in self.generators)
         self._full = None
+        self._elements = None
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:
+            self._elements = tuple(self.perm(i) for i in range(self.order))
+        return self._elements
 
     def full_subgroup(self) -> "Subgroup":
         if self._full is None:
@@ -120,16 +137,45 @@ class GroupTable:
         return Subgroup(self, 1, ())
 
     def perm(self, index: int) -> Permutation:
-        return self.elements[index]
+        return Permutation._trusted(tuple((self.rows[index] + 1).tolist()))
 
     def index_of(self, p: Permutation) -> int:
+        if p.degree != self.degree:
+            raise InputError(
+                f"permutation {format_cycles(p)} has degree {p.degree}, not the group's {self.degree}"
+            )
+        key = (np.array(p.images, dtype=self.rows.dtype) - 1).tobytes()
         try:
-            return self.element_index[p]
+            return self.row_index[key]
         except KeyError:
             raise InputError(f"permutation {format_cycles(p)} is not a group element")
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order}, degree={self.degree})"
+
+
+def _powers(mul: np.ndarray, xs: np.ndarray, k) -> np.ndarray:
+    """x^k for each x in ``xs`` by repeated squaring; ``k`` is one
+    exponent or one per element."""
+    k = np.full(xs.shape, k, dtype=np.int64)
+    result = np.zeros(xs.shape, np.int32)
+    base = xs
+    while k.any():
+        result = np.where(k & 1, mul[result, base], result)
+        k >>= 1
+        base = mul[base, base]
+    return result
+
+
+def _row_dtype(degree: int):
+    return np.int16 if degree < 1 << 15 else np.int32
+
+
+def _row_keys(block: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array, the keys of a row index."""
+    buf = block.tobytes()  # C order whatever the layout
+    width = block.shape[1] * block.itemsize
+    return [buf[i:i + width] for i in range(0, len(buf), width)]
 
 
 class Subgroup:
@@ -172,7 +218,7 @@ class Subgroup:
         return mask_to_array(self.mask, self.parent.order)
 
     def generators(self) -> tuple[Permutation, ...]:
-        return tuple(self.parent.elements[i] for i in self.generator_indices)
+        return tuple(self.parent.perm(i) for i in self.generator_indices)
 
     def contains(self, other: "Subgroup") -> bool:
         return other.mask & ~self.mask == 0
@@ -215,6 +261,34 @@ def _greedy_generators(
     return current, tuple(gens)
 
 
+def _close_rows(degree: int, gen_rows: list[np.ndarray], bound: int) -> tuple[np.ndarray, dict[bytes, int]]:
+    """Image rows of the group generated by ``gen_rows`` in insertion order,
+    and the index of each row's bytes."""
+    blocks: list[np.ndarray] = [np.arange(degree, dtype=_row_dtype(degree))[None, :]]
+    index: dict[bytes, int] = {blocks[0].tobytes(): 0}
+    count = 1
+    taken: list[np.ndarray] = []
+    for grow in gen_rows:
+        taken.append(grow)
+        if grow.tobytes() in index:
+            continue
+        base = np.concatenate(blocks)  # the closed subgroup so far
+        queue: deque[np.ndarray] = deque([grow])
+        while queue:
+            rep = queue.popleft()
+            if rep.tobytes() in index:
+                continue  # else H*rep is disjoint from the cosets already found
+            if count + len(base) > bound:
+                raise ResourceLimitError("group order exceeds the order bound", bound)
+            coset = rep[base]  # (h then rep): images rep[h[p]]
+            index.update(zip(_row_keys(coset), range(count, count + len(base))))
+            blocks.append(coset)
+            count += len(base)
+            for s in taken:
+                queue.append(s[rep])  # (rep then s)
+    return np.concatenate(blocks), index
+
+
 def close_generators(
     degree: int,
     gens: Sequence[Permutation],
@@ -223,12 +297,15 @@ def close_generators(
 ) -> GroupTable:
     """Enumerate the group generated by ``gens`` on {1..degree}.
 
-    Inductive closure: extend by one generator at a time, appending whole
-    right cosets of the previously closed set, with new coset representatives
-    produced by multiplying known representatives by the generators taken so
-    far.  Insertion order (hence the table) is deterministic.  The Cayley
-    table is built by rows: each generator's row is looked up, and the row of
-    (s then i) is ``mul[s][mul[i]]`` by associativity, filled breadth-first.
+    Inductive closure on image rows: extend by one generator at a time,
+    appending whole right cosets H*rep of the previously closed set H (one
+    2-D take per coset), with new coset representatives produced by
+    multiplying known representatives by the generators taken so far.  The
+    rows stay one (order, degree) array with a bytes-keyed row index; no
+    ``Permutation`` is built per element.  Insertion order (hence the table)
+    is deterministic.  The Cayley table is built by rows: each generator's
+    row is looked up, and the row of (s then i) is ``mul[s][mul[i]]`` by
+    associativity, filled breadth-first.
     """
     if degree < 1:
         raise InputError(f"degree must be a positive integer, got {degree}")
@@ -237,45 +314,17 @@ def close_generators(
         if g.degree != degree:
             raise InputError(f"generator degree {g.degree} != group degree {degree}")
 
-    id_row = np.arange(degree, dtype=np.int32)
-    rows: list[np.ndarray] = [id_row]
-    index: dict[bytes, int] = {id_row.tobytes(): 0}
-    gen_rows = [np.array(g.images, dtype=np.int32) - 1 for g in gens]
-
-    taken: list[np.ndarray] = []
-    for grow in gen_rows:
-        taken.append(grow)
-        if grow.tobytes() in index:
-            continue
-        base_count = len(rows)  # rows[:base_count] is the closed subgroup so far
-        queue: deque[np.ndarray] = deque([grow])
-        while queue:
-            rep = queue.popleft()
-            if rep.tobytes() in index:
-                continue
-            for h in rows[:base_count]:
-                row = rep[h]  # (h then rep): images rep[h[p]]
-                key = row.tobytes()
-                if key not in index:
-                    if len(rows) >= bound:
-                        raise ResourceLimitError("group order exceeds the order bound", bound)
-                    index[key] = len(rows)
-                    rows.append(row)
-            for s in taken:
-                queue.append(s[rep])  # (rep then s)
-
-    n = len(rows)
+    gen_rows = [np.array(g.images, dtype=_row_dtype(degree)) - 1 for g in gens]
+    rows, index = _close_rows(degree, gen_rows, bound)
+    n = rows.shape[0]
     mul = np.full((n, n), -1, dtype=np.int32)  # -1 marks a row not yet built
     mul[0] = np.arange(n)
     left: list[int] = []  # the distinct non-identity generators
     for grow in gen_rows:
         s = index[grow.tobytes()]
         if mul[s, 0] < 0:
-            mul[s] = [index[row[grow].tobytes()] for row in rows]  # (s then j): j[s[p]]
+            mul[s] = [index[key] for key in _row_keys(rows[:, grow])]  # (s then j): j[s[p]]
             left.append(s)
-    # Products of validated generators skip the checks; images share one int per point.
-    pts = list(range(1, degree + 1))
-    elements = [Permutation._trusted(tuple(map(pts.__getitem__, row.tolist()))) for row in rows]
     reached = [0, *left]
     for i in reached:  # grows while iterating
         for s in left:
@@ -285,7 +334,7 @@ def close_generators(
                 reached.append(k)
     if (mul[:, 0] < 0).any():
         raise InvariantError("Cayley table rows not reached from the generators")
-    return GroupTable(degree, gens, elements, mul)
+    return GroupTable(degree, gens, rows, index, mul)
 
 
 def as_subgroup(g: Union[GroupTable, Subgroup]) -> Subgroup:
@@ -329,7 +378,13 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     """
     if n_sub.parent is not g:
         raise InputError("subgroup belongs to a different group")
-    arr = n_sub.mask_array()
+    return _quotient_by_mask(g, n_sub.mask_array())
+
+
+def _quotient_by_mask(g: GroupTable, arr: np.ndarray) -> QuotientMap:
+    """``quotient_by`` for the normal subgroup with member mask ``arr``.
+    Each element's image is found by looking up its coset row in the
+    quotient's row index."""
     if not is_normal_mask(g, arr, g.gen_indices):
         raise InputError("cannot form the quotient: subgroup is not normal")
     members = np.flatnonzero(arr)
@@ -340,23 +395,18 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
             coset_id[g.mul[members, x]] = len(reps)
             reps.append(x)
     m = len(reps)
-    reps_arr = np.array(reps, dtype=np.int64)
-
-    def coset_perm(x: int) -> Permutation:
-        return Permutation._trusted(tuple((coset_id[g.mul[reps_arr, x]] + 1).tolist()))
-
-    qgens = [coset_perm(i) for i in g.gen_indices]
+    # coset_rows[x, r]: the coset of reps[r] * x, the image of point r under x
+    coset_rows = coset_id.astype(_row_dtype(m))[g.mul[reps].T]
+    qgens = [Permutation._trusted(tuple((coset_rows[i] + 1).tolist())) for i in g.gen_indices]
     quotient = close_generators(m, qgens, order_bound=m)
     if quotient.order != m:
         raise InvariantError("quotient order does not equal the subgroup index")
-    projection = np.array(
-        [quotient.element_index[coset_perm(x)] for x in range(g.order)], dtype=np.int32
-    )
+    projection = np.array([quotient.row_index[key] for key in _row_keys(coset_rows)], dtype=np.int32)
     for i in g.gen_indices:
         for j in g.gen_indices:
             if projection[g.mul[i, j]] != quotient.mul[projection[i], projection[j]]:
                 raise InvariantError("quotient projection is not a homomorphism")
-    if array_to_mask(projection == 0) != n_sub.mask:
+    if ((projection == 0) != arr).any():
         raise InvariantError("quotient kernel differs from the given subgroup")
     return QuotientMap(quotient, projection)
 
@@ -445,9 +495,14 @@ def centralizer(g: GroupTable, s: Subgroup) -> Subgroup:
 def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
     """C_G(H/K) = {x : [x, h] in K for all h in H}; requires K normal in G
     and K <= H."""
+    mask_arr = _centralizer_mod_mask(g, h, k)
+    return Subgroup(g, array_to_mask(mask_arr), _greedy_generators(g.mul, mask_arr)[1])
+
+
+def _centralizer_mod_mask(g: GroupTable, h: Subgroup, k: Subgroup) -> np.ndarray:
+    """The member mask of ``centralizer_mod(g, h, k)``, without generators."""
     if not h.contains(k):
         raise InputError("centralizer_mod requires K <= H")
     if not is_normal_mask(g, k.mask_array(), g.gen_indices):
         raise InputError("centralizer_mod requires K normal in the group")
-    mask_arr = _relative_centralizer(g, h.generator_indices, k.mask_array())
-    return Subgroup(g, array_to_mask(mask_arr), _greedy_generators(g.mul, mask_arr)[1])
+    return _relative_centralizer(g, h.generator_indices, k.mask_array())

@@ -5,7 +5,9 @@ every pair of permutations, closures by worklist over int bitmasks, subgroup
 enumeration by closing S union T for every subset T of size at most 2 of
 each known subgroup's complement, prime-step subnormality by top-down
 recursion, quotients by explicit coset-product tables, and conjugacy
-classes of subgroups by conjugating each member by every element.  Second
+classes of subgroups and of elements by conjugating by every element (the
+element classes in numpy), and the word sweep's start states from the
+commutators of all n*n pairs (numpy, the sweep's earlier first pass).  Second
 algorithms for nilpotency (normal Sylow subgroups) and supersolubility
 (prime-order chief factors) cross-check the package's.  The
 one exception is ``cyclic_extension_oracle``, the package's earlier
@@ -233,3 +235,24 @@ def subgroup_classes_oracle(lat: Lattice) -> list[int]:
             ids[index[conj]] = count
         count += 1
     return ids
+
+
+def element_classes_oracle(g: GroupTable) -> np.ndarray:
+    """Label of each element's conjugacy class, the least index in it, by
+    conjugating the element by every element of the group."""
+    every = np.arange(g.order)
+    return np.array([int(g.mul[g.mul[g.inv, x], every].min()) for x in range(g.order)])
+
+
+def start_states_oracle(mul: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The sorted distinct start states v*n + y, v = [x, y] not the
+    identity, from the commutators of all n*n pairs, in blocks of rows x."""
+    n = mul.shape[0]
+    marked = np.zeros(n * n, np.bool_)
+    y = np.arange(n)[None, :]
+    for lo in range(0, n, 256):
+        x = np.arange(lo, min(lo + 256, n))[:, None]
+        v = mul[mul[mul[inv[x], inv[y]], x], y].astype(np.int64)
+        marked[(v * n + y).ravel()] = True
+    marked[:n] = False
+    return np.flatnonzero(marked)

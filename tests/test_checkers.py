@@ -25,7 +25,7 @@ from oracles import p_subnormal_oracle
 
 
 def sub_of(g, *texts):
-    return subgroup_generated(g, [g.element_index[parse_cycles(t, g.degree)] for t in texts])
+    return subgroup_generated(g, [g.index_of(parse_cycles(t, g.degree)) for t in texts])
 
 
 class TestWordIteration:

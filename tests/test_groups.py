@@ -17,14 +17,14 @@ from formationlab.groups import (
     quotient_by,
     subgroup_generated,
 )
-from formationlab.perms import Permutation, parse_cycles
+from formationlab.perms import Permutation, inverse, order_of, parse_cycles
 
 from conftest import group_of
 from oracles import cayley_oracle, commutator_values_oracle, quotient_oracle
 
 
 def sub_from_texts(g, *texts):
-    return subgroup_generated(g, [g.element_index[parse_cycles(t, g.degree)] for t in texts])
+    return subgroup_generated(g, [g.index_of(parse_cycles(t, g.degree)) for t in texts])
 
 
 class TestCloseGenerators:
@@ -115,6 +115,42 @@ class TestCayleyTable:
         check()
 
 
+class TestElementRows:
+    def test_index_of_inverts_perm(self, s4, q8):
+        from formationlab.corpus import build_group, cyclic, order75_witness
+
+        for g in (s4, q8, build_group(order75_witness()), build_group(cyclic(1999))):
+            assert g.rows.dtype == np.int16
+            assert [g.index_of(g.perm(i)) for i in range(g.order)] == list(range(g.order))
+
+    def test_index_of_rejects_wrong_degree(self, s3):
+        with pytest.raises(InputError, match="degree 4"):
+            s3.index_of(parse_cycles("(1 2)", 4))
+
+    def test_index_of_rejects_non_member(self, a4):
+        with pytest.raises(InputError):
+            a4.index_of(parse_cycles("(1 2)", 4))
+
+    def test_orders_and_inverses_match_permutations(self):
+        # |C210 x S3| = 1260 has 36 divisors; 1999 is prime
+        from formationlab.corpus import build_group, cyclic, direct_product, symmetric
+
+        for g in (build_group(direct_product(cyclic(210), symmetric(3))), build_group(cyclic(1999))):
+            for i in range(g.order):
+                p = g.perm(i)
+                assert g.elem_orders[i] == order_of(p)
+                assert g.perm(g.inv[i]) == inverse(p)
+
+    def test_classify_builds_no_elements(self):
+        from formationlab.checkers import classify
+        from formationlab.corpus import alternating, build_group, cyclic, direct_product
+
+        g = build_group(direct_product(alternating(4), cyclic(7)))
+        report = classify(g, "A4xC7")
+        assert report.witnesses  # witness text names elements and subgroup generators
+        assert g._elements is None
+
+
 class TestSubgroupGenerated:
     def test_trivial_seed(self, s4):
         assert subgroup_generated(s4, [0]).order == 1
@@ -132,7 +168,7 @@ class TestSubgroupGenerated:
         assert again == sub
 
     def test_from_mask_rejects_non_closed(self, s3):
-        bad = (1 << 0) | (1 << s3.element_index[parse_cycles("(1 2 3)", 3)])
+        bad = (1 << 0) | (1 << s3.index_of(parse_cycles("(1 2 3)", 3)))
         with pytest.raises(InputError):
             Subgroup.from_mask(s3, bad)
 
@@ -237,7 +273,7 @@ class TestCommutatorSubgroup:
             degree, a_gens, b_gens = case
             g = close_generators(degree, [Permutation(p) for p in a_gens + b_gens])
             a, b = (
-                subgroup_generated(g, [g.element_index[Permutation(p)] for p in gens])
+                subgroup_generated(g, [g.index_of(Permutation(p)) for p in gens])
                 for gens in (a_gens, b_gens)
             )
             assert commutator_subgroup(g, a, b).mask == commutator_values_oracle(g, a.mask, b.mask)

@@ -1,5 +1,6 @@
-"""The closure kernel against the pure-Python oracle, and the pair sweep
-against the permutation-level word iteration."""
+"""The closure kernel against the pure-Python oracle, element classes and
+the sweep's start states against brute force, and the pair sweep against
+the permutation-level word iteration."""
 
 from __future__ import annotations
 
@@ -15,12 +16,13 @@ from formationlab.corpus import (
     direct_product,
     order75_witness,
     quaternion_generalized,
+    standard_corpus,
     symmetric,
 )
 from formationlab.groups import array_to_mask, exponent
 
 from conftest import group_of
-from oracles import py_close
+from oracles import element_classes_oracle, py_close, start_states_oracle
 
 
 def groups():
@@ -66,10 +68,48 @@ def sweep_groups():
     ]
 
 
+def class_groups():
+    """The sweep groups, S5, A6 and every standard-corpus group of order at
+    most 60."""
+    small = [build_group(spec) for spec in standard_corpus()]
+    return (
+        sweep_groups()
+        + [build_group(symmetric(5)), build_group(alternating(6))]
+        + [g for g in small if g.order <= 60]
+    )
+
+
+def large_groups():
+    """The groups of the ``large`` benchmark workload, before its seeded
+    point relabelling (which leaves the tables unchanged)."""
+    return [
+        build_group(cyclic(1000)),
+        build_group(cyclic(1999)),
+        build_group(direct_product(symmetric(3), cyclic(331))),
+        build_group(direct_product(dihedral(5), cyclic(197))),
+        build_group(direct_product(quaternion_generalized(2), cyclic(241))),
+    ]
+
+
+class TestClasses:
+    def test_labels_match_oracle(self):
+        groups = class_groups()
+        assert len(groups) > 300
+        for g in groups:
+            labels = _kernels.class_labels(g.mul, g.inv, g.gen_indices)
+            assert np.array_equal(labels, element_classes_oracle(g)), g
+
+    def test_start_states_match_pass_one_oracle(self):
+        for g in class_groups() + large_groups():
+            states = np.sort(_kernels.start_states(g.mul, g.inv, g.gen_indices))
+            assert np.array_equal(states, start_states_oracle(g.mul, g.inv)), g
+
+
 class TestSweep:
     def test_negative_power_table_is_inverse_powers(self):
         # exponents 1, 2, an odd prime and non-prime non-powers of 2: the
-        # doubling loop's first step, a single doubling and a partial last one
+        # doubling loop's first step, a single doubling and a partial last
+        # one; rows are every element, then a proper subset in reverse order
         cases = [
             (group_of(1), 1),
             (build_group(cyclic(2)), 2),
@@ -80,13 +120,15 @@ class TestSweep:
         ]
         for g, e in cases:
             assert exponent(g) == e
-            table = _kernels.negative_power_table(g.mul, g.inv, e)
-            assert table.shape == (g.order, e)
-            for v in range(g.order):
-                acc = 0  # identity index
-                for j in range(e):
-                    assert table[v, j] == acc
-                    acc = int(g.mul[acc, g.inv[v]])
+            every = np.arange(g.order)
+            for rows in (every, every[::-1][: max(1, g.order // 2)]):
+                table = _kernels.negative_power_table(g.mul, g.inv, rows, e)
+                assert table.shape == (rows.size, e)
+                for i, v in enumerate(rows):
+                    acc = 0  # identity index
+                    for j in range(e):
+                        assert table[i, j] == acc
+                        acc = int(g.mul[acc, g.inv[v]])
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_sweep_matches_permutation_level_iteration(self, chunk):
@@ -98,12 +140,11 @@ class TestSweep:
         for g in sweep_groups():
             n = g.order
             e = exponent(g)
-            pow_neg = _kernels.negative_power_table(g.mul, g.inv, e)
 
             def terminates(i):
-                return brandl_terminates(g.elements[i // n], g.elements[i % n], e, group_order=n).terminated
+                return brandl_terminates(g.perm(i // n), g.perm(i % n), e, group_order=n).terminated
 
-            status, bx, by = _kernels.brandl_sweep(g.mul, g.inv, pow_neg, e, **kwargs)
+            status, bx, by = _kernels.brandl_sweep(g.mul, g.inv, g.gen_indices, e, **kwargs)
             least = n * n if status == 1 else bx * n + by
             assert status in (0, 1)
             assert all(terminates(i) for i in range(least))

@@ -24,7 +24,7 @@ from oracles import all_subgroups_oracle, cyclic_extension_oracle, subgroup_clas
 
 
 def sub_of(g, *texts):
-    return subgroup_generated(g, [g.element_index[parse_cycles(t, g.degree)] for t in texts])
+    return subgroup_generated(g, [g.index_of(parse_cycles(t, g.degree)) for t in texts])
 
 
 class TestEnumeration:
