@@ -10,17 +10,20 @@ its start state ([x, y], y), so the all-pairs sweep (``_kernels.brandl_sweep``)
 steps each distinct start state once and then maps failures back to the
 least failing pair.
 
-``cond_b_subgroups`` judges one member per conjugacy class of subgroups
-(``Lattice.class_ids``), the first in lattice order: conjugation is an
-automorphism, so "[H, H] nilpotent" and "H supersoluble" hold for all of a
-class or for none, and the first failing member and its witness are those
-of a member-by-member scan.  It takes the derived subgroup [H, H] as a
-normal closure of the commutators of H's generators
-(``groups.commutator_subgroup``), not from all |H|^2 commutators.
+``cond_x`` and ``cond_b_subgroups`` judge one member per conjugacy class
+of subgroups (``Lattice.class_ids``), the first in lattice order:
+conjugation by the top is an automorphism fixing the top, so "cyclic,
+primary and not prime-step subnormal", "[H, H] nilpotent" and "H
+supersoluble" hold for all of a class or for none, and the first failing
+member and its witness are those of a member-by-member scan.
+``cond_b_subgroups`` takes the derived subgroup [H, H] as a normal closure
+of the commutators of H's generators (``groups.commutator_subgroup``), not
+from all |H|^2 commutators, and judges H's supersolubility on the given
+lattice.
 
-``cond_lf`` forms each quotient G / C_G(H/K) straight from the
-centralizer's member mask; nothing reads the centralizer's generators, so
-none are derived.
+``cond_lf`` works on the centralizer's member mask C = C_G(H/K) and never
+forms G/C: G/C is soluble iff the last term of G's derived series lies in
+C, and its exponent divides p - 1 iff every x^(p-1) lies in C.
 """
 
 from __future__ import annotations
@@ -37,16 +40,23 @@ from .groups import (
     GroupTable,
     Subgroup,
     _centralizer_mod_mask,
-    _quotient_by_mask,
+    _powers,
     commutator_subgroup,
+    derived_series,
     exponent,
 )
-from .lattice import Lattice, all_subgroups, chief_series
+from .lattice import (
+    DEFAULT_SUBGROUP_BOUND,
+    Lattice,
+    _bfs_chain,
+    all_subgroups,
+    chief_series,
+    p_reachable,
+)
 from .perms import Permutation, commutator, compose, format_cycles, power
 from .predicates import (
     _check_lattice,
     _sylow_tower_impl,
-    in_f_p,
     is_cyclic,
     is_nilpotent,
     is_primary,
@@ -147,16 +157,12 @@ def brandl_terminates(
 def is_p_subnormal(lat: Lattice, h: Subgroup) -> bool:
     """True when a chain h = H_0 < H_1 < ... < H_n = top exists with every
     index |H_i : H_{i-1}| prime."""
-    from .lattice import p_reachable
-
     return p_reachable(lat, h)
 
 
 def p_subnormal_chain(lat: Lattice, h: Subgroup) -> tuple[list[Subgroup], list[int]] | None:
     """A witness chain (subgroups, prime indices), or None when h is not
     prime-step subnormal.  The chain for h = top is ([top], [])."""
-    from .lattice import _bfs_chain
-
     indices = _bfs_chain(lat, lat.index_of(h))
     if indices is None:
         return None
@@ -170,9 +176,19 @@ def _describe(s: Subgroup) -> str:
     return f"<{gens}> of order {s.order}"
 
 
+def _class_firsts(lat: Lattice):
+    """The first member of each conjugacy class of subgroups, in lattice
+    order."""
+    seen: set[int] = set()
+    for h, class_id in zip(lat.subgroups, lat.class_ids()):
+        if class_id not in seen:
+            seen.add(class_id)
+            yield h
+
+
 def _condition_x_impl(g, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
-    for s in lat.subgroups:
+    for s in _class_firsts(lat):
         if is_primary(s) and is_cyclic(s) and not is_p_subnormal(lat, s):
             return False, f"cyclic primary subgroup {_describe(s)} is not prime-step subnormal"
     return True, None
@@ -185,13 +201,9 @@ def condition_x(g, lat: Lattice) -> bool:
 
 def _condition_b_subgroups_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
-    judged: set[int] = set()  # classes whose first member passed
-    for h, class_id in zip(lat.subgroups, lat.class_ids()):
-        if class_id in judged:
-            continue
-        judged.add(class_id)
+    for h in _class_firsts(lat):
         derived = commutator_subgroup(lat.parent, h, h)
-        if is_nilpotent(derived) and not is_supersoluble(h, lat.restrict(h)):
+        if is_nilpotent(derived) and not is_supersoluble(h, lat):
             return False, (
                 f"subgroup {_describe(h)} has nilpotent derived subgroup "
                 f"(order {derived.order}) but is not supersoluble"
@@ -229,16 +241,20 @@ def condition_b_law(g: GroupTable, *, opposite_convention: bool = False) -> bool
 
 def _condition_lf_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
+    every = np.arange(g.order)
+    residual = None  # the last term of G's derived series, once needed
     for factor in chief_series(lat):
         cent = _centralizer_mod_mask(g, factor.upper, factor.lower)
         if cent.all():
             continue  # the quotient is trivial and lies in every f(p)
-        quotient = _quotient_by_mask(g, cent).group
+        if residual is None:
+            residual = derived_series(g)[-1].mask_array()
+        soluble = not (residual & ~cent).any()
         for p in factor.primes:
-            if not in_f_p(quotient, p):
+            if not (soluble and cent[_powers(g.mul, every, p - 1)].all()):
                 return False, (
                     f"chief factor of order {factor.order}: the action group of order "
-                    f"{quotient.order} is not soluble of exponent dividing {p} - 1"
+                    f"{g.order // int(cent.sum())} is not soluble of exponent dividing {p} - 1"
                 )
     return True, None
 
@@ -309,8 +325,6 @@ def classify(
     disagreement among the four chain/law/local tests is reported as status
     "mismatch", never raised, so a sweep can show the offending group.
     """
-    from .lattice import DEFAULT_SUBGROUP_BOUND
-
     bound = subgroup_bound if subgroup_bound is not None else DEFAULT_SUBGROUP_BOUND
     predicates: dict[str, Optional[bool]] = {}
     witnesses: dict[str, str] = {}

@@ -373,18 +373,14 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     """Quotient acting on right cosets by right multiplication (a bijection
     by construction, so the coset permutations are not re-checked).
 
-    Coset representatives are the least element index in each coset; the
-    projection is verified to be a homomorphism with kernel exactly ``n_sub``.
+    Coset representatives are the least element index in each coset; each
+    element's image is found by looking up its coset row in the quotient's
+    row index, and the projection is verified to be a homomorphism with
+    kernel exactly ``n_sub``.
     """
     if n_sub.parent is not g:
         raise InputError("subgroup belongs to a different group")
-    return _quotient_by_mask(g, n_sub.mask_array())
-
-
-def _quotient_by_mask(g: GroupTable, arr: np.ndarray) -> QuotientMap:
-    """``quotient_by`` for the normal subgroup with member mask ``arr``.
-    Each element's image is found by looking up its coset row in the
-    quotient's row index."""
+    arr = n_sub.mask_array()
     if not is_normal_mask(g, arr, g.gen_indices):
         raise InputError("cannot form the quotient: subgroup is not normal")
     members = np.flatnonzero(arr)

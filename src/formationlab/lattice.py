@@ -86,7 +86,6 @@ class Lattice:
         top: Subgroup,
         subgroups: Sequence[Subgroup],
         *,
-        _edges_prevalidated: bool = False,
         _class_ids: tuple[int, ...] | None = None,
     ):
         self.parent = parent
@@ -97,12 +96,12 @@ class Lattice:
             raise InvariantError("duplicate subgroup masks in lattice")
         if 1 not in self._mask_index or top.mask not in self._mask_index:
             raise InvariantError("lattice must contain the trivial subgroup and the top")
-        self.up_edges = self._build_edges(validate=not _edges_prevalidated)
+        self.up_edges = self._build_edges()
         self._normal: np.ndarray | None = None
         self._maximal: tuple[int, ...] | None = None
         self._class_ids = _class_ids
 
-    def _build_edges(self, validate: bool = True) -> tuple[tuple[int, ...], ...]:
+    def _build_edges(self) -> tuple[tuple[int, ...], ...]:
         subs = self.subgroups
         by_order: dict[int, list[int]] = {}
         for i, s in enumerate(subs):
@@ -117,8 +116,7 @@ class Lattice:
         for j, downs in enumerate(edges):
             for i in downs:
                 up[i].append(j)
-        if validate:
-            self._assert_edges_maximal(up, by_order)
+        self._assert_edges_maximal(up, by_order)
         return tuple(tuple(sorted(js)) for js in up)
 
     def _assert_edges_maximal(self, up: list[list[int]], by_order: dict[int, list[int]]) -> None:
@@ -200,12 +198,9 @@ class Lattice:
         return self._maximal
 
     def restrict(self, h: Subgroup) -> "Lattice":
-        """The complete lattice of h, reusing this one's members.  Restricted
-        edges are a subset of already-validated ones, so the maximality
-        assertion is skipped."""
+        """The complete lattice of h, reusing this one's members."""
         self.index_of(h)  # validates membership
-        keep = [i for i, s in enumerate(self.subgroups) if h.contains(s)]
-        return Lattice(self.parent, h, [self.subgroups[i] for i in keep], _edges_prevalidated=True)
+        return Lattice(self.parent, h, [s for s in self.subgroups if h.contains(s)])
 
 
 def _cyclic_masks(g: GroupTable) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:

@@ -2,8 +2,11 @@
 primary, soluble, nilpotent, supersoluble, Sylow tower of supersoluble type,
 and the local class "soluble of exponent dividing p-1".
 
-The independent second algorithms for nilpotency and supersolubility live
-with the test suite's oracles.
+Supersolubility is judged by Huppert's theorem on the members of a
+subgroup lattice, and the Sylow-tower test works on masks of the group
+(the preimages of its quotients' subgroups), so neither builds a group
+table or a lattice.  The independent second algorithms for nilpotency,
+supersolubility and the Sylow tower live with the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ from .errors import InputError
 from .groups import (
     GroupTable,
     Subgroup,
-    array_to_mask,
+    _powers,
     as_subgroup,
     derived_series,
     exponent,
     lower_central_series,
-    quotient_by,
 )
 from .lattice import Lattice
 from .primes import is_prime, p_part, prime_divisors
@@ -77,35 +79,17 @@ def _check_lattice(g: GroupLike, lat: Lattice) -> Subgroup:
 
 
 def is_supersoluble(g: GroupLike, lat: Lattice) -> bool:
-    """Reachability from the trivial subgroup to the top along prime-index
-    steps that stay inside the normal subgroups: exactly a chain
-    1 = N_0 < N_1 < ... < N_m = G with every N_i normal and every index prime.
+    """Huppert's theorem (Math. Z. 60 (1954) 409-434): a finite group is
+    supersoluble iff every maximal subgroup has prime index, i.e. every
+    proper subgroup lies in one of prime index.  ``lat`` may be the lattice
+    of any group containing g; its members inside g are g's subgroups.
     """
-    _check_lattice(g, lat)
-    flags = lat.normal_flags()
-    start = lat.index_of(lat.parent.trivial_subgroup())
-    goal = lat.top_index()
-    seen = {start}
-    queue = [start]
-    while queue:
-        i = queue.pop()
-        if i == goal:
-            return True
-        for j in lat.up_edges[i]:
-            if j not in seen and flags[j]:
-                seen.add(j)
-                queue.append(j)
-    return False
-
-
-def _normal_sylow_mask(g: GroupTable, p: int) -> np.ndarray | None:
-    """Mask of p-power-order elements when they form the (then unique, hence
-    normal) Sylow p-subgroup; None when the Sylow subgroups are not normal."""
-    part = p_part(g.order, p)
-    arr = part % g.elem_orders == 0
-    if int(arr.sum()) != part:
-        return None
-    return arr
+    sub = as_subgroup(g)
+    if lat.parent is not sub.parent or not lat.top.contains(sub):
+        raise InputError("lattice does not contain the given group")
+    members = [s for s in lat.subgroups if sub.contains(s) and s.order < sub.order]
+    prime_index = [s for s in members if is_prime(sub.order // s.order)]
+    return all(any(m.contains(s) for m in prime_index) for s in members)
 
 
 def has_sylow_tower_sst(g: GroupTable, lat: Lattice | None = None) -> bool:
@@ -113,21 +97,27 @@ def has_sylow_tower_sst(g: GroupTable, lat: Lattice | None = None) -> bool:
     Sylow subgroup is normal in the remaining quotient.
 
     The lattice parameter keeps the predicate call signature uniform; the
-    test itself runs on quotients, where no lattice exists.
+    test works on masks of g, the preimages of the quotients' subgroups.
     """
     ok, _ = _sylow_tower_impl(g)
     return ok
 
 
 def _sylow_tower_impl(g: GroupTable) -> tuple[bool, int | None]:
-    work = g
-    while work.order > 1:
-        p = max(prime_divisors(work.order))
-        arr = _normal_sylow_mask(work, p)
-        if arr is None:
+    """N runs through the tower's terms as masks of g.  With p^a the
+    p-part of |G|, xN has p-power order in G/N iff x^(p^a) lies in N, so
+    ``above`` is the preimage of G/N's p-elements; they form a (normal)
+    Sylow subgroup iff there are |N| * p^a of them, and then ``above`` is
+    the next term.  Returns the first prime whose Sylow subgroup fails."""
+    every = np.arange(g.order)
+    below = np.zeros(g.order, np.bool_)
+    below[0] = True
+    for p in sorted(prime_divisors(g.order), reverse=True):
+        part = p_part(g.order, p)
+        above = below[_powers(g.mul, every, part)]
+        if int(above.sum()) != int(below.sum()) * part:
             return False, p
-        sylow = Subgroup.from_mask(work, array_to_mask(arr))
-        work = quotient_by(work, sylow).group
+        below = above
     return True, None
 
 

@@ -9,7 +9,9 @@ classes of subgroups and of elements by conjugating by every element (the
 element classes in numpy), and the word sweep's start states from the
 commutators of all n*n pairs (numpy, the sweep's earlier first pass).  Second
 algorithms for nilpotency (normal Sylow subgroups) and supersolubility
-(prime-order chief factors) cross-check the package's.  The
+(prime-order chief factors) cross-check the package's, and the Sylow tower
+and ``cond_lf`` are decided again on quotient group tables (the package
+decides both on masks of the group).  The
 one exception is ``cyclic_extension_oracle``, the package's earlier
 enumerator (every subgroup extended by every cyclic subgroup, closed by
 frontier x members products), kept as a differential reference that is fast
@@ -21,9 +23,16 @@ from __future__ import annotations
 import numpy as np
 
 from formationlab import perms
-from formationlab.groups import GroupTable, Subgroup, array_to_mask, as_subgroup
+from formationlab.groups import (
+    GroupTable,
+    Subgroup,
+    array_to_mask,
+    as_subgroup,
+    centralizer_mod,
+    quotient_by,
+)
 from formationlab.lattice import Lattice, chief_series
-from formationlab.predicates import _check_lattice
+from formationlab.predicates import _check_lattice, in_f_p
 from formationlab.primes import is_prime, p_part, prime_divisors
 
 
@@ -216,6 +225,36 @@ def is_supersoluble_chief(g, lat: Lattice) -> bool:
     """Supersolubility as: every chief factor has prime order."""
     _check_lattice(g, lat)
     return all(is_prime(f.order) for f in chief_series(lat))
+
+
+def sylow_tower_oracle(g: GroupTable) -> tuple[bool, str | None]:
+    """The Sylow tower by peeling quotients, with the classify witness: the
+    largest prime of the remaining quotient first, its p-power-order
+    elements must number the p-part (then they are its normal Sylow
+    subgroup), and the quotient by them is built as a group table."""
+    work = g
+    while work.order > 1:
+        p = max(prime_divisors(work.order))
+        part = p_part(work.order, p)
+        arr = part % work.elem_orders == 0
+        if int(arr.sum()) != part:
+            return False, f"Sylow {p}-subgroup is not normal at its tower level"
+        work = quotient_by(work, Subgroup.from_mask(work, array_to_mask(arr))).group
+    return True, None
+
+
+def condition_lf_oracle(g: GroupTable, lat: Lattice) -> tuple[bool, str | None]:
+    """cond_lf with the classify witness, every action group G / C_G(H/K)
+    built as a quotient group table and tested by ``in_f_p``."""
+    for factor in chief_series(lat):
+        quotient = quotient_by(g, centralizer_mod(g, factor.upper, factor.lower)).group
+        for p in factor.primes:
+            if not in_f_p(quotient, p):
+                return False, (
+                    f"chief factor of order {factor.order}: the action group of order "
+                    f"{quotient.order} is not soluble of exponent dividing {p} - 1"
+                )
+    return True, None
 
 
 def subgroup_classes_oracle(lat: Lattice) -> list[int]:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from formationlab.checkers import (
     BrandlState,
+    _condition_lf_impl,
+    _sylow_tower_witness,
     brandl_next,
     brandl_terminates,
     classify,
@@ -14,14 +18,23 @@ from formationlab.checkers import (
     is_p_subnormal,
     p_subnormal_chain,
 )
-from formationlab.corpus import build_group, cyclic, dihedral, order75_witness
+from formationlab.corpus import (
+    alternating,
+    build_group,
+    cyclic,
+    dihedral,
+    direct_product,
+    order294_candidate,
+    order75_witness,
+    standard_corpus,
+)
 from formationlab.errors import InputError
-from formationlab.groups import subgroup_generated
-from formationlab.lattice import all_subgroups
+from formationlab.groups import GroupTable, subgroup_generated
+from formationlab.lattice import Lattice, all_subgroups, chief_series
 from formationlab.perms import format_cycles, identity, parse_cycles
 
 from conftest import group_of
-from oracles import p_subnormal_oracle
+from oracles import condition_lf_oracle, p_subnormal_oracle, sylow_tower_oracle
 
 
 def sub_of(g, *texts):
@@ -215,3 +228,67 @@ class TestClassify:
         monkeypatch.setattr(checkers, "chief_series", broken)
         with pytest.raises(InvariantError, match="group S3: chief series is inconsistent"):
             classify(s3, "S3")
+
+    @pytest.mark.parametrize("maker", [
+        lambda: group_of(4, "(1 2)", "(1 2 3 4)"),
+        lambda: group_of(4, "(1 2 3)", "(2 3 4)"),
+        lambda: build_group(order75_witness()),
+        lambda: build_group(order294_candidate()),
+    ])
+    def test_builds_no_table_and_one_lattice(self, maker, monkeypatch):
+        g = maker()
+        counts = {GroupTable: 0, Lattice: 0}
+        for cls in counts:
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                counts[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        classify(g, "G")
+        assert counts == {GroupTable: 0, Lattice: 1}
+
+
+@pytest.fixture(scope="module")
+def quotient_oracle_groups():
+    """Every standard-corpus group of order <= 120 (S5 and the order-75
+    witness among them), C7^2:S3 and A5 x C3, each with its lattice."""
+    groups = [build_group(spec) for spec in standard_corpus()]
+    groups = [g for g in groups if g.order <= 120]
+    groups += [build_group(order294_candidate()), build_group(direct_product(alternating(5), cyclic(3)))]
+    return [(g, all_subgroups(g)) for g in groups]
+
+
+class TestQuotientOracles:
+    """The Sylow tower and cond_lf on masks agree with the quotient-table
+    algorithms in verdict and witness text."""
+
+    def test_sylow_tower(self, quotient_oracle_groups):
+        outcomes = set()
+        for g, _ in quotient_oracle_groups:
+            got = _sylow_tower_witness(g)
+            assert got == sylow_tower_oracle(g)
+            outcomes.add(got[0])
+        assert outcomes == {True, False}
+
+    def test_condition_lf(self, quotient_oracle_groups):
+        outcomes = set()
+        for g, lat in quotient_oracle_groups:
+            got = _condition_lf_impl(g, lat)
+            assert got == condition_lf_oracle(g, lat)
+            outcomes.add(got[0])
+        assert outcomes == {True, False}
+
+    def test_condition_lf_solubility_branch(self, a5, monkeypatch):
+        # Within the order bound no action group is insoluble with exponent
+        # dividing p - 1 for a prime p of its chief factor (p >= 31 is
+        # needed), so A5's one chief factor is relabelled with the prime 61:
+        # A5's exponent 30 divides 60, and only the solubility test fails.
+        import formationlab.checkers as checkers
+
+        lat = all_subgroups(a5)
+        (factor,) = chief_series(lat)
+        monkeypatch.setattr(checkers, "chief_series", lambda _: [replace(factor, primes=(61,))])
+        assert _condition_lf_impl(a5, lat) == (False, (
+            "chief factor of order 60: the action group of order 60 is not soluble "
+            "of exponent dividing 61 - 1"
+        ))

@@ -4,7 +4,9 @@ import pytest
 
 from formationlab.corpus import build_group, cyclic, dihedral, direct_product, symmetric
 from formationlab.errors import InputError
+from formationlab.groups import subgroup_generated
 from formationlab.lattice import all_subgroups
+from formationlab.perms import parse_cycles
 from formationlab.predicates import (
     has_sylow_tower_sst,
     in_f_p,
@@ -18,6 +20,10 @@ from formationlab.predicates import (
 
 from conftest import group_of
 from oracles import is_nilpotent_sylow, is_supersoluble_chief
+
+
+def sub_of(g, *texts):
+    return subgroup_generated(g, [g.index_of(parse_cycles(t, g.degree)) for t in texts])
 
 
 class TestBasicPredicates:
@@ -85,12 +91,27 @@ class TestSupersoluble:
         assert is_supersoluble(g, all_subgroups(g))
 
     def test_dual_algorithms_agree(self, s3, s4, a4, a5, q8, klein):
+        # every member judged on the whole group's lattice, against the
+        # chief-factor test on its own lattice
         groups = [s3, s4, a4, a5, q8, klein]
         groups += [build_group(dihedral(n)) for n in (3, 4, 6, 10)]
         groups += [build_group(direct_product(symmetric(3), cyclic(3)))]
         for g in groups:
             lat = all_subgroups(g)
-            assert is_supersoluble(g, lat) == is_supersoluble_chief(g, lat)
+            for h in lat.subgroups:
+                assert is_supersoluble(h, lat) == is_supersoluble_chief(h, lat.restrict(h))
+
+    @pytest.mark.slow
+    def test_dual_algorithms_agree_on_s6_subgroups(self):
+        g = build_group(symmetric(6))
+        lat = all_subgroups(g)
+        assert len(lat) == 1455
+        verdicts = set()
+        for h in lat.subgroups:
+            ok = is_supersoluble(h, lat)
+            assert ok == is_supersoluble_chief(h, lat.restrict(h))
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_inherited_by_subgroups_and_quotients(self, s3):
         from formationlab.groups import quotient_by
@@ -108,6 +129,18 @@ class TestSupersoluble:
     def test_wrong_lattice_rejected(self, s3, s4):
         with pytest.raises(InputError):
             is_supersoluble(s3, all_subgroups(s4))
+        twin = group_of(3, "(1 2)", "(1 2 3)")  # equal to s3, another table
+        with pytest.raises(InputError):
+            is_supersoluble(s3, all_subgroups(twin))
+        a4_lat = all_subgroups(s4).restrict(sub_of(s4, "(1 2 3)", "(2 3 4)"))
+        with pytest.raises(InputError):
+            is_supersoluble(sub_of(s4, "(1 2)"), a4_lat)  # the top misses it
+
+    def test_supergroup_lattice_accepted(self, s4):
+        lat = all_subgroups(s4)
+        assert is_supersoluble(sub_of(s4, "(1 2)", "(1 2 3)"), lat)
+        assert is_supersoluble(sub_of(s4, "(1 2 3 4)", "(1 3)"), lat)
+        assert not is_supersoluble(sub_of(s4, "(1 2 3)", "(2 3 4)"), lat)
 
 
 class TestSylowTower:
