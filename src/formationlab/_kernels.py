@@ -6,7 +6,8 @@ those states from the conjugacy classes, not from the n*n commutators.
 
 Conventions: ``mul`` is an (n, n) int32 table with ``mul[i, j]`` the index of
 "element i then element j"; index 0 is the identity; ``inv[i]`` is the index
-of the inverse.  Masks are boolean arrays of length n.
+of the inverse.  Masks are boolean arrays of length n, or (k, n) matrices
+of k masks where a kernel closes a batch.
 """
 
 from __future__ import annotations
@@ -27,28 +28,36 @@ JIT_ENABLED = False
 
 
 def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
-    """Mask of the subgroup generated by the element indices ``gens``.
+    """Mask of the subgroup generated by the element indices ``gens``, or
+    one such mask per row.
 
-    ``base`` must be a product-closed mask inside that subgroup (the identity
-    alone will do).  Breadth-first search right-multiplies each newly found
-    element by every generator, about |K| * r products for a result of order
-    |K| from r generators.  Every element is a word in the generators, and
-    each prefix of a word is reached: a prefix in ``base`` times a generator
-    in ``base`` stays in ``base``, so base members need only the generators
-    outside it.
+    ``base`` is an n-length mask, or a (k, n) matrix of k masks; ``gens``
+    is then one index list, or a (k, r) matrix whose row i generates row i,
+    padded with 0 (the identity).  Each base row must contain the identity
+    and lie inside its subgroup, but need not be product-closed: a
+    subgroup H together with a cyclic subgroup <c> will do.
+
+    Breadth-first search right-multiplies every base member, then each
+    newly found element, by every generator of its row, about |K| * r
+    products for a result of order |K| from r generators.  Every element
+    is a word in the generators, so all are reached from the identity.
+    All rows advance together on flat indices row * n + element, so a
+    batch costs one round of numpy calls per search depth, not one per row.
     """
-    gens = np.asarray(gens, dtype=np.intp)
-    mask = base.copy()
-    prods = mul[np.flatnonzero(base)[:, None], gens[~base[gens]]].ravel()
-    while True:
-        new = np.zeros_like(mask)
+    n = mul.shape[0]
+    mask = np.array(base, dtype=np.bool_)
+    flat = mask.reshape(-1)
+    gens = np.asarray(gens, dtype=np.intp).reshape(flat.size // n, -1)
+    frontier = np.flatnonzero(flat)
+    while frontier.size:
+        row, x = np.divmod(frontier, n)
+        prods = (mul[x[:, None], gens[row]] + (row * n)[:, None]).ravel()
+        new = np.zeros_like(flat)
         new[prods] = True
-        new &= ~mask
+        new &= ~flat
         frontier = np.flatnonzero(new)
-        if not frontier.size:
-            return mask
-        mask |= new
-        prods = mul[frontier[:, None], gens].ravel()
+        flat |= new
+    return mask
 
 
 def class_labels(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -106,6 +105,8 @@ def _run_corpus(specs: list[GroupSpec], max_order: int | None, jobs: int) -> lis
     if jobs <= 1:
         results = [_classify_spec(p) for p in payloads]
     else:
+        import multiprocessing  # here, so that single-job runs skip its import time
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
             results = list(pool.imap_unordered(_classify_spec, payloads))

@@ -10,9 +10,11 @@ representative H of each class is extended by one cyclic subgroup per
 orbit of N_G(H) on the cyclic subgroups and closed, and each newly found
 subgroup brings its whole class, found by permuting its mask under
 conjugation by the group's generators.  Those orbits are the conjugacy
-classes, so the enumerated lattice carries a class id per member.
-Subgroups are deduplicated by bitmask, never by isomorphism, and the
-lattice order is (order, mask) so every downstream choice is reproducible.
+classes, so the enumerated lattice carries a class id per member.  The
+representatives are extended in waves, and all seeds H | <c> of one wave
+are closed together in batched ``close_mask`` calls.  Subgroups are
+deduplicated by bitmask, never by isomorphism, and the lattice order is
+(order, mask) so every downstream choice is reproducible.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_SUBGROUP_BOUND = 10**6
+# Most products (rows * order * generators) of one batched closure call,
+# which bounds its temporary arrays to a few MB however large the wave.
+CLOSE_BATCH_PRODUCTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -251,6 +256,29 @@ def _class_of(
     return orbit
 
 
+def _close_seeds(
+    mul: np.ndarray, seeds: list[tuple[bytes, np.ndarray, tuple[int, ...]]]
+) -> dict[bytes, np.ndarray]:
+    """The closure of each distinct seed mask, keyed by the seed's bytes.
+
+    Each seed's mask is a base row of a batched ``close_mask`` call and its
+    generators the generator row.  The seeds of one wave all have the same
+    number of generators (a representative found in wave w has w), so the
+    rows need no padding.  Each call takes as many rows as keep rows * order
+    * generators within ``CLOSE_BATCH_PRODUCTS``, which bounds its products.
+    """
+    distinct = {key: (arr, gens) for key, arr, gens in seeds}
+    if not distinct:
+        return {}
+    bases = np.array([arr for arr, _ in distinct.values()])
+    gens = np.array([gens for _, gens in distinct.values()], np.intp)
+    step = max(1, CLOSE_BATCH_PRODUCTS // (mul.shape[0] * gens.shape[1]))
+    closed = [
+        _kernels.close_mask(mul, bases[lo : lo + step], gens[lo : lo + step]) for lo in range(0, len(bases), step)
+    ]
+    return dict(zip(distinct, np.concatenate(closed)))
+
+
 def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND) -> Lattice:
     """Enumerate every subgroup of g by cyclic extension of class
     representatives.
@@ -269,6 +297,16 @@ def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND
     subgroup in that order would close; the later ones would only find
     conjugates already known.  So members and their generators are the
     same as under extension by every cyclic subgroup.
+
+    Representatives are handled in waves, a wave being those queued when
+    the previous one ended.  All of a wave's seeds not known before it are
+    closed together (``_close_seeds``), each from its mask H | <c> rather
+    than from H, so a long cyclic subgroup is not walked one power per
+    round.  Then the seeds are taken in the order of closing one seed at a
+    time, each kept when its closure is new.  A seed that one-at-a-time
+    loop would skip, being a known subgroup or closed before, has its
+    closure in ``found`` already, so masks, generators and class ids are
+    the ones it gives.
     """
     n = g.order
     mul, inv = g.mul, g.inv
@@ -283,25 +321,31 @@ def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...], int]] = {trivial.tobytes(): (trivial, (), 0)}
     seeds_done: set[bytes] = set()
     reps = [(trivial, ())]
-    for h_arr, h_gens in reps:  # grows while iterating: new representatives queue up
-        outside = np.flatnonzero(~h_arr[cyclic_gens])  # cyclic subgroups not inside H
-        if not outside.size:
-            continue
-        # x normalises H when x^-1 h x lies in H for each generator h of H
-        conjugated = mul[mul[inv[:, None], list(h_gens)], elements[:, None]]
-        normaliser = np.flatnonzero(h_arr[conjugated].all(axis=1))
-        # N_G(H) permutes the outside cyclic subgroups; keep each orbit's least
-        images = cyclic_id[mul[mul[inv[normaliser, None], cyclic_gens[outside]], normaliser[:, None]]]
-        for c in outside[images.min(axis=0) == outside]:
-            cyc_arr, cyc_gen = cyclics[c]
-            seed_key = (h_arr | cyc_arr).tobytes()
-            if seed_key in found or seed_key in seeds_done:
-                continue  # closed already, or closure computed before
-            seeds_done.add(seed_key)
-            gens = h_gens + (cyc_gen,)
-            closed = _kernels.close_mask(mul, h_arr, gens)
-            if closed.tobytes() in found:
+    done = 0
+    while done < len(reps):  # one wave: the representatives queued so far
+        wave, done = reps[done:], len(reps)
+        seeds = []  # (seed key, seed mask, generators) in the one-at-a-time order
+        for h_arr, h_gens in wave:
+            outside = np.flatnonzero(~h_arr[cyclic_gens])  # cyclic subgroups not inside H
+            if not outside.size:
                 continue
+            # x normalises H when x^-1 h x lies in H for each generator h of H
+            conjugated = mul[mul[inv[:, None], list(h_gens)], elements[:, None]]
+            normaliser = np.flatnonzero(h_arr[conjugated].all(axis=1))
+            # N_G(H) permutes the outside cyclic subgroups; keep each orbit's least
+            images = cyclic_id[mul[mul[inv[normaliser, None], cyclic_gens[outside]], normaliser[:, None]]]
+            for c in outside[images.min(axis=0) == outside]:
+                cyc_arr, cyc_gen = cyclics[c]
+                seed_arr = h_arr | cyc_arr
+                seed_key = seed_arr.tobytes()
+                if seed_key not in found and seed_key not in seeds_done:  # else known or closed before
+                    seeds.append((seed_key, seed_arr, h_gens + (cyc_gen,)))
+        closures = _close_seeds(mul, seeds)
+        seeds_done.update(closures)
+        for seed_key, _, gens in seeds:  # in the order of closing one seed at a time
+            closed = closures[seed_key]
+            if closed.tobytes() in found:
+                continue  # as is every seed the one-at-a-time loop skips
             reps.append((closed, gens))
             for member, member_gens in _class_of(closed, gens, conjugators):
                 found[member.tobytes()] = (member, member_gens, len(reps) - 1)

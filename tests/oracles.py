@@ -1,28 +1,30 @@
 """Independent brute-force oracles the production code is checked against.
 
 Everything here is deliberately dumb pure Python: Cayley tables by composing
-every pair of permutations, closures by worklist over int bitmasks, subgroup
-enumeration by closing S union T for every subset T of size at most 2 of
-each known subgroup's complement, prime-step subnormality by top-down
-recursion, quotients by explicit coset-product tables, and conjugacy
-classes of subgroups and of elements by conjugating by every element (the
-element classes in numpy), and the word sweep's start states from the
-commutators of all n*n pairs (numpy, the sweep's earlier first pass).  Second
-algorithms for nilpotency (normal Sylow subgroups) and supersolubility
-(prime-order chief factors) cross-check the package's, and the Sylow tower
-and ``cond_lf`` are decided again on quotient group tables (the package
-decides both on masks of the group).  The
-one exception is ``cyclic_extension_oracle``, the package's earlier
-enumerator (every subgroup extended by every cyclic subgroup, closed by
-frontier x members products), kept as a differential reference that is fast
-enough for whole-corpus comparisons.
+every pair of permutations (image rows in numpy), closures by worklist over
+int bitmasks, subgroup enumeration by closing S union T for every subset T
+of size at most 2 of each known subgroup's complement, prime-step
+subnormality by top-down recursion, quotients by explicit coset-product
+tables, and conjugacy classes of subgroups and of elements by conjugating by
+every element (the element classes in numpy), and the word sweep's start
+states from the commutators of all n*n pairs (numpy, the sweep's earlier
+first pass).  Second algorithms for nilpotency (normal Sylow subgroups) and
+supersolubility (prime-order chief factors) cross-check the package's, and
+the Sylow tower and ``cond_lf`` are decided again on quotient group tables
+(the package decides both on masks of the group).  The two exceptions are
+the package's earlier enumerators, kept as differential references fast
+enough for whole-corpus comparisons: ``cyclic_extension_oracle`` (every
+subgroup extended by every cyclic subgroup, closed by frontier x members
+products) and ``sequential_extension_oracle`` (one ``close_mask`` call per
+seed, before seeds were closed a wave per call), which pins masks, member
+generators, class ids and edges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from formationlab import perms
+from formationlab import _kernels, perms
 from formationlab.groups import (
     GroupTable,
     Subgroup,
@@ -31,7 +33,7 @@ from formationlab.groups import (
     centralizer_mod,
     quotient_by,
 )
-from formationlab.lattice import Lattice, chief_series
+from formationlab.lattice import Lattice, _class_of, _conjugators, _cyclic_masks, chief_series
 from formationlab.predicates import _check_lattice, in_f_p
 from formationlab.primes import is_prime, p_part, prime_divisors
 
@@ -53,12 +55,20 @@ def py_close(mul_rows: list[list[int]], seed: int) -> int:
 
 
 def cayley_oracle(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cayley table, inverses and element orders of g's own elements, by
-    composing every pair of permutations and looking the product up."""
-    els = g.elements
-    mul = np.array([[g.index_of(perms.compose(a, b)) for b in els] for a in els], dtype=np.int32)
-    inv = np.array([g.index_of(perms.inverse(a)) for a in els], dtype=np.int32)
-    orders = np.array([perms.order_of(a) for a in els], dtype=np.int64)
+    """Cayley table, inverses and element orders of g's own elements: each
+    product and inverse is composed from the elements' image rows and
+    looked up by its row bytes."""
+    rows = np.array([p.images for p in g.elements], dtype=np.int64) - 1
+    width = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    index = {key: i for i, key in enumerate(rows.view(width).ravel().tolist())}
+
+    def lookup(images: np.ndarray) -> list[int]:
+        return [index[key] for key in np.ascontiguousarray(images).view(width).ravel().tolist()]
+
+    # a then b maps i to b(a(i)): row a of the table composes every b after a
+    mul = np.array([lookup(rows[:, rows[a]]) for a in range(g.order)], dtype=np.int32)
+    inv = np.array(lookup(np.argsort(rows, axis=1)), dtype=np.int32)
+    orders = np.array([perms.order_of(a) for a in g.elements], dtype=np.int64)
     return mul, inv, orders
 
 
@@ -144,6 +154,57 @@ def cyclic_extension_oracle(g: GroupTable) -> Lattice:
         frontier = fresh
     masks = sorted((array_to_mask(arr) for arr in found.values()), key=lambda m: (m.bit_count(), m))
     return Lattice(g, g.full_subgroup(), [Subgroup.from_mask(g, m) for m in masks])
+
+
+def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
+    """The class-representative cyclic extension of ``all_subgroups``, one
+    seed closed at a time from H by ``close_mask``.  Returns the lattice,
+    with class ids in order of discovery, and the number of waves: a
+    representative's wave is one more than the wave of the one it extends,
+    and the trivial subgroup is wave 0."""
+    n = g.order
+    mul, inv = g.mul, g.inv
+    elements = np.arange(n)
+    cyclics, cyclic_id = _cyclic_masks(g)
+    cyclic_gens = np.array([gen for _, gen in cyclics], np.intp)
+    conjugators = _conjugators(g, g.gen_indices)
+
+    trivial = np.zeros(n, np.bool_)
+    trivial[0] = True
+    found = {trivial.tobytes(): (trivial, (), 0)}
+    seeds_done: set[bytes] = set()
+    reps = [(trivial, (), 0)]
+    for h_arr, h_gens, wave in reps:  # grows while iterating
+        outside = np.flatnonzero(~h_arr[cyclic_gens])
+        if not outside.size:
+            continue
+        conjugated = mul[mul[inv[:, None], list(h_gens)], elements[:, None]]
+        normaliser = np.flatnonzero(h_arr[conjugated].all(axis=1))
+        images = cyclic_id[mul[mul[inv[normaliser, None], cyclic_gens[outside]], normaliser[:, None]]]
+        for c in outside[images.min(axis=0) == outside]:
+            cyc_arr, cyc_gen = cyclics[c]
+            seed_key = (h_arr | cyc_arr).tobytes()
+            if seed_key in found or seed_key in seeds_done:
+                continue
+            seeds_done.add(seed_key)
+            gens = h_gens + (cyc_gen,)
+            closed = _kernels.close_mask(mul, h_arr, gens)
+            if closed.tobytes() in found:
+                continue
+            reps.append((closed, gens, wave + 1))
+            for member, member_gens in _class_of(closed, gens, conjugators):
+                found[member.tobytes()] = (member, member_gens, len(reps) - 1)
+
+    entries = sorted(
+        ((array_to_mask(arr), gens, rep) for arr, gens, rep in found.values()),
+        key=lambda t: (t[0].bit_count(), t[0]),
+    )
+    numbering: dict[int, int] = {}
+    class_ids = tuple(numbering.setdefault(rep, len(numbering)) for _, _, rep in entries)
+    lat = Lattice(
+        g, g.full_subgroup(), [Subgroup(g, mask, gens) for mask, gens, _ in entries], _class_ids=class_ids
+    )
+    return lat, reps[-1][2] + 1
 
 
 def p_subnormal_oracle(lat: Lattice, h: Subgroup, _memo=None) -> bool:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from formationlab import _kernels
+from formationlab import _kernels, lattice
 from formationlab.corpus import (
     alternating,
     build_group,
@@ -22,7 +22,7 @@ from formationlab.corpus import (
 from formationlab.groups import array_to_mask, exponent
 
 from conftest import group_of
-from oracles import element_classes_oracle, py_close, start_states_oracle
+from oracles import element_classes_oracle, py_close, sequential_extension_oracle, start_states_oracle
 
 
 def groups():
@@ -50,6 +50,50 @@ class TestClosure:
             # from a closed base generated by a prefix of the generators
             base = _kernels.close_mask(g.mul, identity, gens[:1])
             assert array_to_mask(_kernels.close_mask(g.mul, base, gens)) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_matches_rows(self, seed):
+        # rows of one batched call equal separate 1-D closures, from closed
+        # bases H and from non-closed bases H | <c>, with generator rows of
+        # different lengths padded with the identity
+        rng = np.random.default_rng(seed)
+        for g in groups():
+            identity = np.zeros(g.order, np.bool_)
+            identity[0] = True
+            bases, gen_rows, want = [], [], []
+            for _ in range(6):
+                h_gens = [int(v) for v in rng.integers(0, g.order, size=rng.integers(0, 3))]
+                c = int(rng.integers(0, g.order))
+                h = _kernels.close_mask(g.mul, identity, h_gens)
+                closed = _kernels.close_mask(g.mul, h, h_gens + [c])
+                assert array_to_mask(closed) == py_close(g.mul.tolist(), sum(1 << i for i in {*h_gens, c}))
+                for base in (h, h | _kernels.close_mask(g.mul, identity, [c])):
+                    bases.append(base)
+                    gen_rows.append(h_gens + [c])
+                    want.append(closed)
+            width = max(len(row) for row in gen_rows)
+            padded = np.array([row + [0] * (width - len(row)) for row in gen_rows])
+            got = _kernels.close_mask(g.mul, np.array(bases), padded)
+            assert got.shape == (len(bases), g.order)
+            assert np.array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("name", ["s4", "s5"])
+    def test_enumeration_closes_each_wave_at_once(self, name, request, monkeypatch):
+        # all_subgroups makes at most one close_mask call per wave of class
+        # representatives; closing one seed per call would make many more
+        g = request.getfixturevalue(name)
+        _, waves = sequential_extension_oracle(g)
+        calls = []
+        close_mask = _kernels.close_mask
+
+        def counted(mul, base, gens):
+            calls.append(np.atleast_2d(base).shape[0])
+            return close_mask(mul, base, gens)
+
+        monkeypatch.setattr(_kernels, "close_mask", counted)
+        lattice.all_subgroups(g)
+        assert 0 < len(calls) <= waves
+        assert sum(calls) > waves  # more seeds than calls
 
 
 def sweep_groups():

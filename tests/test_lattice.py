@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from formationlab.corpus import build_group, dihedral, quaternion_generalized, standard_corpus
+from formationlab.corpus import (
+    build_group,
+    dihedral,
+    order75_witness,
+    order294_candidate,
+    quaternion_generalized,
+    standard_corpus,
+)
 from formationlab.groups import subgroup_generated
 from formationlab.lattice import (
     Lattice,
@@ -20,7 +27,12 @@ from formationlab.perms import parse_cycles
 from formationlab.primes import p_part, prime_divisors
 
 from conftest import group_of
-from oracles import all_subgroups_oracle, cyclic_extension_oracle, subgroup_classes_oracle
+from oracles import (
+    all_subgroups_oracle,
+    cyclic_extension_oracle,
+    sequential_extension_oracle,
+    subgroup_classes_oracle,
+)
 
 
 def sub_of(g, *texts):
@@ -66,6 +78,24 @@ class TestEnumeration:
             for s in lat.subgroups:
                 assert subgroup_generated(g, s.generator_indices).mask == s.mask, spec.name
         assert checked > 300
+
+    def test_matches_sequential_oracle(self, s5):
+        # closing a wave of seeds per kernel call finds the same members,
+        # with the same generators (the witness text depends on them), class
+        # ids and edges as closing one seed at a time
+        groups = [build_group(spec) for spec in standard_corpus()]
+        groups = [g for g in groups if g.order <= 60]
+        assert len(groups) == 306
+        groups += [s5, build_group(order75_witness()), build_group(order294_candidate())]
+        for g in groups:
+            lat = all_subgroups(g)
+            ref, _ = sequential_extension_oracle(g)
+            assert [s.mask for s in lat.subgroups] == [s.mask for s in ref.subgroups], g
+            assert [s.generator_indices for s in lat.subgroups] == [
+                s.generator_indices for s in ref.subgroups
+            ], g
+            assert lat.class_ids() == ref.class_ids(), g
+            assert lat.up_edges == ref.up_edges, g
 
     def test_subgroup_count_bound(self, s4):
         with pytest.raises(ResourceLimitError):
