@@ -206,7 +206,7 @@ def affine_semidirect(p: int, *matrices) -> GroupSpec:
 
 
 def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
-    """One spec per subgroup of S_n (bitmask-distinct, no isomorphism
+    """One spec per subgroup of S_n (mask-distinct, no isomorphism
     deduplication), with the greedy generators of each subgroup's mask, so
     the specs do not depend on how the lattice was enumerated.
 
@@ -218,7 +218,7 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     lat = all_subgroups(table)
     specs = []
     for i, sub in enumerate(lat.subgroups):
-        gens = _greedy_generators(table.mul, sub.mask_array())[1]
+        gens = _greedy_generators(table.mul, sub.mask)[1]
         perms = [table.perm(j) for j in gens]
         specs.append(_spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, perms, "sn-subgroup"))
     return specs

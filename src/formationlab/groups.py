@@ -4,9 +4,9 @@ A GroupTable carries a deterministic element ordering (identity first), the
 elements as one array of image rows with a bytes-keyed row index, the full
 Cayley table as a numpy array, and inverse/order arrays read off the table.
 An element becomes a ``Permutation`` only when asked for (``perm``), for
-witness text, subgroup generators and census specs.  Subgroups are bitmasks
-over element indices, so containment is subset testing on ints and all
-heavy algebra runs through the kernels in ``_kernels``.
+witness text, subgroup generators and census specs.  A subgroup is a bool
+mask over element indices (a lattice stacks its members' masks into one
+matrix), and all heavy algebra runs through the kernels in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -53,17 +53,6 @@ def default_order_bound() -> int:
     if bound < 1:
         raise InputError(f"FORMATIONLAB_MAX_ORDER must be positive, got {bound}")
     return bound
-
-
-def mask_to_array(mask: int, n: int) -> np.ndarray:
-    data = mask.to_bytes((n + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
-    return bits[:n].astype(np.bool_)
-
-
-def array_to_mask(arr: np.ndarray) -> int:
-    packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 class GroupTable:
@@ -130,11 +119,13 @@ class GroupTable:
 
     def full_subgroup(self) -> "Subgroup":
         if self._full is None:
-            self._full = Subgroup(self, (1 << self.order) - 1, self.gen_indices)
+            self._full = Subgroup(self, np.ones(self.order, np.bool_), self.gen_indices)
         return self._full
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, 1, ())
+        mask = np.zeros(self.order, np.bool_)
+        mask[0] = True
+        return Subgroup(self, mask, ())
 
     def perm(self, index: int) -> Permutation:
         return Permutation._trusted(tuple((self.rows[index] + 1).tolist()))
@@ -179,20 +170,25 @@ def _row_keys(block: np.ndarray) -> list[bytes]:
 
 
 class Subgroup:
-    """An element-index bitmask within a parent GroupTable.
+    """A bool mask over the element indices of a parent GroupTable.
 
     The mask is trusted to be product-closed; use :meth:`from_mask` to
-    validate an arbitrary mask.  Lagrange is asserted on every construction.
+    validate an arbitrary mask.  It is made read-only, so equality and
+    hashing by its bytes stay valid.  Lagrange is asserted on every
+    construction.
     """
 
     __slots__ = ("parent", "mask", "order", "generator_indices")
 
-    def __init__(self, parent: GroupTable, mask: int, generator_indices: Sequence[int]):
-        if not mask & 1:
+    def __init__(self, parent: GroupTable, mask: np.ndarray, generator_indices: Sequence[int]):
+        if mask.dtype != np.bool_ or mask.shape != (parent.order,):
+            raise InvariantError("subgroup mask must be a bool array over the group's elements")
+        if not mask[0]:
             raise InvariantError("subgroup mask must contain the identity (index 0)")
+        mask.flags.writeable = False
         self.parent = parent
         self.mask = mask
-        self.order = mask.bit_count()
+        self.order = int(np.count_nonzero(mask))
         self.generator_indices = tuple(generator_indices)
         if parent.order % self.order:
             raise InvariantError(
@@ -200,28 +196,27 @@ class Subgroup:
             )
 
     @classmethod
-    def from_mask(cls, parent: GroupTable, mask: int) -> "Subgroup":
+    def from_mask(cls, parent: GroupTable, mask: np.ndarray) -> "Subgroup":
         """Build from an untrusted mask: verifies closure, derives generators."""
-        arr = mask_to_array(mask, parent.order)
+        arr = np.array(mask, dtype=np.bool_)
+        if arr.shape != (parent.order,):
+            raise InputError("subgroup mask must have one entry per group element")
         members = np.flatnonzero(arr)
         if not arr[0]:
             raise InputError("subgroup mask must contain the identity")
         prods = parent.mul[np.ix_(members, members)]
         if not arr[prods].all():
             raise InputError("element set is not closed under multiplication")
-        return cls(parent, mask, _greedy_generators(parent.mul, arr)[1])
+        return cls(parent, arr, _greedy_generators(parent.mul, arr)[1])
 
     def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask_array())
-
-    def mask_array(self) -> np.ndarray:
-        return mask_to_array(self.mask, self.parent.order)
+        return np.flatnonzero(self.mask)
 
     def generators(self) -> tuple[Permutation, ...]:
         return tuple(self.parent.perm(i) for i in self.generator_indices)
 
     def contains(self, other: "Subgroup") -> bool:
-        return other.mask & ~self.mask == 0
+        return not (other.mask > self.mask).any()
 
     def is_whole(self) -> bool:
         return self.order == self.parent.order
@@ -232,10 +227,10 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent is other.parent and self.mask == other.mask
+        return self.parent is other.parent and self.mask.tobytes() == other.mask.tobytes()
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.mask))
+        return hash((id(self.parent), self.mask.tobytes()))
 
     def __repr__(self) -> str:
         gens = ", ".join(format_cycles(p) for p in self.generators()) or "()"
@@ -350,7 +345,7 @@ def subgroup_generated(g: GroupTable, seed: Iterable[int]) -> Subgroup:
             raise InputError(f"element index {i} out of range 0..{g.order - 1}")
         seed_arr[i] = True
     closed, gens = _greedy_generators(g.mul, seed_arr)
-    return Subgroup(g, array_to_mask(closed), gens)
+    return Subgroup(g, closed, gens)
 
 
 def is_normal_mask(g: GroupTable, member_arr: np.ndarray, conj_gen_indices: Sequence[int]) -> bool:
@@ -380,7 +375,7 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     """
     if n_sub.parent is not g:
         raise InputError("subgroup belongs to a different group")
-    arr = n_sub.mask_array()
+    arr = n_sub.mask
     if not is_normal_mask(g, arr, g.gen_indices):
         raise InputError("cannot form the quotient: subgroup is not normal")
     members = np.flatnonzero(arr)
@@ -429,7 +424,7 @@ def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
         seed[:] = False
         seed[g.mul[g.mul[g.inv[conj], np.array(gens, dtype=np.intp)], conj]] = True
         if closed[seed].all():
-            return Subgroup(g, array_to_mask(closed), gens)
+            return Subgroup(g, closed, gens)
         closed, gens = _greedy_generators(g.mul, seed, closed, gens)
 
 
@@ -485,20 +480,20 @@ def centralizer(g: GroupTable, s: Subgroup) -> Subgroup:
     k_arr = np.zeros(g.order, np.bool_)
     k_arr[0] = True
     mask_arr = _relative_centralizer(g, s.generator_indices, k_arr)
-    return Subgroup(g, array_to_mask(mask_arr), _greedy_generators(g.mul, mask_arr)[1])
+    return Subgroup(g, mask_arr, _greedy_generators(g.mul, mask_arr)[1])
 
 
 def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
     """C_G(H/K) = {x : [x, h] in K for all h in H}; requires K normal in G
     and K <= H."""
     mask_arr = _centralizer_mod_mask(g, h, k)
-    return Subgroup(g, array_to_mask(mask_arr), _greedy_generators(g.mul, mask_arr)[1])
+    return Subgroup(g, mask_arr, _greedy_generators(g.mul, mask_arr)[1])
 
 
 def _centralizer_mod_mask(g: GroupTable, h: Subgroup, k: Subgroup) -> np.ndarray:
     """The member mask of ``centralizer_mod(g, h, k)``, without generators."""
     if not h.contains(k):
         raise InputError("centralizer_mod requires K <= H")
-    if not is_normal_mask(g, k.mask_array(), g.gen_indices):
+    if not is_normal_mask(g, k.mask, g.gen_indices):
         raise InputError("centralizer_mod requires K normal in the group")
-    return _relative_centralizer(g, h.generator_indices, k.mask_array())
+    return _relative_centralizer(g, h.generator_indices, k.mask)

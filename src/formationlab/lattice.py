@@ -13,13 +13,19 @@ conjugation by the group's generators.  Those orbits are the conjugacy
 classes, so the enumerated lattice carries a class id per member.  The
 representatives are extended in waves, and all seeds H | <c> of one wave
 are closed together in batched ``close_mask`` calls.  Subgroups are
-deduplicated by bitmask, never by isomorphism, and the lattice order is
-(order, mask) so every downstream choice is reproducible.
+deduplicated by element mask, never by isomorphism, and the lattice order
+is (order, mask) so every downstream choice is reproducible.
+
+A lattice is one (S, n) bool matrix of element masks, each member a row of
+it.  Containment between members is stored data, as in Cannon, Cox and
+Holt: one boolean product of the matrix with its complement, computed once
+per lattice, from which the prime-index edges, maximal subgroups,
+minimal normal subgroups, chief series and Huppert's supersolubility test
+are read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,12 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, InvariantError, ResourceLimitError
-from .groups import (
-    GroupTable,
-    Subgroup,
-    array_to_mask,
-    is_normal_mask,
-)
+from .groups import GroupTable, Subgroup, _row_keys
 from .primes import prime_divisors
 
 __all__ = [
@@ -53,6 +54,9 @@ DEFAULT_SUBGROUP_BOUND = 10**6
 # Most products (rows * order * generators) of one batched closure call,
 # which bounds its temporary arrays to a few MB however large the wave.
 CLOSE_BATCH_PRODUCTS = 1 << 18
+# Most entries (pairs * members) of one step of the maximality check, which
+# bounds its temporaries to a few tens of kB however large the lattice.
+BETWEEN_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,20 +72,26 @@ class ChiefFactor:
 class Lattice:
     """All subgroups of ``top`` inside a parent GroupTable.
 
-    ``subgroups`` is sorted by (order, mask); ``up_edges[i]`` lists the
-    lattice indices j with subgroups[i] < subgroups[j] at prime index.
-    Normality (of a member, in ``top``) and conjugacy-class ids (under
-    conjugation by ``top``) are computed lazily and cached.
+    ``matrix`` is one read-only (S, n) bool array, row i a copy of the
+    element mask of ``subgroups[i]``, and ``orders`` its row counts.  The
+    members keep the order they are given in; ``all_subgroups`` gives them
+    in (order, mask) order.  ``containment[i, j]`` holds when member i lies
+    in member j: one boolean product, since i lies in j iff no element of i
+    is outside j.  ``up_edges[i]`` lists the lattice indices j with
+    subgroups[i] < subgroups[j] at prime index.  Normality in ``top`` and
+    conjugacy-class ids under ``top`` are computed lazily and cached.
     """
 
     __slots__ = (
         "parent",
         "top",
         "subgroups",
+        "matrix",
+        "orders",
+        "containment",
         "up_edges",
-        "_mask_index",
+        "_index",
         "_normal",
-        "_maximal",
         "_class_ids",
     )
 
@@ -96,63 +106,64 @@ class Lattice:
         self.parent = parent
         self.top = top
         self.subgroups = tuple(subgroups)
-        self._mask_index = {s.mask: i for i, s in enumerate(self.subgroups)}
-        if len(self._mask_index) != len(self.subgroups):
+        matrix = np.array([s.mask for s in self.subgroups], np.bool_).reshape(len(self.subgroups), parent.order)
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.orders = np.count_nonzero(matrix, axis=1)
+        self._index = {key: i for i, key in enumerate(_row_keys(matrix))}
+        if len(self._index) != len(self.subgroups):
             raise InvariantError("duplicate subgroup masks in lattice")
-        if 1 not in self._mask_index or top.mask not in self._mask_index:
+        if parent.trivial_subgroup().mask.tobytes() not in self._index or top.mask.tobytes() not in self._index:
             raise InvariantError("lattice must contain the trivial subgroup and the top")
-        self.up_edges = self._build_edges()
+        self.containment = ~(matrix @ ~matrix.T)
+        self.containment.flags.writeable = False
         self._normal: np.ndarray | None = None
-        self._maximal: tuple[int, ...] | None = None
         self._class_ids = _class_ids
+        self.up_edges = self._build_edges()
 
     def _build_edges(self) -> tuple[tuple[int, ...], ...]:
-        subs = self.subgroups
-        by_order: dict[int, list[int]] = {}
-        for i, s in enumerate(subs):
-            by_order.setdefault(s.order, []).append(i)
-        edges: list[list[int]] = [[] for _ in subs]
-        for j, big in enumerate(subs):
-            for p in prime_divisors(big.order):
-                for i in by_order.get(big.order // p, ()):
-                    if big.contains(subs[i]):
-                        edges[j].append(i)  # temporarily downward; inverted below
-        up: list[list[int]] = [[] for _ in subs]
-        for j, downs in enumerate(edges):
-            for i in downs:
-                up[i].append(j)
-        self._assert_edges_maximal(up, by_order)
-        return tuple(tuple(sorted(js)) for js in up)
+        orders = self.orders
+        prime = np.zeros(self.parent.order + 1, np.bool_)
+        prime[list(prime_divisors(self.parent.order))] = True
+        small, big = np.nonzero(self.containment)  # ordered by small, then big
+        ratio = orders[big] // orders[small]
+        edge = prime[ratio] & (orders[small] * ratio == orders[big])
+        small, big = small[edge], big[edge]
+        self._assert_edges_maximal(small, big)
+        starts = np.searchsorted(small, np.arange(len(orders) + 1)).tolist()
+        ups = big.tolist()
+        return tuple(tuple(ups[lo:hi]) for lo, hi in zip(starts, starts[1:]))
 
-    def _assert_edges_maximal(self, up: list[list[int]], by_order: dict[int, list[int]]) -> None:
+    def _assert_edges_maximal(self, small: np.ndarray, big: np.ndarray) -> None:
         # Prime index forces maximality (Lagrange); a violation means the
-        # enumeration or the subset relation is broken.  Only subgroups of an
-        # order strictly between the pair's can lie strictly between them.
-        subs = self.subgroups
-        orders = sorted(by_order)
-        for i, ups in enumerate(up):
-            small = subs[i]
-            for j in ups:
-                big = subs[j]
-                for order in orders[bisect_right(orders, small.order) : bisect_left(orders, big.order)]:
-                    for k in by_order[order]:
-                        mid = subs[k]
-                        if big.contains(mid) and mid.contains(small):
-                            raise InvariantError(
-                                f"subgroup strictly between a prime-index pair "
-                                f"({small.order} < {mid.order} < {big.order})"
-                            )
+        # enumeration or the subset relation is broken.  Distinct masks make
+        # containment strict, so a member lies strictly between i and j iff
+        # it lies above i and below j and is neither.
+        contains, orders = self.containment, self.orders
+        step = max(1, BETWEEN_BLOCK_ENTRIES // len(orders))
+        for lo in range(0, len(small), step):
+            i, j = small[lo : lo + step], big[lo : lo + step]
+            between = contains[i] & contains[:, j].T
+            bad = np.flatnonzero(between.sum(axis=1) > 2)
+            if bad.size:
+                e = bad[0]
+                mids = np.flatnonzero(between[e])
+                mid = mids[(mids != i[e]) & (mids != j[e])]
+                raise InvariantError(
+                    f"subgroup strictly between a prime-index pair "
+                    f"({orders[i[e]]} < {orders[mid].min()} < {orders[j[e]]})"
+                )
 
     # -- indexed access ------------------------------------------------
 
     def index_of(self, s: Subgroup) -> int:
         try:
-            return self._mask_index[s.mask]
+            return self._index[s.mask.tobytes()]
         except KeyError:
             raise InputError("subgroup does not belong to this lattice")
 
     def top_index(self) -> int:
-        return self._mask_index[self.top.mask]
+        return self._index[self.top.mask.tobytes()]
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -160,12 +171,13 @@ class Lattice:
     # -- normality (relative to top) ------------------------------------
 
     def normal_flags(self) -> np.ndarray:
+        """Member i is normal in ``top`` when conjugating its mask by each
+        generator of the top gives the mask back: one take per generator."""
         if self._normal is None:
-            g = self.parent
-            cgens = self.top.generator_indices
-            flags = np.empty(len(self.subgroups), np.bool_)
-            for i, s in enumerate(self.subgroups):
-                flags[i] = is_normal_mask(g, s.mask_array(), cgens)
+            m = self.matrix
+            flags = np.ones(len(m), np.bool_)
+            for conj in _conjugators(self.parent, self.top.generator_indices):
+                flags &= (m[:, conj] == m).all(axis=1)
             self._normal = flags
         return self._normal
 
@@ -176,36 +188,21 @@ class Lattice:
             conjugators = _conjugators(self.parent, self.top.generator_indices)
             ids = [-1] * len(self.subgroups)
             count = 0
-            for i, s in enumerate(self.subgroups):
+            for i, row in enumerate(self.matrix):
                 if ids[i] < 0:
-                    for arr, _ in _class_of(s.mask_array(), (), conjugators):
-                        ids[self._mask_index[array_to_mask(arr)]] = count
+                    for arr, _ in _class_of(row, (), conjugators):
+                        ids[self._index[arr.tobytes()]] = count
                     count += 1
             self._class_ids = tuple(ids)
         return self._class_ids
 
     def maximal_indices(self) -> tuple[int, ...]:
-        if self._maximal is None:
-            subs = self.subgroups
-            top_i = self.top_index()
-            out = []
-            for i, s in enumerate(subs):
-                if i == top_i:
-                    continue
-                proper_over = any(
-                    t.order > s.order and t.contains(s)
-                    for k, t in enumerate(subs)
-                    if k != top_i
-                )
-                if not proper_over:
-                    out.append(i)
-            self._maximal = tuple(out)
-        return self._maximal
-
-    def restrict(self, h: Subgroup) -> "Lattice":
-        """The complete lattice of h, reusing this one's members."""
-        self.index_of(h)  # validates membership
-        return Lattice(self.parent, h, [s for s in self.subgroups if h.contains(s)])
+        """Members other than the top that lie in no member but themselves
+        and the top."""
+        top = self.top_index()
+        # the members other than i and the top that i lies in; -1 for the top
+        over = self.containment.sum(axis=1) - 1 - self.containment[:, top]
+        return tuple(np.flatnonzero(over == 0).tolist())
 
 
 def _cyclic_masks(g: GroupTable) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
@@ -352,13 +349,15 @@ def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND
             if len(found) > subgroup_bound:
                 raise ResourceLimitError("subgroup count exceeds the enumeration bound", subgroup_bound)
 
-    entries = sorted(
-        ((array_to_mask(arr), gens, rep) for arr, gens, rep in found.values()),
-        key=lambda t: (t[0].bit_count(), t[0]),
-    )
-    subgroups = [Subgroup(g, mask, gens) for mask, gens, _ in entries]
+    arrs, gens, reps = zip(*found.values())
+    # (order, mask) order, the highest element index most significant: byte
+    # k of a little-endian packed mask holds elements 8k..8k+7, low bit first
+    matrix = np.array(arrs)
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    rank = np.lexsort([*packed.T, np.count_nonzero(matrix, axis=1)]).tolist()
+    subgroups = [Subgroup(g, arrs[k], gens[k]) for k in rank]
     numbering: dict[int, int] = {}
-    class_ids = tuple(numbering.setdefault(rep, len(numbering)) for _, _, rep in entries)
+    class_ids = tuple(numbering.setdefault(reps[k], len(numbering)) for k in rank)
     return Lattice(g, g.full_subgroup(), subgroups, _class_ids=class_ids)
 
 
@@ -376,23 +375,19 @@ def maximal_subgroups(lat: Lattice) -> list[Subgroup]:
 
 
 def minimal_normal_subgroups(lat: Lattice) -> list[Subgroup]:
-    normals = [s for s in normal_subgroups(lat) if not s.is_trivial()]
-    out = []
-    for s in normals:
-        if not any(t.order < s.order and s.contains(t) for t in normals):
-            out.append(s)
-    return out
+    """The non-trivial normal members containing no other non-trivial
+    normal member."""
+    normals = np.flatnonzero(lat.normal_flags() & (lat.orders > 1))
+    inside = lat.containment[np.ix_(normals, normals)].sum(axis=0)
+    return [lat.subgroups[i] for i in normals[inside == 1]]
 
 
 def frattini(lat: Lattice) -> Subgroup:
     """Intersection of all maximal subgroups (the top itself when none)."""
-    maxima = maximal_subgroups(lat)
+    maxima = list(lat.maximal_indices())
     if not maxima:
         return lat.top
-    mask = lat.top.mask
-    for s in maxima:
-        mask &= s.mask
-    idx = lat._mask_index.get(mask)
+    idx = lat._index.get(lat.matrix[maxima].all(axis=0).tobytes())
     if idx is None:
         raise InvariantError("Frattini intersection is missing from the lattice")
     return lat.subgroups[idx]
@@ -400,16 +395,15 @@ def frattini(lat: Lattice) -> Subgroup:
 
 def chief_series(lat: Lattice) -> list[ChiefFactor]:
     """One maximal chain of normal-in-top subgroups, least eligible first."""
-    flags = lat.normal_flags()
-    normals = [s for i, s in enumerate(lat.subgroups) if flags[i]]
-    current = lat.subgroups[lat._mask_index[1]]
+    flags, contains, orders = lat.normal_flags(), lat.containment, lat.orders
+    current = lat.index_of(lat.parent.trivial_subgroup())
+    top = lat.top_index()
     factors: list[ChiefFactor] = []
-    while current.mask != lat.top.mask:
-        nxt = next(
-            s for s in normals if s.order > current.order and s.contains(current)
-        )  # least order first => no normal subgroup strictly between
-        ratio = nxt.order // current.order
-        factors.append(ChiefFactor(current, nxt, ratio, prime_divisors(ratio)))
+    while current != top:
+        # least order first => no normal subgroup strictly between
+        nxt = int(np.flatnonzero(flags & contains[current] & (orders > orders[current]))[0])
+        ratio = int(orders[nxt] // orders[current])
+        factors.append(ChiefFactor(lat.subgroups[current], lat.subgroups[nxt], ratio, prime_divisors(ratio)))
         current = nxt
     return factors
 

@@ -73,7 +73,7 @@ def is_nilpotent(g: GroupLike) -> bool:
 
 def _check_lattice(g: GroupLike, lat: Lattice) -> Subgroup:
     sub = as_subgroup(g)
-    if lat.top.mask != sub.mask or lat.parent is not sub.parent:
+    if lat.top != sub:
         raise InputError("lattice does not belong to the given group")
     return sub
 
@@ -82,23 +82,26 @@ def is_supersoluble(g: GroupLike, lat: Lattice) -> bool:
     """Huppert's theorem (Math. Z. 60 (1954) 409-434): a finite group is
     supersoluble iff every maximal subgroup has prime index, i.e. every
     proper subgroup lies in one of prime index.  ``lat`` may be the lattice
-    of any group containing g; its members inside g are g's subgroups.
+    of any group containing g; its members inside g are g's subgroups, read
+    off the lattice's containment matrix.
     """
     sub = as_subgroup(g)
-    if lat.parent is not sub.parent or not lat.top.contains(sub):
+    if lat.parent is not sub.parent:
         raise InputError("lattice does not contain the given group")
-    members = [s for s in lat.subgroups if sub.contains(s) and s.order < sub.order]
-    prime_index = [s for s in members if is_prime(sub.order // s.order)]
-    return all(any(m.contains(s) for m in prime_index) for s in members)
+    h = lat.index_of(sub)
+    contains = lat.containment
+    proper = contains[:, h] & (lat.orders < sub.order)
+    prime_index = np.zeros_like(proper)
+    for p in prime_divisors(sub.order):
+        prime_index |= lat.orders * p == sub.order
+    prime_index &= proper
+    return bool((contains[proper] @ prime_index).all())
 
 
-def has_sylow_tower_sst(g: GroupTable, lat: Lattice | None = None) -> bool:
+def has_sylow_tower_sst(g: GroupTable) -> bool:
     """Sylow tower of supersoluble type: peeling primes largest-first, each
-    Sylow subgroup is normal in the remaining quotient.
-
-    The lattice parameter keeps the predicate call signature uniform; the
-    test works on masks of g, the preimages of the quotients' subgroups.
-    """
+    Sylow subgroup is normal in the remaining quotient.  The test works on
+    masks of g, the preimages of the quotients' subgroups."""
     ok, _ = _sylow_tower_impl(g)
     return ok
 

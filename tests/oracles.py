@@ -5,8 +5,10 @@ every pair of permutations (image rows in numpy), closures by worklist over
 int bitmasks, subgroup enumeration by closing S union T for every subset T
 of size at most 2 of each known subgroup's complement, prime-step
 subnormality by top-down recursion, quotients by explicit coset-product
-tables, and conjugacy classes of subgroups and of elements by conjugating by
-every element (the element classes in numpy), and the word sweep's start
+tables, conjugacy classes of subgroups and of elements by conjugating by
+every element (the element classes in numpy), the lattice's bookkeeping
+(edges, maximal, normal and minimal normal members, chief series, Huppert's
+test) by pairwise subset tests on int bitmasks, and the word sweep's start
 states from the commutators of all n*n pairs (numpy, the sweep's earlier
 first pass).  Second algorithms for nilpotency (normal Sylow subgroups) and
 supersolubility (prime-order chief factors) cross-check the package's, and
@@ -28,14 +30,32 @@ from formationlab import _kernels, perms
 from formationlab.groups import (
     GroupTable,
     Subgroup,
-    array_to_mask,
     as_subgroup,
     centralizer_mod,
+    exponent,
     quotient_by,
 )
 from formationlab.lattice import Lattice, _class_of, _conjugators, _cyclic_masks, chief_series
 from formationlab.predicates import _check_lattice, in_f_p
 from formationlab.primes import is_prime, p_part, prime_divisors
+
+
+def mask_int(arr: np.ndarray) -> int:
+    """A bool element mask as an int bitmask, bit i for element i."""
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def restrict(lat: Lattice, h: Subgroup) -> Lattice:
+    """The complete lattice of h, from the members of ``lat`` inside h."""
+    inside = np.flatnonzero(lat.containment[:, lat.index_of(h)])
+    return Lattice(lat.parent, h, [lat.subgroups[i] for i in inside])
+
+
+def condition_b_law_opposite(g: GroupTable) -> bool:
+    """The word law swept with the reversed composition (b then a), on the
+    transposed table; class membership is invariant under that swap."""
+    mul = np.ascontiguousarray(g.mul.T)
+    return _kernels.brandl_sweep(mul, g.inv, g.gen_indices, exponent(g))[0] == 1
 
 
 def py_close(mul_rows: list[list[int]], seed: int) -> int:
@@ -152,8 +172,8 @@ def cyclic_extension_oracle(g: GroupTable) -> Lattice:
                     found[closed.tobytes()] = closed
                     fresh.append(closed)
         frontier = fresh
-    masks = sorted((array_to_mask(arr) for arr in found.values()), key=lambda m: (m.bit_count(), m))
-    return Lattice(g, g.full_subgroup(), [Subgroup.from_mask(g, m) for m in masks])
+    arrs = sorted(found.values(), key=lambda arr: (int(arr.sum()), mask_int(arr)))
+    return Lattice(g, g.full_subgroup(), [Subgroup.from_mask(g, arr) for arr in arrs])
 
 
 def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
@@ -195,14 +215,11 @@ def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
             for member, member_gens in _class_of(closed, gens, conjugators):
                 found[member.tobytes()] = (member, member_gens, len(reps) - 1)
 
-    entries = sorted(
-        ((array_to_mask(arr), gens, rep) for arr, gens, rep in found.values()),
-        key=lambda t: (t[0].bit_count(), t[0]),
-    )
+    entries = sorted(found.values(), key=lambda t: (int(t[0].sum()), mask_int(t[0])))
     numbering: dict[int, int] = {}
     class_ids = tuple(numbering.setdefault(rep, len(numbering)) for _, _, rep in entries)
     lat = Lattice(
-        g, g.full_subgroup(), [Subgroup(g, mask, gens) for mask, gens, _ in entries], _class_ids=class_ids
+        g, g.full_subgroup(), [Subgroup(g, arr, gens) for arr, gens, _ in entries], _class_ids=class_ids
     )
     return lat, reps[-1][2] + 1
 
@@ -212,10 +229,10 @@ def p_subnormal_oracle(lat: Lattice, h: Subgroup, _memo=None) -> bool:
     has the property within its own restricted lattice."""
     if _memo is None:
         _memo = {}
-    key = (lat.top.mask, h.mask)
+    key = (mask_int(lat.top.mask), mask_int(h.mask))
     if key in _memo:
         return _memo[key]
-    if h.mask == lat.top.mask:
+    if h == lat.top:
         result = True
     else:
         result = False
@@ -225,7 +242,7 @@ def p_subnormal_oracle(lat: Lattice, h: Subgroup, _memo=None) -> bool:
                 and lat.top.order % m.order == 0
                 and is_prime(lat.top.order // m.order)
                 and m.contains(h)
-                and p_subnormal_oracle(lat.restrict(m), h, _memo)
+                and p_subnormal_oracle(restrict(lat, m), h, _memo)
             ):
                 result = True
                 break
@@ -270,6 +287,65 @@ def commutator_values_oracle(g: GroupTable, a_mask: int, b_mask: int) -> int:
     return py_close(mul_rows, seed)
 
 
+def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
+    """The lattice's bookkeeping by pairwise subset tests on int bitmasks:
+    prime-index edges, maximal members, normal flags (conjugating every
+    element by each generator of the top), minimal normal members, the
+    chief series as (lower, upper) index pairs, and Huppert's test on each
+    member against the members inside it."""
+    g = lat.parent
+    masks = [mask_int(s.mask) for s in lat.subgroups]
+    orders = [s.order for s in lat.subgroups]
+    count = len(masks)
+    top = masks.index(mask_int(lat.top.mask))
+
+    def inside(a: int, b: int) -> bool:
+        return masks[a] & ~masks[b] == 0
+
+    by_order: dict[int, list[int]] = {}
+    for i, order in enumerate(orders):
+        by_order.setdefault(order, []).append(i)
+    up: list[list[int]] = [[] for _ in masks]
+    for j in range(count):
+        for p in prime_divisors(orders[j]):
+            for i in by_order.get(orders[j] // p, ()):
+                if inside(i, j):
+                    up[i].append(j)
+    up_edges = tuple(tuple(sorted(js)) for js in up)
+    maximal = tuple(
+        i for i in range(count)
+        if i != top and not any(k != top and orders[k] > orders[i] and inside(i, k) for k in range(count))
+    )
+    mul_rows = g.mul.tolist()
+    inv = g.inv.tolist()
+    normal = [
+        all(masks[i] >> mul_rows[mul_rows[inv[c]][x]][c] & 1 for c in lat.top.generator_indices
+            for x in range(g.order) if masks[i] >> x & 1)
+        for i in range(count)
+    ]
+    normals = [i for i in range(count) if normal[i] and orders[i] > 1]
+    minimal_normal = [i for i in normals if not any(orders[k] < orders[i] and inside(k, i) for k in normals)]
+    chief = []
+    current = masks.index(1)
+    while current != top:
+        nxt = next(k for k in range(count) if normal[k] and orders[k] > orders[current] and inside(current, k))
+        chief.append((current, nxt))
+        current = nxt
+    supersoluble = []
+    for h in range(count):
+        members = [k for k in range(count) if orders[k] < orders[h] and inside(k, h)]
+        prime_index = [k for k in members if is_prime(orders[h] // orders[k])]
+        supersoluble.append(all(any(inside(k, m) for m in prime_index) for k in members))
+    return {
+        "up_edges": up_edges,
+        "maximal": maximal,
+        "normal": normal,
+        "minimal_normal": minimal_normal,
+        "chief": chief,
+        "supersoluble": supersoluble,
+    }
+
+
 def is_nilpotent_sylow(g) -> bool:
     """Nilpotency as: every Sylow subgroup is normal, i.e. for each prime
     the p-power-order elements number exactly the p-part."""
@@ -300,7 +376,7 @@ def sylow_tower_oracle(g: GroupTable) -> tuple[bool, str | None]:
         arr = part % work.elem_orders == 0
         if int(arr.sum()) != part:
             return False, f"Sylow {p}-subgroup is not normal at its tower level"
-        work = quotient_by(work, Subgroup.from_mask(work, array_to_mask(arr))).group
+        work = quotient_by(work, Subgroup.from_mask(work, arr)).group
     return True, None
 
 
@@ -323,8 +399,8 @@ def subgroup_classes_oracle(lat: Lattice) -> list[int]:
     conjugating its mask by every element of the group; classes are
     numbered in order of their first member."""
     g = lat.parent
-    members = [[x for x in range(g.order) if s.mask >> x & 1] for s in lat.subgroups]
-    index = {s.mask: i for i, s in enumerate(lat.subgroups)}
+    members = [s.indices().tolist() for s in lat.subgroups]
+    index = {mask_int(s.mask): i for i, s in enumerate(lat.subgroups)}
     ids = [-1] * len(members)
     count = 0
     for i, xs in enumerate(members):

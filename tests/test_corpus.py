@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from formationlab.corpus import (
@@ -135,10 +136,9 @@ def conjugate_in(g, a, b) -> bool:
     if a.order != b.order:
         return False
     for c in range(g.order):
-        image = 0
-        for m in a.indices():
-            image |= 1 << int(g.mul[g.mul[g.inv[c], m], c])
-        if image == b.mask:
+        image = np.zeros(g.order, np.bool_)
+        image[g.mul[g.mul[g.inv[c], a.indices()], c]] = True
+        if (image == b.mask).all():
             return True
     return False
 

@@ -19,10 +19,17 @@ from formationlab.corpus import (
     standard_corpus,
     symmetric,
 )
-from formationlab.groups import array_to_mask, exponent
+from formationlab.groups import exponent
 
 from conftest import group_of
-from oracles import element_classes_oracle, py_close, sequential_extension_oracle, start_states_oracle
+from oracles import (
+    condition_b_law_opposite,
+    element_classes_oracle,
+    mask_int,
+    py_close,
+    sequential_extension_oracle,
+    start_states_oracle,
+)
 
 
 def groups():
@@ -46,10 +53,10 @@ class TestClosure:
             identity[0] = True
             got = _kernels.close_mask(g.mul, identity, gens)
             want = py_close(mul_rows, sum(1 << i for i in set(gens)))
-            assert array_to_mask(got) == want
+            assert mask_int(got) == want
             # from a closed base generated by a prefix of the generators
             base = _kernels.close_mask(g.mul, identity, gens[:1])
-            assert array_to_mask(_kernels.close_mask(g.mul, base, gens)) == want
+            assert mask_int(_kernels.close_mask(g.mul, base, gens)) == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_matches_rows(self, seed):
@@ -66,7 +73,7 @@ class TestClosure:
                 c = int(rng.integers(0, g.order))
                 h = _kernels.close_mask(g.mul, identity, h_gens)
                 closed = _kernels.close_mask(g.mul, h, h_gens + [c])
-                assert array_to_mask(closed) == py_close(g.mul.tolist(), sum(1 << i for i in {*h_gens, c}))
+                assert mask_int(closed) == py_close(g.mul.tolist(), sum(1 << i for i in {*h_gens, c}))
                 for base in (h, h | _kernels.close_mask(g.mul, identity, [c])):
                     bases.append(base)
                     gen_rows.append(h_gens + [c])
@@ -199,4 +206,4 @@ class TestSweep:
         from formationlab.checkers import condition_b_law
 
         for g in sweep_groups():
-            assert condition_b_law(g, opposite_convention=True) == condition_b_law(g)
+            assert condition_b_law_opposite(g) == condition_b_law(g)

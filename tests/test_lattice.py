@@ -10,7 +10,9 @@ from formationlab.corpus import (
     quaternion_generalized,
     standard_corpus,
 )
-from formationlab.groups import subgroup_generated
+import numpy as np
+
+from formationlab.groups import Subgroup, subgroup_generated
 from formationlab.lattice import (
     Lattice,
     all_subgroups,
@@ -24,12 +26,16 @@ from formationlab.lattice import (
 )
 from formationlab.errors import InvariantError, ResourceLimitError
 from formationlab.perms import parse_cycles
+from formationlab.predicates import is_supersoluble
 from formationlab.primes import p_part, prime_divisors
 
 from conftest import group_of
 from oracles import (
     all_subgroups_oracle,
     cyclic_extension_oracle,
+    lattice_bookkeeping_oracle,
+    mask_int,
+    restrict,
     sequential_extension_oracle,
     subgroup_classes_oracle,
 )
@@ -60,7 +66,7 @@ class TestEnumeration:
     def test_matches_exhaustive_oracle(self, maker):
         g = maker()
         lat = all_subgroups(g)
-        assert {s.mask for s in lat.subgroups} == all_subgroups_oracle(g)
+        assert {mask_int(s.mask) for s in lat.subgroups} == all_subgroups_oracle(g)
 
     def test_matches_cyclic_extension_oracle(self):
         # every subgroup extended, not one per conjugacy class: same masks and
@@ -73,10 +79,10 @@ class TestEnumeration:
             checked += 1
             lat = all_subgroups(g)
             ref = cyclic_extension_oracle(g)
-            assert [s.mask for s in lat.subgroups] == [s.mask for s in ref.subgroups], spec.name
+            assert [mask_int(s.mask) for s in lat.subgroups] == [mask_int(s.mask) for s in ref.subgroups], spec.name
             assert lat.up_edges == ref.up_edges, spec.name
             for s in lat.subgroups:
-                assert subgroup_generated(g, s.generator_indices).mask == s.mask, spec.name
+                assert mask_int(subgroup_generated(g, s.generator_indices).mask) == mask_int(s.mask), spec.name
         assert checked > 300
 
     def test_matches_sequential_oracle(self, s5):
@@ -90,7 +96,7 @@ class TestEnumeration:
         for g in groups:
             lat = all_subgroups(g)
             ref, _ = sequential_extension_oracle(g)
-            assert [s.mask for s in lat.subgroups] == [s.mask for s in ref.subgroups], g
+            assert [mask_int(s.mask) for s in lat.subgroups] == [mask_int(s.mask) for s in ref.subgroups], g
             assert [s.generator_indices for s in lat.subgroups] == [
                 s.generator_indices for s in ref.subgroups
             ], g
@@ -103,7 +109,7 @@ class TestEnumeration:
 
     def test_sorted_deterministically(self, s5):
         lat = all_subgroups(s5)
-        keys = [(s.order, s.mask) for s in lat.subgroups]
+        keys = [(s.order, mask_int(s.mask)) for s in lat.subgroups]
         assert keys == sorted(keys)
         assert len(lat.subgroups) == 156
 
@@ -144,7 +150,7 @@ class TestConjugacyClasses:
         # in A4 the three Klein-group involutions are one class, while in
         # S4 the transpositions are a second class of order-2 subgroups
         lat = all_subgroups(s4)
-        a4_lat = lat.restrict(sub_of(s4, "(1 2 3)", "(2 3 4)"))
+        a4_lat = restrict(lat, sub_of(s4, "(1 2 3)", "(2 3 4)"))
         assert len(set(a4_lat.class_ids())) == 5
 
 
@@ -171,6 +177,29 @@ class TestNormalAndMaximal:
         lat = all_subgroups(s3)
         assert is_normal(lat, sub_of(s3, "(1 2 3)"))
         assert not is_normal(lat, sub_of(s3, "(1 2)"))
+
+
+class TestBookkeeping:
+    def test_matches_pairwise_oracle(self, s4, s5):
+        # the reads of the containment matrix against pairwise subset tests,
+        # on whole-group lattices and on the lattices of A4 in S4 and A5 in S5
+        groups = [build_group(spec) for spec in standard_corpus()]
+        lattices = [all_subgroups(g) for g in groups if g.order <= 60]
+        assert len(lattices) == 306
+        for g in (s4, s5):
+            lat = all_subgroups(g)
+            alternating = next(s for s in lat.subgroups if s.order * 2 == g.order)
+            lattices += [lat, restrict(lat, alternating)]
+        for lat in lattices:
+            ref = lattice_bookkeeping_oracle(lat)
+            name = lat.parent, lat.top
+            assert lat.up_edges == ref["up_edges"], name
+            assert lat.maximal_indices() == ref["maximal"], name
+            assert lat.normal_flags().tolist() == ref["normal"], name
+            assert [lat.index_of(s) for s in minimal_normal_subgroups(lat)] == ref["minimal_normal"], name
+            chief = [(lat.index_of(f.lower), lat.index_of(f.upper)) for f in chief_series(lat)]
+            assert chief == ref["chief"], name
+            assert [is_supersoluble(h, lat) for h in lat.subgroups] == ref["supersoluble"], name
 
 
 class TestFrattini:
@@ -266,9 +295,20 @@ class TestReachability:
         with pytest.raises(InvariantError, match=r"strictly between a prime-index pair \(1 < 2 < 4\)"):
             all_subgroups(group_of(4, "(1 2 3 4)"))
 
+    def test_planted_non_subgroup_mask_is_rejected(self):
+        # {e, r} with r of order 3 is not closed; it lies strictly between
+        # the trivial subgroup and <r>, a pair of prime index 3
+        c6 = group_of(6, "(1 2 3 4 5 6)")
+        r = c6.index_of(parse_cycles("(1 3 5)(2 4 6)", 6))
+        planted = np.zeros(c6.order, np.bool_)
+        planted[[0, r]] = True
+        members = [*all_subgroups(c6).subgroups, Subgroup(c6, planted, (r,))]
+        with pytest.raises(InvariantError, match=r"strictly between a prime-index pair \(1 < 2 < 3\)"):
+            Lattice(c6, c6.full_subgroup(), members)
+
     def test_restrict_gives_complete_sublattice(self, s4):
         lat = all_subgroups(s4)
         a4_sub = sub_of(s4, "(1 2 3)", "(2 3 4)")
-        sub_lat = lat.restrict(a4_sub)
+        sub_lat = restrict(lat, a4_sub)
         assert len(sub_lat.subgroups) == 10
         assert sub_lat.top == a4_sub
