@@ -67,7 +67,6 @@ from .checkers import (
     condition_lf_f,
     condition_x,
     is_p_subnormal,
-    p_subnormal_chain,
 )
 
 __version__ = "0.1.0"

@@ -16,10 +16,12 @@ conjugation by the top is an automorphism fixing the top, so "cyclic,
 primary and not prime-step subnormal", "[H, H] nilpotent" and "H
 supersoluble" hold for all of a class or for none, and the first failing
 member and its witness are those of a member-by-member scan.
-``cond_b_subgroups`` takes the derived subgroup [H, H] as a normal closure
-of the commutators of H's generators (``groups.commutator_subgroup``), not
-from all |H|^2 commutators, and judges H's supersolubility on the given
-lattice.
+``cond_b_subgroups`` first judges H's supersolubility on the given lattice
+(Huppert's test); only for a non-supersoluble H does it take the derived
+subgroup [H, H], as a normal closure of the commutators of H's generators
+(``groups.commutator_subgroup``), not from all |H|^2 commutators.  A
+subgroup named in a witness is named by ``Subgroup.generators``, the
+greedy generators of its mask, so the text depends on the group alone.
 
 ``cond_lf`` works on the centralizer's member mask C = C_G(H/K) and never
 forms G/C: G/C is soluble iff the last term of G's derived series lies in
@@ -48,7 +50,6 @@ from .groups import (
 from .lattice import (
     DEFAULT_SUBGROUP_BOUND,
     Lattice,
-    _bfs_chain,
     all_subgroups,
     chief_series,
     p_reachable,
@@ -70,7 +71,6 @@ __all__ = [
     "brandl_next",
     "brandl_terminates",
     "is_p_subnormal",
-    "p_subnormal_chain",
     "condition_x",
     "condition_b_subgroups",
     "condition_b_law",
@@ -160,17 +160,6 @@ def is_p_subnormal(lat: Lattice, h: Subgroup) -> bool:
     return p_reachable(lat, h)
 
 
-def p_subnormal_chain(lat: Lattice, h: Subgroup) -> tuple[list[Subgroup], list[int]] | None:
-    """A witness chain (subgroups, prime indices), or None when h is not
-    prime-step subnormal.  The chain for h = top is ([top], [])."""
-    indices = _bfs_chain(lat, lat.index_of(h))
-    if indices is None:
-        return None
-    subs = [lat.subgroups[i] for i in indices]
-    steps = [subs[i + 1].order // subs[i].order for i in range(len(subs) - 1)]
-    return subs, steps
-
-
 def _describe(s: Subgroup) -> str:
     gens = ", ".join(format_cycles(p) for p in s.generators()) or "()"
     return f"<{gens}> of order {s.order}"
@@ -202,8 +191,10 @@ def condition_x(g, lat: Lattice) -> bool:
 def _condition_b_subgroups_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
     for h in _class_firsts(lat):
+        if is_supersoluble(h, lat):
+            continue  # a supersoluble group's derived subgroup is nilpotent
         derived = commutator_subgroup(lat.parent, h, h)
-        if is_nilpotent(derived) and not is_supersoluble(h, lat):
+        if is_nilpotent(derived):
             return False, (
                 f"subgroup {_describe(h)} has nilpotent derived subgroup "
                 f"(order {derived.order}) but is not supersoluble"

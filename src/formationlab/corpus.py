@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
-from .groups import GroupTable, _greedy_generators, close_generators
+from .groups import GroupTable, close_generators
 from .lattice import all_subgroups
 from .perms import Permutation, format_cycles, parse_cycles
 from .primes import is_prime
@@ -207,8 +207,9 @@ def affine_semidirect(p: int, *matrices) -> GroupSpec:
 
 def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     """One spec per subgroup of S_n (mask-distinct, no isomorphism
-    deduplication), with the greedy generators of each subgroup's mask, so
-    the specs do not depend on how the lattice was enumerated.
+    deduplication), named by ``Subgroup.generators`` (the greedy generators
+    of its mask), so the specs do not depend on how the lattice was
+    enumerated.
 
     n = 6 gives 1455 subgroups of a 720-element group (a few seconds).
     """
@@ -216,12 +217,10 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
         raise InputError(f"subgroups_of_symmetric supports 1 <= n <= 6, got {n}")
     table = build_group(symmetric(n))
     lat = all_subgroups(table)
-    specs = []
-    for i, sub in enumerate(lat.subgroups):
-        gens = _greedy_generators(table.mul, sub.mask)[1]
-        perms = [table.perm(j) for j in gens]
-        specs.append(_spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, perms, "sn-subgroup"))
-    return specs
+    return [
+        _spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, sub.generators(), "sn-subgroup")
+        for i, sub in enumerate(lat.subgroups)
+    ]
 
 
 def load_group(path) -> GroupSpec:

@@ -63,13 +63,12 @@ class GroupTable:
     a row's bytes to its index.  Row 0 is the identity; ``mul[i, j]`` is the
     index of "element i then element j"; the ordering is the insertion order
     of the generator closure, so equal generator sequences give bit-identical
-    tables.  ``perm(i)`` builds element i as a ``Permutation`` when asked,
-    and ``elements`` builds all of them on first access.  ``elem_orders`` and
-    ``inv`` come from the table: for each divisor d of the order, in
-    increasing order, the elements not yet resolved are raised to the d-th
-    power by repeated squaring; the order of x is the least d with x^d = 1,
-    and its inverse is x^(order - 1).  Instances are immutable after
-    construction.
+    tables.  ``perm(i)`` builds element i as a ``Permutation`` when asked.
+    ``elem_orders`` and ``inv`` come from the table: for each divisor d of
+    the order, in increasing order, the elements not yet resolved are raised
+    to the d-th power by repeated squaring; the order of x is the least d
+    with x^d = 1, and its inverse is x^(order - 1).  Instances are immutable
+    after construction.
     """
 
     __slots__ = (
@@ -83,7 +82,6 @@ class GroupTable:
         "elem_orders",
         "gen_indices",
         "_full",
-        "_elements",
     )
 
     def __init__(self, degree, generators, rows, row_index, mul):
@@ -109,13 +107,6 @@ class GroupTable:
             raise InvariantError("an element times its computed inverse is not the identity")
         self.gen_indices = tuple(self.index_of(g) for g in self.generators)
         self._full = None
-        self._elements = None
-
-    @property
-    def elements(self) -> tuple[Permutation, ...]:
-        if self._elements is None:
-            self._elements = tuple(self.perm(i) for i in range(self.order))
-        return self._elements
 
     def full_subgroup(self) -> "Subgroup":
         if self._full is None:
@@ -175,7 +166,9 @@ class Subgroup:
     The mask is trusted to be product-closed; use :meth:`from_mask` to
     validate an arbitrary mask.  It is made read-only, so equality and
     hashing by its bytes stay valid.  Lagrange is asserted on every
-    construction.
+    construction.  ``generator_indices`` generate the mask and are what the
+    algorithms use; they come from whichever path built the subgroup, so
+    output names it by :meth:`generators` instead.
     """
 
     __slots__ = ("parent", "mask", "order", "generator_indices")
@@ -213,16 +206,13 @@ class Subgroup:
         return np.flatnonzero(self.mask)
 
     def generators(self) -> tuple[Permutation, ...]:
-        return tuple(self.parent.perm(i) for i in self.generator_indices)
+        """The subgroup's name in reports and census specs: the greedy
+        generators of its mask, in element-index order, so they depend on
+        the mask alone and not on how the subgroup was found."""
+        return tuple(self.parent.perm(i) for i in _greedy_generators(self.parent.mul, self.mask)[1])
 
     def contains(self, other: "Subgroup") -> bool:
         return not (other.mask > self.mask).any()
-
-    def is_whole(self) -> bool:
-        return self.order == self.parent.order
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):

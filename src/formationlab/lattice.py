@@ -27,7 +27,7 @@ are read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -253,10 +253,8 @@ def _class_of(
     return orbit
 
 
-def _close_seeds(
-    mul: np.ndarray, seeds: list[tuple[bytes, np.ndarray, tuple[int, ...]]]
-) -> dict[bytes, np.ndarray]:
-    """The closure of each distinct seed mask, keyed by the seed's bytes.
+def _close_seeds(mul: np.ndarray, seeds: Collection[tuple[np.ndarray, tuple[int, ...]]]) -> np.ndarray:
+    """The closure of each (mask, generators) seed, one row per seed.
 
     Each seed's mask is a base row of a batched ``close_mask`` call and its
     generators the generator row.  The seeds of one wave all have the same
@@ -264,16 +262,13 @@ def _close_seeds(
     rows need no padding.  Each call takes as many rows as keep rows * order
     * generators within ``CLOSE_BATCH_PRODUCTS``, which bounds its products.
     """
-    distinct = {key: (arr, gens) for key, arr, gens in seeds}
-    if not distinct:
-        return {}
-    bases = np.array([arr for arr, _ in distinct.values()])
-    gens = np.array([gens for _, gens in distinct.values()], np.intp)
+    bases = np.array([arr for arr, _ in seeds])
+    gens = np.array([gens for _, gens in seeds], np.intp)
     step = max(1, CLOSE_BATCH_PRODUCTS // (mul.shape[0] * gens.shape[1]))
     closed = [
         _kernels.close_mask(mul, bases[lo : lo + step], gens[lo : lo + step]) for lo in range(0, len(bases), step)
     ]
-    return dict(zip(distinct, np.concatenate(closed)))
+    return np.concatenate(closed)
 
 
 def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND) -> Lattice:
@@ -292,18 +287,15 @@ def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND
     class that <H, c> brought.  The one closed is the orbit's least in
     ``_cyclic_masks`` order, the first that extending by every cyclic
     subgroup in that order would close; the later ones would only find
-    conjugates already known.  So members and their generators are the
-    same as under extension by every cyclic subgroup.
+    conjugates already known.
 
     Representatives are handled in waves, a wave being those queued when
-    the previous one ended.  All of a wave's seeds not known before it are
-    closed together (``_close_seeds``), each from its mask H | <c> rather
-    than from H, so a long cyclic subgroup is not walked one power per
-    round.  Then the seeds are taken in the order of closing one seed at a
-    time, each kept when its closure is new.  A seed that one-at-a-time
-    loop would skip, being a known subgroup or closed before, has its
-    closure in ``found`` already, so masks, generators and class ids are
-    the ones it gives.
+    the previous one ended.  The wave's distinct seeds not known before it
+    are closed together (``_close_seeds``), each from its mask H | <c>
+    rather than from H, so a long cyclic subgroup is not walked one power
+    per round, and each seed whose closure is new becomes a representative.
+    A member's generators generate its mask and serve the algorithms;
+    reports name it by ``Subgroup.generators``, from the mask alone.
     """
     n = g.order
     mul, inv = g.mul, g.inv
@@ -321,7 +313,7 @@ def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND
     done = 0
     while done < len(reps):  # one wave: the representatives queued so far
         wave, done = reps[done:], len(reps)
-        seeds = []  # (seed key, seed mask, generators) in the one-at-a-time order
+        seeds: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}  # distinct seeds, first found first
         for h_arr, h_gens in wave:
             outside = np.flatnonzero(~h_arr[cyclic_gens])  # cyclic subgroups not inside H
             if not outside.size:
@@ -336,13 +328,13 @@ def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND
                 seed_arr = h_arr | cyc_arr
                 seed_key = seed_arr.tobytes()
                 if seed_key not in found and seed_key not in seeds_done:  # else known or closed before
-                    seeds.append((seed_key, seed_arr, h_gens + (cyc_gen,)))
-        closures = _close_seeds(mul, seeds)
-        seeds_done.update(closures)
-        for seed_key, _, gens in seeds:  # in the order of closing one seed at a time
-            closed = closures[seed_key]
+                    seeds.setdefault(seed_key, (seed_arr, h_gens + (cyc_gen,)))
+        if not seeds:
+            continue
+        seeds_done.update(seeds)
+        for (_, gens), closed in zip(seeds.values(), _close_seeds(mul, seeds.values())):
             if closed.tobytes() in found:
-                continue  # as is every seed the one-at-a-time loop skips
+                continue
             reps.append((closed, gens))
             for member, member_gens in _class_of(closed, gens, conjugators):
                 found[member.tobytes()] = (member, member_gens, len(reps) - 1)
@@ -410,28 +402,15 @@ def chief_series(lat: Lattice) -> list[ChiefFactor]:
 
 def p_reachable(lat: Lattice, frm: Subgroup) -> bool:
     """True when the top is reachable from ``frm`` along prime-index edges."""
-    return _bfs_chain(lat, lat.index_of(frm)) is not None
-
-
-def _bfs_chain(lat: Lattice, start: int) -> list[int] | None:
-    """Indices of a shortest prime-index chain from start to the top."""
     goal = lat.top_index()
-    if start == goal:
-        return [start]
-    prev = {start: -1}
-    queue = [start]
-    while queue:
-        nxt_queue = []
-        for i in queue:
-            for j in lat.up_edges[i]:
-                if j not in prev:
-                    prev[j] = i
-                    if j == goal:
-                        chain = [j]
-                        while chain[-1] != start:
-                            chain.append(prev[chain[-1]])
-                        chain.reverse()
-                        return chain
-                    nxt_queue.append(j)
-        queue = nxt_queue
-    return None
+    seen = {lat.index_of(frm)}
+    stack = list(seen)
+    while stack:
+        i = stack.pop()
+        if i == goal:
+            return True
+        for j in lat.up_edges[i]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return False

@@ -11,6 +11,13 @@ def group_of(degree: int, *cycle_texts: str):
     return close_generators(degree, [parse_cycles(t, degree) for t in cycle_texts])
 
 
+def changed_rows(golden: bytes, raw: bytes) -> list[str]:
+    """The names (first cell) of the report rows that differ from a golden
+    report's, for a failure message."""
+    pairs = zip(golden.decode().splitlines(), raw.decode().splitlines())
+    return [new.split("\t", 1)[0] for old, new in pairs if old != new]
+
+
 @pytest.fixture(scope="session")
 def s3():
     return group_of(3, "(1 2)", "(1 2 3)")

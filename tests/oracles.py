@@ -17,9 +17,9 @@ the Sylow tower and ``cond_lf`` are decided again on quotient group tables
 the package's earlier enumerators, kept as differential references fast
 enough for whole-corpus comparisons: ``cyclic_extension_oracle`` (every
 subgroup extended by every cyclic subgroup, closed by frontier x members
-products) and ``sequential_extension_oracle`` (one ``close_mask`` call per
-seed, before seeds were closed a wave per call), which pins masks, member
-generators, class ids and edges.
+products), whose members' generators come from their masks alone, and
+``sequential_extension_oracle`` (one ``close_mask`` call per seed, before
+seeds were closed a wave per call), which pins masks, class ids and edges.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ def cayley_oracle(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cayley table, inverses and element orders of g's own elements: each
     product and inverse is composed from the elements' image rows and
     looked up by its row bytes."""
-    rows = np.array([p.images for p in g.elements], dtype=np.int64) - 1
+    elements = [g.perm(i) for i in range(g.order)]
+    rows = np.array([p.images for p in elements], dtype=np.int64) - 1
     width = np.dtype((np.void, rows.itemsize * rows.shape[1]))
     index = {key: i for i, key in enumerate(rows.view(width).ravel().tolist())}
 
@@ -88,7 +89,7 @@ def cayley_oracle(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a then b maps i to b(a(i)): row a of the table composes every b after a
     mul = np.array([lookup(rows[:, rows[a]]) for a in range(g.order)], dtype=np.int32)
     inv = np.array(lookup(np.argsort(rows, axis=1)), dtype=np.int32)
-    orders = np.array([perms.order_of(a) for a in g.elements], dtype=np.int64)
+    orders = np.array([perms.order_of(a) for a in elements], dtype=np.int64)
     return mul, inv, orders
 
 
@@ -178,7 +179,8 @@ def cyclic_extension_oracle(g: GroupTable) -> Lattice:
 
 def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
     """The class-representative cyclic extension of ``all_subgroups``, one
-    seed closed at a time from H by ``close_mask``.  Returns the lattice,
+    seed closed at a time from H by ``close_mask``; each member's
+    generators are those of the path that found it.  Returns the lattice,
     with class ids in order of discovery, and the number of waves: a
     representative's wave is one more than the wave of the one it extends,
     and the trivial subgroup is wave 0."""

@@ -16,7 +16,6 @@ from formationlab.checkers import (
     condition_lf_f,
     condition_x,
     is_p_subnormal,
-    p_subnormal_chain,
 )
 from formationlab.corpus import (
     alternating,
@@ -34,7 +33,13 @@ from formationlab.lattice import Lattice, all_subgroups, chief_series
 from formationlab.perms import format_cycles, identity, parse_cycles
 
 from conftest import group_of
-from oracles import condition_b_law_opposite, condition_lf_oracle, p_subnormal_oracle, sylow_tower_oracle
+from oracles import (
+    condition_b_law_opposite,
+    condition_lf_oracle,
+    cyclic_extension_oracle,
+    p_subnormal_oracle,
+    sylow_tower_oracle,
+)
 
 
 def sub_of(g, *texts):
@@ -80,21 +85,15 @@ class TestPSubnormal:
     def test_whole_group(self, a4):
         lat = all_subgroups(a4)
         assert is_p_subnormal(lat, a4.full_subgroup())
-        chain, steps = p_subnormal_chain(lat, a4.full_subgroup())
-        assert steps == [] and len(chain) == 1
 
     def test_order_two_in_a4_via_klein(self, a4):
         lat = all_subgroups(a4)
         h = sub_of(a4, "(1 2)(3 4)")
         assert is_p_subnormal(lat, h)
-        chain, steps = p_subnormal_chain(lat, h)
-        assert steps == [2, 3]
-        assert [s.order for s in chain] == [2, 4, 12]
 
     def test_c3_in_a4_fails(self, a4):
         lat = all_subgroups(a4)
         assert not is_p_subnormal(lat, sub_of(a4, "(1 2 3)"))
-        assert p_subnormal_chain(lat, sub_of(a4, "(1 2 3)")) is None
 
     @pytest.mark.parametrize("maker", [
         lambda: group_of(3, "(1 2)", "(1 2 3)"),
@@ -228,6 +227,24 @@ class TestClassify:
         monkeypatch.setattr(checkers, "chief_series", broken)
         with pytest.raises(InvariantError, match="group S3: chief series is inconsistent"):
             classify(s3, "S3")
+
+    def test_witnesses_do_not_depend_on_enumeration_path(self, s5, monkeypatch):
+        # the oracle finds the same members by other paths, so their
+        # generator_indices differ; a witness names a subgroup by its mask
+        import formationlab.checkers as checkers
+
+        groups = [(spec.name, build_group(spec)) for spec in standard_corpus()]
+        groups = [(name, g) for name, g in groups if g.order <= 60] + [("S5", s5)]
+        naming = []  # the groups whose witnesses name a subgroup
+        for name, g in groups:
+            report = classify(g, name)
+            if {"cond_x", "cond_b_subgroups"} & set(report.witnesses):
+                naming.append((name, g, report))
+        assert len(naming) == 19
+        monkeypatch.setattr(checkers, "all_subgroups", lambda g, subgroup_bound: cyclic_extension_oracle(g))
+        for name, g, report in naming:
+            other = classify(g, name)
+            assert (other.predicates, other.witnesses) == (report.predicates, report.witnesses), name
 
     @pytest.mark.parametrize("maker", [
         lambda: group_of(4, "(1 2)", "(1 2 3 4)"),

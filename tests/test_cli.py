@@ -15,6 +15,8 @@ from formationlab.corpus import (
     symmetric,
 )
 
+from conftest import changed_rows
+
 
 @pytest.fixture()
 def s3_file(tmp_path):
@@ -145,7 +147,8 @@ class TestVerify:
             u, x, d = (r[key] == "true" for key in ("supersoluble", "cond_x", "sylow_tower"))
             assert r["status"] == "ok" and x >= u and d >= x, r["name"]
         golden = Path(__file__).parent / "golden" / "s6.tsv"
-        assert report.read_bytes() == golden.read_bytes(), f"report differs from {golden.name}"
+        raw, want = report.read_bytes(), golden.read_bytes()
+        assert raw == want, f"report differs from {golden.name}; changed rows: {changed_rows(want, raw)[:5]}"
 
     def test_corrupted_predicate_exits_1(self, small_corpus_dir, tmp_path, monkeypatch, capsys):
         import formationlab.checkers as checkers

@@ -37,7 +37,7 @@ class TestCloseGenerators:
         assert s5.order == 120
 
     def test_identity_is_index_zero(self, s4):
-        assert s4.elements[0].is_identity()
+        assert s4.perm(0).is_identity()
 
     def test_table_is_closed_and_latin(self, s4):
         n = s4.order
@@ -62,7 +62,7 @@ class TestCloseGenerators:
     def test_determinism_bit_identical(self):
         a = group_of(4, "(1 2)", "(1 2 3 4)")
         b = group_of(4, "(1 2)", "(1 2 3 4)")
-        assert a.elements == b.elements
+        assert [a.perm(i) for i in range(a.order)] == [b.perm(i) for i in range(b.order)]
         assert np.array_equal(a.mul, b.mul)
 
     def test_lagrange_on_element_orders(self, s4):
@@ -139,15 +139,6 @@ class TestElementRows:
                 p = g.perm(i)
                 assert g.elem_orders[i] == order_of(p)
                 assert g.perm(g.inv[i]) == inverse(p)
-
-    def test_classify_builds_no_elements(self):
-        from formationlab.checkers import classify
-        from formationlab.corpus import alternating, build_group, cyclic, direct_product
-
-        g = build_group(direct_product(alternating(4), cyclic(7)))
-        report = classify(g, "A4xC7")
-        assert report.witnesses  # witness text names elements and subgroup generators
-        assert g._elements is None
 
 
 class TestSubgroupGenerated:
