@@ -25,6 +25,8 @@ __all__ = [
 
 # Every kernel is numpy; the name stays because perfbench/run.py reports it.
 JIT_ENABLED = False
+# States or pairs per step of ``brandl_sweep``, which bounds its temporaries.
+SWEEP_CHUNK = 8192
 
 
 def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
@@ -170,7 +172,7 @@ def _failing_states(mul, inv, pow_neg, row_of, e, states):
     return failed
 
 
-def brandl_sweep(mul, inv, gens, e, chunk: int = 8192):
+def brandl_sweep(mul, inv, gens, e):
     """Scan ordered pairs (x, y) for one whose sequence u_1 = [x, y],
     u_{k+1} = u_k^(-k) * (u_k^-1 y^-1 u_k y) never reaches the identity.
     ``gens`` are the indices of generators of the group.
@@ -178,7 +180,7 @@ def brandl_sweep(mul, inv, gens, e, chunk: int = 8192):
     Returns (1, -1, -1) when every pair terminates, else (0, x, y) with
     (x, y) the least failing pair in index order.  The sequence depends on
     (x, y) only through its start state ([x, y], y), so the sweep runs in
-    three passes, each in chunks of ``chunk`` states or pairs:
+    three passes, each in chunks of ``SWEEP_CHUNK`` states or pairs:
 
     1. take the distinct start states whose value is not the identity from
        the conjugacy classes (``start_states``); abelian groups have none;
@@ -202,16 +204,16 @@ def brandl_sweep(mul, inv, gens, e, chunk: int = 8192):
     row_of[rows] = np.arange(rows.size)
     pow_neg = negative_power_table(mul, inv, rows, e)
     failing = []
-    for lo in range(0, states.size, chunk):
-        batch = states[lo:lo + chunk]
+    for lo in range(0, states.size, SWEEP_CHUNK):
+        batch = states[lo:lo + SWEEP_CHUNK]
         failing.append(batch[_failing_states(mul, inv, pow_neg, row_of, e, batch)])
     failing = np.concatenate(failing)
     if failing.size:
         pairs = n * n
         marked = np.zeros(pairs, np.bool_)
         marked[failing] = True
-        for lo in range(0, pairs, chunk):
-            x, y = np.divmod(np.arange(lo, min(lo + chunk, pairs), dtype=np.int64), n)
+        for lo in range(0, pairs, SWEEP_CHUNK):
+            x, y = np.divmod(np.arange(lo, min(lo + SWEEP_CHUNK, pairs), dtype=np.int64), n)
             bad = marked[_commutators(mul, inv, x, y) * np.int64(n) + y]
             if bad.any():
                 least = lo + int(bad.argmax())

@@ -48,7 +48,6 @@ from .groups import (
     exponent,
 )
 from .lattice import (
-    DEFAULT_SUBGROUP_BOUND,
     Lattice,
     all_subgroups,
     chief_series,
@@ -296,25 +295,19 @@ class ClassReport:
         }
 
 
-def classify(
-    g: GroupTable,
-    name: str = "",
-    *,
-    subgroup_bound: int | None = None,
-) -> ClassReport:
+def classify(g: GroupTable, name: str = "") -> ClassReport:
     """Build the lattice once and evaluate all six predicates.
 
     Resource and invariant errors gain the group's name; predicate
     disagreement among the four chain/law/local tests is reported as status
     "mismatch", never raised, so a sweep can show the offending group.
     """
-    bound = subgroup_bound if subgroup_bound is not None else DEFAULT_SUBGROUP_BOUND
     predicates: dict[str, Optional[bool]] = {}
     witnesses: dict[str, str] = {}
     times: dict[str, float] = {}
     try:
         start = time.perf_counter()
-        lat = all_subgroups(g, subgroup_bound=bound)
+        lat = all_subgroups(g)
         times["lattice"] = time.perf_counter() - start
 
         def run(key: str, func) -> None:

@@ -49,18 +49,17 @@ class GroupSpec:
     name: str
     degree: int
     generator_texts: tuple[str, ...]
-    provenance: str  # named-family | sn-subgroup | user-file
 
     def generators(self) -> list[Permutation]:
         return [parse_cycles(t, self.degree) for t in self.generator_texts]
 
 
-def build_group(spec: GroupSpec, *, order_bound: int | None = None) -> GroupTable:
-    return close_generators(spec.degree, spec.generators(), order_bound=order_bound)
+def build_group(spec: GroupSpec) -> GroupTable:
+    return close_generators(spec.degree, spec.generators())
 
 
-def _spec_from_perms(name: str, degree: int, perms: Sequence[Permutation], provenance="named-family") -> GroupSpec:
-    return GroupSpec(name, degree, tuple(format_cycles(p) for p in perms), provenance)
+def _spec_from_perms(name: str, degree: int, perms: Sequence[Permutation]) -> GroupSpec:
+    return GroupSpec(name, degree, tuple(format_cycles(p) for p in perms))
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -68,7 +67,7 @@ def cyclic(n: int) -> GroupSpec:
     if n < 1:
         raise InputError(f"cyclic(n) needs n >= 1, got {n}")
     if n == 1:
-        return GroupSpec("C1", 1, (), "named-family")
+        return GroupSpec("C1", 1, ())
     rot = Permutation([i % n + 1 for i in range(1, n + 1)])
     return _spec_from_perms(f"C{n}", n, [rot])
 
@@ -87,7 +86,7 @@ def symmetric(n: int) -> GroupSpec:
     if n < 1:
         raise InputError(f"symmetric(n) needs n >= 1, got {n}")
     if n == 1:
-        return GroupSpec("S1", 1, (), "named-family")
+        return GroupSpec("S1", 1, ())
     swap = parse_cycles("(1 2)", n)
     if n == 2:
         return _spec_from_perms("S2", 2, [swap])
@@ -153,28 +152,6 @@ def _mat_mod(matrix, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((a % p, b % p), (c % p, d % p))
 
 
-def _mat_mul(m1, m2, p: int):
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
-
-
-def _linear_group_order(matrices, p: int) -> int:
-    ident = ((1, 0), (0, 1))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for gen in matrices:
-                prod = _mat_mul(m, gen, p)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return len(seen)
-
-
 def affine_semidirect(p: int, *matrices) -> GroupSpec:
     """Translations of F_p^2 extended by the given invertible 2x2 matrices,
     acting on the p^2 vectors; order p^2 times the linear group order.
@@ -201,7 +178,9 @@ def affine_semidirect(p: int, *matrices) -> GroupSpec:
         perms.append(
             Permutation(point((a * x + b * y) % p, (c * x + d * y) % p) for y in range(p) for x in range(p))
         )
-    k = _linear_group_order(mats, p)
+    # the matrices' permutations of the vectors generate a copy of their
+    # linear group, whose order is at most |GL2(p)|
+    k = close_generators(p * p, perms[2:], order_bound=(p * p - 1) * (p * p - p)).order
     return _spec_from_perms(f"C{p}^2:L{k}", p * p, perms)
 
 
@@ -218,7 +197,7 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     table = build_group(symmetric(n))
     lat = all_subgroups(table)
     return [
-        _spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, sub.generators(), "sn-subgroup")
+        _spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, sub.generators())
         for i, sub in enumerate(lat.subgroups)
     ]
 
@@ -254,15 +233,14 @@ def load_group(path) -> GroupSpec:
             name = rest
         elif keyword == "gen":
             try:
-                parse_cycles(rest, degree)
+                gens.append(format_cycles(parse_cycles(rest, degree)))
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}")
-            gens.append(format_cycles(parse_cycles(rest, degree)))
         else:
             raise InputError(f"line {lineno}: unknown keyword {keyword!r}")
     if degree is None:
         raise InputError("file contains no 'degree' line")
-    return GroupSpec(name, degree, tuple(gens), "user-file")
+    return GroupSpec(name, degree, tuple(gens))
 
 
 def save_group(spec: GroupSpec, path) -> None:
@@ -295,7 +273,7 @@ def order294_candidate() -> GroupSpec:
     """C7^2 : S3 via a faithful irreducible 2-dimensional action mod 7: the
     rotation has eigenlines but the swap exchanges them."""
     spec = affine_semidirect(7, ROTATION_MATRIX, SWAP_MATRIX)
-    return GroupSpec("C7^2:S3", spec.degree, spec.generator_texts, spec.provenance)
+    return GroupSpec("C7^2:S3", spec.degree, spec.generator_texts)
 
 
 def standard_corpus(sn_levels: Sequence[int] = (4, 5)) -> list[GroupSpec]:

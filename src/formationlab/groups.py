@@ -452,25 +452,9 @@ def exponent(g: Union[GroupTable, Subgroup]) -> int:
     return int(np.lcm.reduce(orders))
 
 
-def _relative_centralizer(g: GroupTable, h_gen_indices: Sequence[int], k_arr: np.ndarray) -> np.ndarray:
-    """Mask of x with [x, h] in K for every h generating H; valid because K is
-    normal, so the condition extends from generators to all of H."""
-    ok = np.ones(g.order, np.bool_)
-    every = np.arange(g.order, dtype=np.int64)
-    for hg in h_gen_indices:
-        t = g.mul[g.inv[every], g.inv[hg]]
-        t = g.mul[t, every]
-        t = g.mul[t, hg]
-        ok &= k_arr[t]
-    return ok
-
-
 def centralizer(g: GroupTable, s: Subgroup) -> Subgroup:
     """Elements commuting with every member of s."""
-    k_arr = np.zeros(g.order, np.bool_)
-    k_arr[0] = True
-    mask_arr = _relative_centralizer(g, s.generator_indices, k_arr)
-    return Subgroup(g, mask_arr, _greedy_generators(g.mul, mask_arr)[1])
+    return centralizer_mod(g, s, g.trivial_subgroup())
 
 
 def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
@@ -481,9 +465,18 @@ def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
 
 
 def _centralizer_mod_mask(g: GroupTable, h: Subgroup, k: Subgroup) -> np.ndarray:
-    """The member mask of ``centralizer_mod(g, h, k)``, without generators."""
+    """The member mask of ``centralizer_mod(g, h, k)``, without generators:
+    the x with [x, h] in K for every h generating H, which suffices because
+    K is normal, so the condition extends from generators to all of H."""
     if not h.contains(k):
         raise InputError("centralizer_mod requires K <= H")
     if not is_normal_mask(g, k.mask, g.gen_indices):
         raise InputError("centralizer_mod requires K normal in the group")
-    return _relative_centralizer(g, h.generator_indices, k.mask)
+    ok = np.ones(g.order, np.bool_)
+    every = np.arange(g.order, dtype=np.int64)
+    for hg in h.generator_indices:
+        t = g.mul[g.inv[every], g.inv[hg]]
+        t = g.mul[t, every]
+        t = g.mul[t, hg]
+        ok &= k.mask[t]
+    return ok

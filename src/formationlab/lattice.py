@@ -54,9 +54,6 @@ DEFAULT_SUBGROUP_BOUND = 10**6
 # Most products (rows * order * generators) of one batched closure call,
 # which bounds its temporary arrays to a few MB however large the wave.
 CLOSE_BATCH_PRODUCTS = 1 << 18
-# Most entries (pairs * members) of one step of the maximality check, which
-# bounds its temporaries to a few tens of kB however large the lattice.
-BETWEEN_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,8 @@ class Lattice:
     members keep the order they are given in; ``all_subgroups`` gives them
     in (order, mask) order.  ``containment[i, j]`` holds when member i lies
     in member j: one boolean product, since i lies in j iff no element of i
-    is outside j.  ``up_edges[i]`` lists the lattice indices j with
+    is outside j; construction checks that every contained pair obeys
+    Lagrange.  ``up_edges[i]`` lists the lattice indices j with
     subgroups[i] < subgroups[j] at prime index.  Normality in ``top`` and
     conjugacy-class ids under ``top`` are computed lazily and cached.
     """
@@ -122,37 +120,24 @@ class Lattice:
         self.up_edges = self._build_edges()
 
     def _build_edges(self) -> tuple[tuple[int, ...], ...]:
+        # Every contained pair must obey Lagrange; then no member can lie
+        # strictly between a pair at prime index, so those pairs are the
+        # edges.  A violation means the enumeration or a mask is broken.
         orders = self.orders
+        small, big = np.nonzero(self.containment)  # ordered by small, then big
+        bad = np.flatnonzero(orders[big] % orders[small])
+        if bad.size:
+            i, j = small[bad[0]], big[bad[0]]
+            raise InvariantError(
+                f"Lagrange fails: a member of order {orders[i]} lies in a member of order {orders[j]}"
+            )
         prime = np.zeros(self.parent.order + 1, np.bool_)
         prime[list(prime_divisors(self.parent.order))] = True
-        small, big = np.nonzero(self.containment)  # ordered by small, then big
-        ratio = orders[big] // orders[small]
-        edge = prime[ratio] & (orders[small] * ratio == orders[big])
+        edge = prime[orders[big] // orders[small]]
         small, big = small[edge], big[edge]
-        self._assert_edges_maximal(small, big)
         starts = np.searchsorted(small, np.arange(len(orders) + 1)).tolist()
         ups = big.tolist()
         return tuple(tuple(ups[lo:hi]) for lo, hi in zip(starts, starts[1:]))
-
-    def _assert_edges_maximal(self, small: np.ndarray, big: np.ndarray) -> None:
-        # Prime index forces maximality (Lagrange); a violation means the
-        # enumeration or the subset relation is broken.  Distinct masks make
-        # containment strict, so a member lies strictly between i and j iff
-        # it lies above i and below j and is neither.
-        contains, orders = self.containment, self.orders
-        step = max(1, BETWEEN_BLOCK_ENTRIES // len(orders))
-        for lo in range(0, len(small), step):
-            i, j = small[lo : lo + step], big[lo : lo + step]
-            between = contains[i] & contains[:, j].T
-            bad = np.flatnonzero(between.sum(axis=1) > 2)
-            if bad.size:
-                e = bad[0]
-                mids = np.flatnonzero(between[e])
-                mid = mids[(mids != i[e]) & (mids != j[e])]
-                raise InvariantError(
-                    f"subgroup strictly between a prime-index pair "
-                    f"({orders[i[e]]} < {orders[mid].min()} < {orders[j[e]]})"
-                )
 
     # -- indexed access ------------------------------------------------
 
@@ -271,7 +256,7 @@ def _close_seeds(mul: np.ndarray, seeds: Collection[tuple[np.ndarray, tuple[int,
     return np.concatenate(closed)
 
 
-def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND) -> Lattice:
+def all_subgroups(g: GroupTable) -> Lattice:
     """Enumerate every subgroup of g by cyclic extension of class
     representatives.
 
@@ -338,8 +323,8 @@ def all_subgroups(g: GroupTable, *, subgroup_bound: int = DEFAULT_SUBGROUP_BOUND
             reps.append((closed, gens))
             for member, member_gens in _class_of(closed, gens, conjugators):
                 found[member.tobytes()] = (member, member_gens, len(reps) - 1)
-            if len(found) > subgroup_bound:
-                raise ResourceLimitError("subgroup count exceeds the enumeration bound", subgroup_bound)
+            if len(found) > DEFAULT_SUBGROUP_BOUND:
+                raise ResourceLimitError("subgroup count exceeds the enumeration bound", DEFAULT_SUBGROUP_BOUND)
 
     arrs, gens, reps = zip(*found.values())
     # (order, mask) order, the highest element index most significant: byte

@@ -57,9 +57,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -69,15 +66,6 @@ class Permutation:
 
     def __hash__(self) -> int:
         return hash(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def __pow__(self, e: int) -> "Permutation":
-        return power(self, e)
-
-    def __invert__(self) -> "Permutation":
-        return inverse(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")

@@ -10,7 +10,9 @@ every element (the element classes in numpy), the lattice's bookkeeping
 (edges, maximal, normal and minimal normal members, chief series, Huppert's
 test) by pairwise subset tests on int bitmasks, and the word sweep's start
 states from the commutators of all n*n pairs (numpy, the sweep's earlier
-first pass).  Second algorithms for nilpotency (normal Sylow subgroups) and
+first pass), and the order of a group of 2x2 matrices mod p by breadth-first
+search over the matrices (the package closes their permutations of the
+vectors).  Second algorithms for nilpotency (normal Sylow subgroups) and
 supersolubility (prime-order chief factors) cross-check the package's, and
 the Sylow tower and ``cond_lf`` are decided again on quotient group tables
 (the package decides both on masks of the group).  The two exceptions are
@@ -49,6 +51,30 @@ def restrict(lat: Lattice, h: Subgroup) -> Lattice:
     """The complete lattice of h, from the members of ``lat`` inside h."""
     inside = np.flatnonzero(lat.containment[:, lat.index_of(h)])
     return Lattice(lat.parent, h, [lat.subgroups[i] for i in inside])
+
+
+def linear_group_order_oracle(matrices, p: int) -> int:
+    """Order of the group generated by 2x2 matrices mod p, by breadth-first
+    search over products of the matrices as tuples."""
+
+    def mat_mul(m1, m2):
+        (a, b), (c, d) = m1
+        (e, f), (g, h) = m2
+        return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
+
+    ident = ((1, 0), (0, 1))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for gen in matrices:
+                prod = mat_mul(m, gen)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return len(seen)
 
 
 def condition_b_law_opposite(g: GroupTable) -> bool:

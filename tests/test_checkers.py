@@ -30,7 +30,7 @@ from formationlab.corpus import (
 from formationlab.errors import InputError
 from formationlab.groups import GroupTable, subgroup_generated
 from formationlab.lattice import Lattice, all_subgroups, chief_series
-from formationlab.perms import format_cycles, identity, parse_cycles
+from formationlab.perms import format_cycles, identity, parse_cycles, power
 
 from conftest import group_of
 from oracles import (
@@ -56,7 +56,7 @@ class TestWordIteration:
         y = parse_cycles("(1 2 3)", 3)
         v = parse_cycles("(1 3 2)", 3)  # commutes with y
         nxt = brandl_next(BrandlState(v, 2, y))
-        assert nxt.value == parse_cycles("(1 3 2)", 3) ** -2
+        assert nxt.value == power(v, -2)
         assert nxt.step == 3
 
     def test_hand_trace_in_s3(self):
@@ -208,13 +208,14 @@ class TestClassify:
         report = classify(s3, "S3")
         assert set(report.times) >= {"lattice", "cond_x", "cond_b_law"}
 
-    def test_resource_error_names_group(self):
-        import formationlab.checkers as checkers
+    def test_resource_error_names_group(self, monkeypatch):
+        import formationlab.lattice as lattice
         from formationlab.errors import ResourceLimitError
 
+        monkeypatch.setattr(lattice, "DEFAULT_SUBGROUP_BOUND", 5)
         big = group_of(5, "(1 2)", "(1 2 3 4 5)")
         with pytest.raises(ResourceLimitError) as err:
-            checkers.classify(big, "S5", subgroup_bound=5)
+            classify(big, "S5")
         assert "S5" in str(err.value)
 
     def test_invariant_error_names_group(self, s3, monkeypatch):
@@ -241,7 +242,7 @@ class TestClassify:
             if {"cond_x", "cond_b_subgroups"} & set(report.witnesses):
                 naming.append((name, g, report))
         assert len(naming) == 19
-        monkeypatch.setattr(checkers, "all_subgroups", lambda g, subgroup_bound: cyclic_extension_oracle(g))
+        monkeypatch.setattr(checkers, "all_subgroups", cyclic_extension_oracle)
         for name, g, report in naming:
             other = classify(g, name)
             assert (other.predicates, other.witnesses) == (report.predicates, report.witnesses), name

@@ -22,6 +22,8 @@ from formationlab.corpus import (
 )
 from formationlab.errors import InputError
 
+from oracles import linear_group_order_oracle
+
 
 class TestBuilders:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 30])
@@ -73,6 +75,20 @@ class TestBuilders:
         with pytest.raises(InputError):
             affine_semidirect(6, ((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_affine_linear_order_matches_matrix_oracle(self, p):
+        # one or two seeded random invertible matrices per set; at p = 7 the
+        # sets reach all of GL2(7), beyond the default order bound
+        rng = np.random.default_rng(p)
+        checked = 0
+        while checked < 40:
+            mats = [tuple(map(tuple, rng.integers(0, p, (2, 2)).tolist())) for _ in range(rng.integers(1, 3))]
+            if any((a * d - b * c) % p == 0 for (a, b), (c, d) in mats):
+                continue
+            name = affine_semidirect(p, *mats).name
+            assert name == f"C{p}^2:L{linear_group_order_oracle(mats, p)}", mats
+            checked += 1
+
     def test_294_candidate(self):
         g = build_group(order294_candidate())
         assert g.order == 294 and g.degree == 49
@@ -118,8 +134,8 @@ class TestSymmetricCensus:
                 picked.append((subs[0], subs[1]))
         assert picked
         for a, b in picked:
-            ga = build_group(GroupSpec("a", 4, tuple(map(str_of, a.generators())), "sn-subgroup"))
-            gb = build_group(GroupSpec("b", 4, tuple(map(str_of, b.generators())), "sn-subgroup"))
+            ga = build_group(GroupSpec("a", 4, tuple(map(str_of, a.generators()))))
+            gb = build_group(GroupSpec("b", 4, tuple(map(str_of, b.generators()))))
             if not conjugate_in(s4, a, b):
                 continue
             ra, rb = classify(ga, "a"), classify(gb, "b")

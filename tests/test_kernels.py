@@ -182,12 +182,13 @@ class TestSweep:
                         acc = int(g.mul[acc, g.inv[v]])
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
-    def test_sweep_matches_permutation_level_iteration(self, chunk):
+    def test_sweep_matches_permutation_level_iteration(self, chunk, monkeypatch):
         # dual route: the returned pair must be the least pair in index order
         # whose permutation-level trace cycles.
         from formationlab.checkers import brandl_terminates
 
-        kwargs = {} if chunk is None else {"chunk": chunk}
+        if chunk is not None:
+            monkeypatch.setattr(_kernels, "SWEEP_CHUNK", chunk)
         for g in sweep_groups():
             n = g.order
             e = exponent(g)
@@ -195,7 +196,7 @@ class TestSweep:
             def terminates(i):
                 return brandl_terminates(g.perm(i // n), g.perm(i % n), e, group_order=n).terminated
 
-            status, bx, by = _kernels.brandl_sweep(g.mul, g.inv, g.gen_indices, e, **kwargs)
+            status, bx, by = _kernels.brandl_sweep(g.mul, g.inv, g.gen_indices, e)
             least = n * n if status == 1 else bx * n + by
             assert status in (0, 1)
             assert all(terminates(i) for i in range(least))

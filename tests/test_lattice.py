@@ -4,6 +4,7 @@ import pytest
 
 from formationlab.corpus import (
     build_group,
+    cyclic,
     dihedral,
     order75_witness,
     order294_candidate,
@@ -102,9 +103,12 @@ class TestEnumeration:
             assert lat.class_ids() == ref.class_ids(), g
             assert lat.up_edges == ref.up_edges, g
 
-    def test_subgroup_count_bound(self, s4):
+    def test_subgroup_count_bound(self, s4, monkeypatch):
+        import formationlab.lattice as lattice
+
+        monkeypatch.setattr(lattice, "DEFAULT_SUBGROUP_BOUND", 10)
         with pytest.raises(ResourceLimitError):
-            all_subgroups(s4, subgroup_bound=10)
+            all_subgroups(s4)
 
     def test_sorted_deterministically(self, s5):
         lat = all_subgroups(s5)
@@ -285,25 +289,27 @@ class TestReachability:
                 assert big.contains(small)
                 assert is_prime(big.order // small.order)
 
-    def test_composite_index_edge_is_rejected(self, monkeypatch):
-        # With every divisor taken for a prime, C4 gets the index-4 edge
-        # 1 < C4, which has C2 strictly between.
-        import formationlab.lattice as lattice
-
-        monkeypatch.setattr(lattice, "prime_divisors", lambda n: [d for d in range(2, n + 1) if n % d == 0])
-        with pytest.raises(InvariantError, match=r"strictly between a prime-index pair \(1 < 2 < 4\)"):
-            all_subgroups(group_of(4, "(1 2 3 4)"))
-
     def test_planted_non_subgroup_mask_is_rejected(self):
-        # {e, r} with r of order 3 is not closed; it lies strictly between
-        # the trivial subgroup and <r>, a pair of prime index 3
+        # {e, r} with r of order 3 is not closed; it lies in <r>, and 2 does
+        # not divide 3
         c6 = group_of(6, "(1 2 3 4 5 6)")
         r = c6.index_of(parse_cycles("(1 3 5)(2 4 6)", 6))
         planted = np.zeros(c6.order, np.bool_)
         planted[[0, r]] = True
         members = [*all_subgroups(c6).subgroups, Subgroup(c6, planted, (r,))]
-        with pytest.raises(InvariantError, match=r"strictly between a prime-index pair \(1 < 2 < 3\)"):
+        with pytest.raises(InvariantError, match="member of order 2 lies in a member of order 3"):
             Lattice(c6, c6.full_subgroup(), members)
+
+    def test_lagrange_violation_without_prime_pair_is_rejected(self):
+        # {0, 4, 8, 9} holds the order-3 subgroup {0, 4, 8} but is not closed;
+        # no pair at prime index brackets it, so only Lagrange catches it
+        c12 = build_group(cyclic(12))
+        planted = np.zeros(c12.order, np.bool_)
+        planted[[0, 4, 8, 9]] = True
+        assert subgroup_generated(c12, [4]).indices().tolist() == [0, 4, 8]
+        members = [*all_subgroups(c12).subgroups, Subgroup(c12, planted, (4, 9))]
+        with pytest.raises(InvariantError, match="member of order 3 lies in a member of order 4"):
+            Lattice(c12, c12.full_subgroup(), members)
 
     def test_restrict_gives_complete_sublattice(self, s4):
         lat = all_subgroups(s4)
