@@ -4,10 +4,13 @@ and the pair sweep of the iterated-commutator word.  The sweep steps each
 distinct start state ([x, y], y) once, not each of the n*n pairs, and takes
 those states from the conjugacy classes, not from the n*n commutators.
 
-Conventions: ``mul`` is an (n, n) int32 table with ``mul[i, j]`` the index of
-"element i then element j"; index 0 is the identity; ``inv[i]`` is the index
-of the inverse.  Masks are boolean arrays of length n, or (k, n) matrices
-of k masks where a kernel closes a batch.
+Conventions: ``mul`` is an (n, n) table with ``mul[i, j]`` the index of
+"element i then element j", int16 while n < 2^15 and int32 beyond; index 0
+is the identity; ``inv[i]`` is the index of the inverse, in ``mul``'s dtype.
+Index arithmetic that can pass 2^15, such as a state v*n + y, is done in
+int64: a small integer array times a Python int keeps its dtype and wraps.
+Masks are boolean arrays of length n, or (k, n) matrices of k masks where a
+kernel closes a batch.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def negative_power_table(mul: np.ndarray, inv: np.ndarray, rows: np.ndarray, e: 
     Filled by doubling: with columns 0..m-1 known, column j + m is v^(-m)
     times column j, one 2-D take per doubling.
     """
-    table = np.empty((len(rows), e), dtype=np.int32)
+    table = np.empty((len(rows), e), dtype=mul.dtype)
     table[:, 0] = 0  # v^0 is the identity
     m = 1
     while m < e:

@@ -1,8 +1,9 @@
 """Fully enumerated finite groups built from permutation generators.
 
 A GroupTable carries a deterministic element ordering (identity first), the
-elements as one array of image rows with a bytes-keyed row index, the full
-Cayley table as a numpy array, and inverse/order arrays read off the table.
+elements as one read-only array of image rows with the argsort that looks a
+row up, the full Cayley table as a numpy array in the smallest index dtype,
+and inverse/order arrays read off the table.
 An element becomes a ``Permutation`` only when asked for (``perm``), for
 witness text, subgroup generators and census specs.  A subgroup is a bool
 mask over element indices (a lattice stacks its members' masks into one
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_BOUND = 2000
+# Rows per lookup when ``close_generators`` fills a generator's table row,
+# which keeps each lookup's temporaries near 1 MB at degree 2000.
+ROW_BLOCK = 256
 
 
 def default_order_bound() -> int:
@@ -59,23 +63,26 @@ class GroupTable:
     """A finite permutation group with every element enumerated.
 
     ``rows[i]`` holds element i's images of the points 0..degree-1 (one
-    (order, degree) array, int16 while degree < 2^15) and ``row_index`` maps
-    a row's bytes to its index.  Row 0 is the identity; ``mul[i, j]`` is the
-    index of "element i then element j"; the ordering is the insertion order
-    of the generator closure, so equal generator sequences give bit-identical
-    tables.  ``perm(i)`` builds element i as a ``Permutation`` when asked.
-    ``elem_orders`` and ``inv`` come from the table: for each divisor d of
-    the order, in increasing order, the elements not yet resolved are raised
-    to the d-th power by repeated squaring; the order of x is the least d
-    with x^d = 1, and its inverse is x^(order - 1).  Instances are immutable
-    after construction.
+    read-only (order, degree) array, int16 while degree < 2^15) and
+    ``row_order`` sorts the rows, each viewed as one void scalar, so a row
+    is found by binary search (``_lookup``).  Row 0 is the identity;
+    ``mul[i, j]`` is the index of "element i then element j", int16 while
+    the order is below 2^15 and int32 beyond, and ``inv`` and every index
+    array derived from the table share its dtype.  The ordering is the
+    insertion order of the generator closure, so equal generator sequences
+    give bit-identical tables.  ``perm(i)`` builds element i as a
+    ``Permutation`` when asked.  ``elem_orders`` and ``inv`` come from the
+    table: for each divisor d of the order, in increasing order, the
+    elements not yet resolved are raised to the d-th power by repeated
+    squaring; the order of x is the least d with x^d = 1, and its inverse
+    is x^(order - 1).  Instances are immutable after construction.
     """
 
     __slots__ = (
         "degree",
         "generators",
         "rows",
-        "row_index",
+        "row_order",
         "order",
         "mul",
         "inv",
@@ -84,11 +91,11 @@ class GroupTable:
         "_full",
     )
 
-    def __init__(self, degree, generators, rows, row_index, mul):
+    def __init__(self, degree, generators, rows, row_order, mul, gen_indices):
         self.degree = degree
         self.generators = tuple(generators)
         self.rows = rows
-        self.row_index = row_index
+        self.row_order = row_order
         self.order = rows.shape[0]
         self.mul = mul
         self.elem_orders = np.zeros(self.order, np.int64)
@@ -102,10 +109,10 @@ class GroupTable:
         if not self.elem_orders.all():
             raise InvariantError("an element's powers never reach the identity")
         every = np.arange(self.order)
-        self.inv = _powers(mul, every, self.elem_orders - 1).astype(np.int32)
+        self.inv = _powers(mul, every, self.elem_orders - 1)
         if (mul[every, self.inv] != 0).any():
             raise InvariantError("an element times its computed inverse is not the identity")
-        self.gen_indices = tuple(self.index_of(g) for g in self.generators)
+        self.gen_indices = tuple(gen_indices)
         self._full = None
 
     def full_subgroup(self) -> "Subgroup":
@@ -126,11 +133,11 @@ class GroupTable:
             raise InputError(
                 f"permutation {format_cycles(p)} has degree {p.degree}, not the group's {self.degree}"
             )
-        key = (np.array(p.images, dtype=self.rows.dtype) - 1).tobytes()
-        try:
-            return self.row_index[key]
-        except KeyError:
+        row = np.array(p.images, dtype=self.rows.dtype)[None, :] - 1
+        index = int(_lookup(self.rows, self.row_order, row)[0])
+        if index < 0:
             raise InputError(f"permutation {format_cycles(p)} is not a group element")
+        return index
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order}, degree={self.degree})"
@@ -140,7 +147,7 @@ def _powers(mul: np.ndarray, xs: np.ndarray, k) -> np.ndarray:
     """x^k for each x in ``xs`` by repeated squaring; ``k`` is one
     exponent or one per element."""
     k = np.full(xs.shape, k, dtype=np.int64)
-    result = np.zeros(xs.shape, np.int32)
+    result = np.zeros(xs.shape, mul.dtype)
     base = xs
     while k.any():
         result = np.where(k & 1, mul[result, base], result)
@@ -158,6 +165,22 @@ def _row_keys(block: np.ndarray) -> list[bytes]:
     buf = block.tobytes()  # C order whatever the layout
     width = block.shape[1] * block.itemsize
     return [buf[i:i + width] for i in range(0, len(buf), width)]
+
+
+def _void_rows(block: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one void scalar, which sorts and compares
+    by the row's bytes; a view when the array is C-contiguous."""
+    block = np.ascontiguousarray(block)
+    return block.view(np.dtype((np.void, block.shape[1] * block.itemsize))).ravel()
+
+
+def _lookup(rows: np.ndarray, order: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The index in ``rows`` of each row of ``block`` (same dtype and
+    width), or -1 where the row is absent.  ``order`` is the argsort of
+    ``_void_rows(rows)``: one binary search per row, then an equality check."""
+    keys, probes = _void_rows(rows), _void_rows(block)
+    found = order[np.minimum(np.searchsorted(keys, probes, sorter=order), len(order) - 1)]
+    return np.where(keys[found] == probes, found, -1)
 
 
 class Subgroup:
@@ -246,32 +269,33 @@ def _greedy_generators(
     return current, tuple(gens)
 
 
-def _close_rows(degree: int, gen_rows: list[np.ndarray], bound: int) -> tuple[np.ndarray, dict[bytes, int]]:
+def _close_rows(degree: int, gen_rows: list[np.ndarray], bound: int) -> np.ndarray:
     """Image rows of the group generated by ``gen_rows`` in insertion order,
-    and the index of each row's bytes."""
-    blocks: list[np.ndarray] = [np.arange(degree, dtype=_row_dtype(degree))[None, :]]
-    index: dict[bytes, int] = {blocks[0].tobytes(): 0}
-    count = 1
+    read-only.  The keys of one insertion-ordered dict are the only store of
+    the rows while they are found; the closed set is read back from them."""
+    dtype = _row_dtype(degree)
+    found: dict[bytes, None] = {np.arange(degree, dtype=dtype).tobytes(): None}
+
+    def closed() -> np.ndarray:
+        return np.frombuffer(b"".join(found), dtype).reshape(-1, degree)
+
     taken: list[np.ndarray] = []
     for grow in gen_rows:
         taken.append(grow)
-        if grow.tobytes() in index:
+        if grow.tobytes() in found:
             continue
-        base = np.concatenate(blocks)  # the closed subgroup so far
+        base = closed()  # the closed subgroup so far
         queue: deque[np.ndarray] = deque([grow])
         while queue:
             rep = queue.popleft()
-            if rep.tobytes() in index:
+            if rep.tobytes() in found:
                 continue  # else H*rep is disjoint from the cosets already found
-            if count + len(base) > bound:
+            if len(found) + len(base) > bound:
                 raise ResourceLimitError("group order exceeds the order bound", bound)
-            coset = rep[base]  # (h then rep): images rep[h[p]]
-            index.update(zip(_row_keys(coset), range(count, count + len(base))))
-            blocks.append(coset)
-            count += len(base)
+            found.update(dict.fromkeys(_row_keys(rep[base])))  # (h then rep): images rep[h[p]]
             for s in taken:
                 queue.append(s[rep])  # (rep then s)
-    return np.concatenate(blocks), index
+    return closed()
 
 
 def close_generators(
@@ -285,11 +309,13 @@ def close_generators(
     Inductive closure on image rows: extend by one generator at a time,
     appending whole right cosets H*rep of the previously closed set H (one
     2-D take per coset), with new coset representatives produced by
-    multiplying known representatives by the generators taken so far.  The
-    rows stay one (order, degree) array with a bytes-keyed row index; no
+    multiplying known representatives by the generators taken so far.  Each
+    row is held once: as a bytes key while the closure runs, then in one
+    read-only (order, degree) array with its sorted lookup; no
     ``Permutation`` is built per element.  Insertion order (hence the table)
-    is deterministic.  The Cayley table is built by rows: each generator's
-    row is looked up, and the row of (s then i) is ``mul[s][mul[i]]`` by
+    is deterministic.  The Cayley table, in the smallest index dtype, is
+    built by rows: each distinct generator's row is looked up in blocks of
+    ``ROW_BLOCK`` rows, and the row of (s then i) is ``mul[s][mul[i]]`` by
     associativity, filled breadth-first.
     """
     if degree < 1:
@@ -300,15 +326,17 @@ def close_generators(
             raise InputError(f"generator degree {g.degree} != group degree {degree}")
 
     gen_rows = [np.array(g.images, dtype=_row_dtype(degree)) - 1 for g in gens]
-    rows, index = _close_rows(degree, gen_rows, bound)
+    rows = _close_rows(degree, gen_rows, bound)
+    order = np.argsort(_void_rows(rows))
+    gen_indices = _lookup(rows, order, np.array(gen_rows, rows.dtype).reshape(-1, degree)).tolist()
     n = rows.shape[0]
-    mul = np.full((n, n), -1, dtype=np.int32)  # -1 marks a row not yet built
+    mul = np.full((n, n), -1, dtype=_row_dtype(n))  # -1 marks a row not yet built
     mul[0] = np.arange(n)
     left: list[int] = []  # the distinct non-identity generators
-    for grow in gen_rows:
-        s = index[grow.tobytes()]
+    for s, grow in zip(gen_indices, gen_rows):
         if mul[s, 0] < 0:
-            mul[s] = [index[key] for key in _row_keys(rows[:, grow])]  # (s then j): j[s[p]]
+            for lo in range(0, n, ROW_BLOCK):  # (s then j): j[s[p]]
+                mul[s, lo:lo + ROW_BLOCK] = _lookup(rows, order, rows[lo:lo + ROW_BLOCK, grow])
             left.append(s)
     reached = [0, *left]
     for i in reached:  # grows while iterating
@@ -319,7 +347,7 @@ def close_generators(
                 reached.append(k)
     if (mul[:, 0] < 0).any():
         raise InvariantError("Cayley table rows not reached from the generators")
-    return GroupTable(degree, gens, rows, index, mul)
+    return GroupTable(degree, gens, rows, order, mul, gen_indices)
 
 
 def as_subgroup(g: Union[GroupTable, Subgroup]) -> Subgroup:
@@ -359,9 +387,9 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     by construction, so the coset permutations are not re-checked).
 
     Coset representatives are the least element index in each coset; each
-    element's image is found by looking up its coset row in the quotient's
-    row index, and the projection is verified to be a homomorphism with
-    kernel exactly ``n_sub``.
+    element's image is found by looking up its coset row among the
+    quotient's rows, and the projection is verified to be a homomorphism
+    with kernel exactly ``n_sub``.
     """
     if n_sub.parent is not g:
         raise InputError("subgroup belongs to a different group")
@@ -382,7 +410,7 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     quotient = close_generators(m, qgens, order_bound=m)
     if quotient.order != m:
         raise InvariantError("quotient order does not equal the subgroup index")
-    projection = np.array([quotient.row_index[key] for key in _row_keys(coset_rows)], dtype=np.int32)
+    projection = _lookup(quotient.rows, quotient.row_order, coset_rows)
     for i in g.gen_indices:
         for j in g.gen_indices:
             if projection[g.mul[i, j]] != quotient.mul[projection[i], projection[j]]:

@@ -196,7 +196,7 @@ def _cyclic_masks(g: GroupTable) -> tuple[list[tuple[np.ndarray, int]], np.ndarr
     for the identity).  The generators of <x> are the x^k with
     gcd(k, |x|) = 1, so each cyclic subgroup is walked once."""
     n = g.order
-    ids = np.full(n, -1, np.intp)
+    ids = np.full(n, -1, g.mul.dtype)
     out: list[tuple[np.ndarray, int]] = []
     for i in range(1, n):
         if ids[i] >= 0:

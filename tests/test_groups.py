@@ -6,6 +6,7 @@ import pytest
 from formationlab.errors import InputError, ResourceLimitError
 from formationlab.groups import (
     Subgroup,
+    _lookup,
     centralizer,
     centralizer_mod,
     close_generators,
@@ -31,7 +32,9 @@ class TestCloseGenerators:
         assert s3.order == 6
 
     def test_empty_generators(self):
-        assert close_generators(4, []).order == 1
+        g = close_generators(4, [])
+        assert g.order == 1 and g.gen_indices == () and g.mul.tolist() == [[0]]
+        assert g.index_of(g.perm(0)) == 0
 
     def test_s5(self, s5):
         assert s5.order == 120
@@ -121,6 +124,29 @@ class TestElementRows:
         for g in (s4, q8, build_group(order75_witness()), build_group(cyclic(1999))):
             assert g.rows.dtype == np.int16
             assert [g.index_of(g.perm(i)) for i in range(g.order)] == list(range(g.order))
+
+    def test_c1999_build_memory(self):
+        # each element is held once, in int16: the rows (8 MB) and the
+        # table (8 MB), with no bytes-keyed copy of the rows beside them
+        import tracemalloc
+
+        from formationlab.corpus import build_group, cyclic
+
+        tracemalloc.start()
+        try:
+            g = build_group(cyclic(1999))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6, f"peak {peak / 1e6:.1f} MB"
+        assert g.mul.dtype == g.inv.dtype == np.int16
+        assert not g.rows.flags.writeable
+
+    def test_lookup_marks_only_non_members(self, a4):
+        members = a4.rows[[5, 0, 11]]
+        transposition = np.array([[1, 0, 2, 3]], a4.rows.dtype)
+        block = np.concatenate([members[:2], transposition, members[2:]])
+        assert _lookup(a4.rows, a4.row_order, block).tolist() == [5, 0, -1, 11]
 
     def test_index_of_rejects_wrong_degree(self, s3):
         with pytest.raises(InputError, match="degree 4"):

@@ -203,6 +203,19 @@ class TestSweep:
             if status == 0:
                 assert not terminates(least)
 
+    def test_int16_table_matches_int64_on_a6(self):
+        # |A6|^2 = 129,600 > 2^15 and G' = A6, so start states and the least
+        # failing pair pass int16 range: an uncast v * n would wrap
+        g = build_group(alternating(6))
+        assert g.mul.dtype == g.inv.dtype == np.int16
+        wide = g.mul.astype(np.int64), g.inv.astype(np.int64)
+        states = _kernels.start_states(g.mul, g.inv, g.gen_indices)
+        assert states.max() >= 1 << 15
+        assert np.array_equal(states, _kernels.start_states(*wide, g.gen_indices))
+        e = exponent(g)
+        result = _kernels.brandl_sweep(g.mul, g.inv, g.gen_indices, e)
+        assert result == _kernels.brandl_sweep(*wide, g.gen_indices, e) == (0, 1, 4)
+
     def test_opposite_convention_agrees(self):
         from formationlab.checkers import condition_b_law
 
