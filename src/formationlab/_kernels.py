@@ -1,8 +1,9 @@
 """Hot inner loops over Cayley tables, all vectorized numpy kernels:
-subgroup closure, element conjugacy classes, the table of negative powers,
-and the pair sweep of the iterated-commutator word.  The sweep steps each
-distinct start state ([x, y], y) once, not each of the n*n pairs, and takes
-those states from the conjugacy classes, not from the n*n commutators.
+subgroup closure, conjugation maps, element conjugacy classes, the table of
+negative powers, and the pair sweep of the iterated-commutator word.  The
+sweep steps each distinct start state ([x, y], y) once, not each of the n*n
+pairs, and takes those states from the conjugacy classes, not from the n*n
+commutators.
 
 Conventions: ``mul`` is an (n, n) table with ``mul[i, j]`` the index of
 "element i then element j", int16 while n < 2^15 and int32 beyond; index 0
@@ -20,6 +21,7 @@ import numpy as np
 __all__ = [
     "JIT_ENABLED",
     "close_mask",
+    "conjugation_maps",
     "class_labels",
     "start_states",
     "brandl_sweep",
@@ -65,6 +67,13 @@ def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
     return mask
 
 
+def conjugation_maps(mul: np.ndarray, inv: np.ndarray, gens) -> list[np.ndarray]:
+    """conj[x] = s^-1 x s for each s in ``gens``, one array per generator.
+    Reading a mask at conj tests that conjugation by s keeps it; scattering
+    a mask through conj conjugates the subgroup by s (no n x n table)."""
+    return [mul[mul[inv[s]], s] for s in gens]
+
+
 def class_labels(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:
     """Label of each element's conjugacy class: the least index in the
     class.
@@ -78,9 +87,8 @@ def class_labels(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:
     class, so the fixed point is constant on each class and equals its least
     element.
     """
-    every = np.arange(mul.shape[0])
-    maps = [mul[mul[inv[s], every], s] for s in gens]
-    labels = every
+    maps = conjugation_maps(mul, inv, gens)
+    labels = np.arange(mul.shape[0])
     while True:
         new = labels
         for conj in maps:

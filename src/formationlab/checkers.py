@@ -69,7 +69,6 @@ __all__ = [
     "BrandlTrace",
     "brandl_next",
     "brandl_terminates",
-    "is_p_subnormal",
     "condition_x",
     "condition_b_subgroups",
     "condition_b_law",
@@ -153,12 +152,6 @@ def brandl_terminates(
         state = brandl_next(state)
 
 
-def is_p_subnormal(lat: Lattice, h: Subgroup) -> bool:
-    """True when a chain h = H_0 < H_1 < ... < H_n = top exists with every
-    index |H_i : H_{i-1}| prime."""
-    return p_reachable(lat, h)
-
-
 def _describe(s: Subgroup) -> str:
     gens = ", ".join(format_cycles(p) for p in s.generators()) or "()"
     return f"<{gens}> of order {s.order}"
@@ -177,7 +170,7 @@ def _class_firsts(lat: Lattice):
 def _condition_x_impl(g, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
     for s in _class_firsts(lat):
-        if is_primary(s) and is_cyclic(s) and not is_p_subnormal(lat, s):
+        if is_primary(s) and is_cyclic(s) and not p_reachable(lat, s):
             return False, f"cyclic primary subgroup {_describe(s)} is not prime-step subnormal"
     return True, None
 

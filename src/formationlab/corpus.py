@@ -35,7 +35,6 @@ __all__ = [
     "affine_semidirect",
     "subgroups_of_symmetric",
     "load_group",
-    "save_group",
     "order75_witness",
     "order294_candidate",
     "standard_corpus",
@@ -241,12 +240,6 @@ def load_group(path) -> GroupSpec:
     if degree is None:
         raise InputError("file contains no 'degree' line")
     return GroupSpec(name, degree, tuple(gens))
-
-
-def save_group(spec: GroupSpec, path) -> None:
-    lines = [f"degree {spec.degree}", f"name {spec.name}"]
-    lines += [f"gen {t}" for t in spec.generator_texts]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # Standard corpus: subgroup censuses of S4 and S5, named families up to

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,16 +26,12 @@ __all__ = [
     "DEFAULT_ORDER_BOUND",
     "GroupTable",
     "Subgroup",
-    "QuotientMap",
     "close_generators",
-    "subgroup_generated",
-    "quotient_by",
+    "is_normal_mask",
     "commutator_subgroup",
     "derived_series",
     "lower_central_series",
     "exponent",
-    "centralizer",
-    "centralizer_mod",
     "default_order_bound",
 ]
 
@@ -186,12 +182,11 @@ def _lookup(rows: np.ndarray, order: np.ndarray, block: np.ndarray) -> np.ndarra
 class Subgroup:
     """A bool mask over the element indices of a parent GroupTable.
 
-    The mask is trusted to be product-closed; use :meth:`from_mask` to
-    validate an arbitrary mask.  It is made read-only, so equality and
-    hashing by its bytes stay valid.  Lagrange is asserted on every
-    construction.  ``generator_indices`` generate the mask and are what the
-    algorithms use; they come from whichever path built the subgroup, so
-    output names it by :meth:`generators` instead.
+    The mask is trusted to be product-closed.  It is made read-only, so
+    equality and hashing by its bytes stay valid.  Lagrange is asserted on
+    every construction.  ``generator_indices`` generate the mask and are
+    what the algorithms use; they come from whichever path built the
+    subgroup, so output names it by :meth:`generators` instead.
     """
 
     __slots__ = ("parent", "mask", "order", "generator_indices")
@@ -210,20 +205,6 @@ class Subgroup:
             raise InvariantError(
                 f"subgroup order {self.order} does not divide group order {parent.order}"
             )
-
-    @classmethod
-    def from_mask(cls, parent: GroupTable, mask: np.ndarray) -> "Subgroup":
-        """Build from an untrusted mask: verifies closure, derives generators."""
-        arr = np.array(mask, dtype=np.bool_)
-        if arr.shape != (parent.order,):
-            raise InputError("subgroup mask must have one entry per group element")
-        members = np.flatnonzero(arr)
-        if not arr[0]:
-            raise InputError("subgroup mask must contain the identity")
-        prods = parent.mul[np.ix_(members, members)]
-        if not arr[prods].all():
-            raise InputError("element set is not closed under multiplication")
-        return cls(parent, arr, _greedy_generators(parent.mul, arr)[1])
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
@@ -354,70 +335,11 @@ def as_subgroup(g: Union[GroupTable, Subgroup]) -> Subgroup:
     return g.full_subgroup() if isinstance(g, GroupTable) else g
 
 
-def subgroup_generated(g: GroupTable, seed: Iterable[int]) -> Subgroup:
-    """Least subgroup containing the given element indices."""
-    seed_arr = np.zeros(g.order, np.bool_)
-    for i in seed:
-        i = int(i)
-        if not 0 <= i < g.order:
-            raise InputError(f"element index {i} out of range 0..{g.order - 1}")
-        seed_arr[i] = True
-    closed, gens = _greedy_generators(g.mul, seed_arr)
-    return Subgroup(g, closed, gens)
-
-
 def is_normal_mask(g: GroupTable, member_arr: np.ndarray, conj_gen_indices: Sequence[int]) -> bool:
     """True when the member set is stable under conjugation by the given
     generators (equivalently, by the group they generate)."""
-    members = np.flatnonzero(member_arr)
-    for ci in conj_gen_indices:
-        conj = g.mul[g.mul[g.inv[ci], members], ci]
-        if not member_arr[conj].all():
-            return False
-    return True
-
-
-class QuotientMap(NamedTuple):
-    group: GroupTable
-    projection: np.ndarray  # element index -> quotient element index
-
-
-def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
-    """Quotient acting on right cosets by right multiplication (a bijection
-    by construction, so the coset permutations are not re-checked).
-
-    Coset representatives are the least element index in each coset; each
-    element's image is found by looking up its coset row among the
-    quotient's rows, and the projection is verified to be a homomorphism
-    with kernel exactly ``n_sub``.
-    """
-    if n_sub.parent is not g:
-        raise InputError("subgroup belongs to a different group")
-    arr = n_sub.mask
-    if not is_normal_mask(g, arr, g.gen_indices):
-        raise InputError("cannot form the quotient: subgroup is not normal")
-    members = np.flatnonzero(arr)
-    coset_id = np.full(g.order, -1, dtype=np.int64)
-    reps: list[int] = []
-    for x in range(g.order):
-        if coset_id[x] < 0:
-            coset_id[g.mul[members, x]] = len(reps)
-            reps.append(x)
-    m = len(reps)
-    # coset_rows[x, r]: the coset of reps[r] * x, the image of point r under x
-    coset_rows = coset_id.astype(_row_dtype(m))[g.mul[reps].T]
-    qgens = [Permutation._trusted(tuple((coset_rows[i] + 1).tolist())) for i in g.gen_indices]
-    quotient = close_generators(m, qgens, order_bound=m)
-    if quotient.order != m:
-        raise InvariantError("quotient order does not equal the subgroup index")
-    projection = _lookup(quotient.rows, quotient.row_order, coset_rows)
-    for i in g.gen_indices:
-        for j in g.gen_indices:
-            if projection[g.mul[i, j]] != quotient.mul[projection[i], projection[j]]:
-                raise InvariantError("quotient projection is not a homomorphism")
-    if ((projection == 0) != arr).any():
-        raise InvariantError("quotient kernel differs from the given subgroup")
-    return QuotientMap(quotient, projection)
+    conjugators = _kernels.conjugation_maps(g.mul, g.inv, conj_gen_indices)
+    return all(member_arr[conj[member_arr]].all() for conj in conjugators)
 
 
 def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -480,26 +402,15 @@ def exponent(g: Union[GroupTable, Subgroup]) -> int:
     return int(np.lcm.reduce(orders))
 
 
-def centralizer(g: GroupTable, s: Subgroup) -> Subgroup:
-    """Elements commuting with every member of s."""
-    return centralizer_mod(g, s, g.trivial_subgroup())
-
-
-def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
-    """C_G(H/K) = {x : [x, h] in K for all h in H}; requires K normal in G
-    and K <= H."""
-    mask_arr = _centralizer_mod_mask(g, h, k)
-    return Subgroup(g, mask_arr, _greedy_generators(g.mul, mask_arr)[1])
-
-
 def _centralizer_mod_mask(g: GroupTable, h: Subgroup, k: Subgroup) -> np.ndarray:
-    """The member mask of ``centralizer_mod(g, h, k)``, without generators:
-    the x with [x, h] in K for every h generating H, which suffices because
-    K is normal, so the condition extends from generators to all of H."""
+    """The member mask of C_G(H/K) = {x : [x, h] in K for all h in H};
+    requires K normal in G and K <= H.  It is the x with [x, h] in K for
+    every h generating H, which suffices because K is normal, so the
+    condition extends from generators to all of H."""
     if not h.contains(k):
-        raise InputError("centralizer_mod requires K <= H")
+        raise InputError("the centralizer of H/K requires K <= H")
     if not is_normal_mask(g, k.mask, g.gen_indices):
-        raise InputError("centralizer_mod requires K normal in the group")
+        raise InputError("the centralizer of H/K requires K normal in the group")
     ok = np.ones(g.order, np.bool_)
     every = np.arange(g.order, dtype=np.int64)
     for hg in h.generator_indices:

@@ -41,9 +41,7 @@ __all__ = [
     "Lattice",
     "ChiefFactor",
     "all_subgroups",
-    "is_normal",
     "normal_subgroups",
-    "maximal_subgroups",
     "minimal_normal_subgroups",
     "frattini",
     "chief_series",
@@ -159,9 +157,9 @@ class Lattice:
         """Member i is normal in ``top`` when conjugating its mask by each
         generator of the top gives the mask back: one take per generator."""
         if self._normal is None:
-            m = self.matrix
+            g, m = self.parent, self.matrix
             flags = np.ones(len(m), np.bool_)
-            for conj in _conjugators(self.parent, self.top.generator_indices):
+            for conj in _kernels.conjugation_maps(g.mul, g.inv, self.top.generator_indices):
                 flags &= (m[:, conj] == m).all(axis=1)
             self._normal = flags
         return self._normal
@@ -170,7 +168,8 @@ class Lattice:
         """Conjugacy class of each member under ``top``, numbered 0, 1, ...
         in order of each class's first member."""
         if self._class_ids is None:
-            conjugators = _conjugators(self.parent, self.top.generator_indices)
+            g = self.parent
+            conjugators = _kernels.conjugation_maps(g.mul, g.inv, self.top.generator_indices)
             ids = [-1] * len(self.subgroups)
             count = 0
             for i, row in enumerate(self.matrix):
@@ -211,12 +210,6 @@ def _cyclic_masks(g: GroupTable) -> tuple[list[tuple[np.ndarray, int]], np.ndarr
         arr[powers] = True
         out.append((arr, i))
     return out, ids
-
-
-def _conjugators(g: GroupTable, gens: Sequence[int]) -> list[np.ndarray]:
-    """conj[x] = s^-1 x s for each s in gens; scattering a mask through conj
-    conjugates the subgroup by s (no n x n table)."""
-    return [g.mul[g.mul[g.inv[s]], s] for s in gens]
 
 
 def _class_of(
@@ -287,7 +280,7 @@ def all_subgroups(g: GroupTable) -> Lattice:
     elements = np.arange(n)
     cyclics, cyclic_id = _cyclic_masks(g)
     cyclic_gens = np.array([gen for _, gen in cyclics], np.intp)
-    conjugators = _conjugators(g, g.gen_indices)
+    conjugators = _kernels.conjugation_maps(mul, inv, g.gen_indices)
 
     trivial = np.zeros(n, np.bool_)
     trivial[0] = True
@@ -338,17 +331,9 @@ def all_subgroups(g: GroupTable) -> Lattice:
     return Lattice(g, g.full_subgroup(), subgroups, _class_ids=class_ids)
 
 
-def is_normal(lat: Lattice, s: Subgroup) -> bool:
-    return bool(lat.normal_flags()[lat.index_of(s)])
-
-
 def normal_subgroups(lat: Lattice) -> list[Subgroup]:
     flags = lat.normal_flags()
     return [s for i, s in enumerate(lat.subgroups) if flags[i]]
-
-
-def maximal_subgroups(lat: Lattice) -> list[Subgroup]:
-    return [lat.subgroups[i] for i in lat.maximal_indices()]
 
 
 def minimal_normal_subgroups(lat: Lattice) -> list[Subgroup]:
@@ -371,14 +356,17 @@ def frattini(lat: Lattice) -> Subgroup:
 
 
 def chief_series(lat: Lattice) -> list[ChiefFactor]:
-    """One maximal chain of normal-in-top subgroups, least eligible first."""
+    """One maximal chain of normal-in-top subgroups: from each term, the
+    normal member of least order above it (the first such in lattice order),
+    so no normal subgroup lies strictly between two terms whatever the
+    order of the members."""
     flags, contains, orders = lat.normal_flags(), lat.containment, lat.orders
     current = lat.index_of(lat.parent.trivial_subgroup())
     top = lat.top_index()
     factors: list[ChiefFactor] = []
     while current != top:
-        # least order first => no normal subgroup strictly between
-        nxt = int(np.flatnonzero(flags & contains[current] & (orders > orders[current]))[0])
+        above = np.flatnonzero(flags & contains[current] & (orders > orders[current]))
+        nxt = int(above[np.argmin(orders[above])])
         ratio = int(orders[nxt] // orders[current])
         factors.append(ChiefFactor(lat.subgroups[current], lat.subgroups[nxt], ratio, prime_divisors(ratio)))
         current = nxt

@@ -7,7 +7,6 @@ that convention.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterator
 
 from .errors import InputError
@@ -19,7 +18,6 @@ __all__ = [
     "inverse",
     "power",
     "commutator",
-    "order_of",
     "parse_cycles",
     "format_cycles",
 ]
@@ -118,11 +116,6 @@ def inverse(a: Permutation) -> Permutation:
     for i, v in enumerate(a.images):
         inv[v - 1] = i + 1
     return Permutation(inv)
-
-
-def order_of(a: Permutation) -> int:
-    """Least m >= 1 with a^m = identity; the lcm of the cycle lengths."""
-    return lcm(1, *(len(c) for c in a.cycles()))
 
 
 def power(a: Permutation, e: int) -> Permutation:

@@ -1,6 +1,5 @@
-"""Class-membership tests for the auxiliary group classes: abelian, cyclic,
-primary, soluble, nilpotent, supersoluble, Sylow tower of supersoluble type,
-and the local class "soluble of exponent dividing p-1".
+"""Class-membership tests for the auxiliary group classes: cyclic, primary,
+nilpotent, supersoluble, and Sylow tower of supersoluble type.
 
 Supersolubility is judged by Huppert's theorem on the members of a
 subgroup lattice, and the Sylow-tower test works on masks of the group
@@ -21,32 +20,20 @@ from .groups import (
     Subgroup,
     _powers,
     as_subgroup,
-    derived_series,
-    exponent,
     lower_central_series,
 )
 from .lattice import Lattice
-from .primes import is_prime, p_part, prime_divisors
+from .primes import p_part, prime_divisors
 
 __all__ = [
-    "is_abelian",
     "is_cyclic",
     "is_primary",
-    "is_soluble",
     "is_nilpotent",
     "is_supersoluble",
     "has_sylow_tower_sst",
-    "in_f_p",
 ]
 
 GroupLike = Union[GroupTable, Subgroup]
-
-
-def is_abelian(g: GroupLike) -> bool:
-    sub = as_subgroup(g)
-    mul = sub.parent.mul
-    gens = sub.generator_indices
-    return all(mul[a, b] == mul[b, a] for a in gens for b in gens)
 
 
 def is_cyclic(g: GroupLike) -> bool:
@@ -61,10 +48,6 @@ def is_primary(g: GroupLike) -> bool:
     """Order is a power of a single prime; the trivial group does not count."""
     order = as_subgroup(g).order
     return order > 1 and len(prime_divisors(order)) == 1
-
-
-def is_soluble(g: GroupLike) -> bool:
-    return derived_series(g)[-1].order == 1
 
 
 def is_nilpotent(g: GroupLike) -> bool:
@@ -122,10 +105,3 @@ def _sylow_tower_impl(g: GroupTable) -> tuple[bool, int | None]:
             return False, p
         below = above
     return True, None
-
-
-def in_f_p(g: GroupTable, p: int) -> bool:
-    """Soluble with exponent dividing p-1; contains the trivial group."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    return is_soluble(g) and (p - 1) % exponent(g) == 0

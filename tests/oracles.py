@@ -22,29 +22,127 @@ subgroup extended by every cyclic subgroup, closed by frontier x members
 products), whose members' generators come from their masks alone, and
 ``sequential_extension_oracle`` (one ``close_mask`` call per seed, before
 seeds were closed a wave per call), which pins masks, class ids and edges.
+
+Reference code that no command needs lives here too, on the package's
+tables: ``quotient_by`` (the quotient group table on right cosets, with its
+projection), ``subgroup_from_mask`` (an untrusted mask checked for closure),
+``centralizer_mod`` (C_G(H/K) with generators, from the package's mask),
+``is_soluble`` and ``in_f_p`` (the class f(p) of soluble groups of exponent
+dividing p - 1), and ``order_of`` (a permutation's order from its cycles).
 """
 
 from __future__ import annotations
 
+from math import lcm
+from typing import NamedTuple
+
 import numpy as np
 
-from formationlab import _kernels, perms
+from formationlab import _kernels
+from formationlab.errors import InputError, InvariantError
 from formationlab.groups import (
     GroupTable,
     Subgroup,
+    _centralizer_mod_mask,
+    _greedy_generators,
+    _lookup,
+    _row_dtype,
     as_subgroup,
-    centralizer_mod,
+    close_generators,
+    derived_series,
     exponent,
-    quotient_by,
+    is_normal_mask,
 )
-from formationlab.lattice import Lattice, _class_of, _conjugators, _cyclic_masks, chief_series
-from formationlab.predicates import _check_lattice, in_f_p
+from formationlab.lattice import Lattice, _class_of, _cyclic_masks, chief_series
+from formationlab.perms import Permutation
+from formationlab.predicates import _check_lattice
 from formationlab.primes import is_prime, p_part, prime_divisors
 
 
 def mask_int(arr: np.ndarray) -> int:
     """A bool element mask as an int bitmask, bit i for element i."""
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def order_of(a: Permutation) -> int:
+    """Least m >= 1 with a^m = identity; the lcm of the cycle lengths."""
+    return lcm(1, *(len(c) for c in a.cycles()))
+
+
+def subgroup_from_mask(parent: GroupTable, mask) -> Subgroup:
+    """The subgroup with an untrusted mask: verifies closure, derives
+    generators."""
+    arr = np.array(mask, dtype=np.bool_)
+    if arr.shape != (parent.order,):
+        raise InputError("subgroup mask must have one entry per group element")
+    members = np.flatnonzero(arr)
+    if not arr[0]:
+        raise InputError("subgroup mask must contain the identity")
+    prods = parent.mul[np.ix_(members, members)]
+    if not arr[prods].all():
+        raise InputError("element set is not closed under multiplication")
+    return Subgroup(parent, arr, _greedy_generators(parent.mul, arr)[1])
+
+
+def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
+    """C_G(H/K) = {x : [x, h] in K for all h in H}, with generators;
+    requires K normal in G and K <= H."""
+    mask = _centralizer_mod_mask(g, h, k)
+    return Subgroup(g, mask, _greedy_generators(g.mul, mask)[1])
+
+
+class QuotientMap(NamedTuple):
+    group: GroupTable
+    projection: np.ndarray  # element index -> quotient element index
+
+
+def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
+    """Quotient acting on right cosets by right multiplication (a bijection
+    by construction, so the coset permutations are not re-checked).
+
+    Coset representatives are the least element index in each coset; each
+    element's image is found by looking up its coset row among the
+    quotient's rows, and the projection is verified to be a homomorphism
+    with kernel exactly ``n_sub``.
+    """
+    if n_sub.parent is not g:
+        raise InputError("subgroup belongs to a different group")
+    arr = n_sub.mask
+    if not is_normal_mask(g, arr, g.gen_indices):
+        raise InputError("cannot form the quotient: subgroup is not normal")
+    members = np.flatnonzero(arr)
+    coset_id = np.full(g.order, -1, dtype=np.int64)
+    reps: list[int] = []
+    for x in range(g.order):
+        if coset_id[x] < 0:
+            coset_id[g.mul[members, x]] = len(reps)
+            reps.append(x)
+    m = len(reps)
+    # coset_rows[x, r]: the coset of reps[r] * x, the image of point r under x
+    coset_rows = coset_id.astype(_row_dtype(m))[g.mul[reps].T]
+    qgens = [Permutation._trusted(tuple((coset_rows[i] + 1).tolist())) for i in g.gen_indices]
+    quotient = close_generators(m, qgens, order_bound=m)
+    if quotient.order != m:
+        raise InvariantError("quotient order does not equal the subgroup index")
+    projection = _lookup(quotient.rows, quotient.row_order, coset_rows)
+    for i in g.gen_indices:
+        for j in g.gen_indices:
+            if projection[g.mul[i, j]] != quotient.mul[projection[i], projection[j]]:
+                raise InvariantError("quotient projection is not a homomorphism")
+    if ((projection == 0) != arr).any():
+        raise InvariantError("quotient kernel differs from the given subgroup")
+    return QuotientMap(quotient, projection)
+
+
+def is_soluble(g) -> bool:
+    return derived_series(g)[-1].order == 1
+
+
+def in_f_p(g: GroupTable, p: int) -> bool:
+    """Soluble with exponent dividing p-1; contains the trivial group."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    return is_soluble(g) and (p - 1) % exponent(g) == 0
 
 
 def restrict(lat: Lattice, h: Subgroup) -> Lattice:
@@ -115,7 +213,7 @@ def cayley_oracle(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a then b maps i to b(a(i)): row a of the table composes every b after a
     mul = np.array([lookup(rows[:, rows[a]]) for a in range(g.order)], dtype=np.int32)
     inv = np.array(lookup(np.argsort(rows, axis=1)), dtype=np.int32)
-    orders = np.array([perms.order_of(a) for a in elements], dtype=np.int64)
+    orders = np.array([order_of(a) for a in elements], dtype=np.int64)
     return mul, inv, orders
 
 
@@ -200,7 +298,7 @@ def cyclic_extension_oracle(g: GroupTable) -> Lattice:
                     fresh.append(closed)
         frontier = fresh
     arrs = sorted(found.values(), key=lambda arr: (int(arr.sum()), mask_int(arr)))
-    return Lattice(g, g.full_subgroup(), [Subgroup.from_mask(g, arr) for arr in arrs])
+    return Lattice(g, g.full_subgroup(), [subgroup_from_mask(g, arr) for arr in arrs])
 
 
 def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
@@ -215,7 +313,7 @@ def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
     elements = np.arange(n)
     cyclics, cyclic_id = _cyclic_masks(g)
     cyclic_gens = np.array([gen for _, gen in cyclics], np.intp)
-    conjugators = _conjugators(g, g.gen_indices)
+    conjugators = _kernels.conjugation_maps(mul, inv, g.gen_indices)
 
     trivial = np.zeros(n, np.bool_)
     trivial[0] = True
@@ -356,7 +454,8 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
     chief = []
     current = masks.index(1)
     while current != top:
-        nxt = next(k for k in range(count) if normal[k] and orders[k] > orders[current] and inside(current, k))
+        above = [k for k in range(count) if normal[k] and orders[k] > orders[current] and inside(current, k)]
+        nxt = min(above, key=lambda k: orders[k])
         chief.append((current, nxt))
         current = nxt
     supersoluble = []
@@ -404,7 +503,7 @@ def sylow_tower_oracle(g: GroupTable) -> tuple[bool, str | None]:
         arr = part % work.elem_orders == 0
         if int(arr.sum()) != part:
             return False, f"Sylow {p}-subgroup is not normal at its tower level"
-        work = quotient_by(work, Subgroup.from_mask(work, arr)).group
+        work = quotient_by(work, subgroup_from_mask(work, arr)).group
     return True, None
 
 

@@ -23,8 +23,7 @@ from formationlab.checkers import (
 )
 from formationlab.cli import main
 from formationlab.corpus import build_group, standard_corpus
-from formationlab.groups import quotient_by
-from formationlab.lattice import all_subgroups, frattini, normal_subgroups
+from formationlab.lattice import all_subgroups, frattini, normal_subgroups, p_reachable
 from formationlab.perms import format_cycles, parse_cycles
 from formationlab.predicates import is_nilpotent, is_supersoluble
 
@@ -36,6 +35,7 @@ from oracles import (
     is_supersoluble_chief,
     mask_int,
     p_subnormal_oracle,
+    quotient_by,
     restrict,
 )
 
@@ -168,10 +168,8 @@ def test_criterion_5_oracle_equivalences(corpus_specs):
         if is_nilpotent(g) != is_nilpotent_sylow(g):
             failures.append(f"{spec.name}: nilpotency algorithms")
         memo: dict = {}
-        from formationlab.checkers import is_p_subnormal
-
         for h in lat.subgroups:
-            if is_p_subnormal(lat, h) != p_subnormal_oracle(lat, h, memo):
+            if p_reachable(lat, h) != p_subnormal_oracle(lat, h, memo):
                 failures.append(f"{spec.name}: subnormality of order-{h.order}")
                 break
     _verdict(

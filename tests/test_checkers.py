@@ -2,9 +2,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from formationlab.checkers import (
+    PREDICATE_KEYS,
     BrandlState,
     _condition_lf_impl,
     _sylow_tower_witness,
@@ -15,7 +17,6 @@ from formationlab.checkers import (
     condition_b_subgroups,
     condition_lf_f,
     condition_x,
-    is_p_subnormal,
 )
 from formationlab.corpus import (
     alternating,
@@ -26,24 +27,30 @@ from formationlab.corpus import (
     order294_candidate,
     order75_witness,
     standard_corpus,
+    symmetric,
 )
 from formationlab.errors import InputError
-from formationlab.groups import GroupTable, subgroup_generated
-from formationlab.lattice import Lattice, all_subgroups, chief_series
+from formationlab.groups import GroupTable
+from formationlab.lattice import (
+    Lattice,
+    all_subgroups,
+    chief_series,
+    frattini,
+    minimal_normal_subgroups,
+    p_reachable,
+)
 from formationlab.perms import format_cycles, identity, parse_cycles, power
+from formationlab.predicates import has_sylow_tower_sst, is_supersoluble
 
-from conftest import group_of
+from conftest import golden_verdicts, group_of, sub_of
 from oracles import (
     condition_b_law_opposite,
     condition_lf_oracle,
     cyclic_extension_oracle,
     p_subnormal_oracle,
+    quotient_by,
     sylow_tower_oracle,
 )
-
-
-def sub_of(g, *texts):
-    return subgroup_generated(g, [g.index_of(parse_cycles(t, g.degree)) for t in texts])
 
 
 class TestWordIteration:
@@ -84,16 +91,16 @@ class TestWordIteration:
 class TestPSubnormal:
     def test_whole_group(self, a4):
         lat = all_subgroups(a4)
-        assert is_p_subnormal(lat, a4.full_subgroup())
+        assert p_reachable(lat, a4.full_subgroup())
 
     def test_order_two_in_a4_via_klein(self, a4):
         lat = all_subgroups(a4)
         h = sub_of(a4, "(1 2)(3 4)")
-        assert is_p_subnormal(lat, h)
+        assert p_reachable(lat, h)
 
     def test_c3_in_a4_fails(self, a4):
         lat = all_subgroups(a4)
-        assert not is_p_subnormal(lat, sub_of(a4, "(1 2 3)"))
+        assert not p_reachable(lat, sub_of(a4, "(1 2 3)"))
 
     @pytest.mark.parametrize("maker", [
         lambda: group_of(3, "(1 2)", "(1 2 3)"),
@@ -108,7 +115,7 @@ class TestPSubnormal:
         lat = all_subgroups(g)
         memo = {}
         for h in lat.subgroups:
-            assert is_p_subnormal(lat, h) == p_subnormal_oracle(lat, h, memo)
+            assert p_reachable(lat, h) == p_subnormal_oracle(lat, h, memo)
 
 
 class TestConditions:
@@ -117,8 +124,6 @@ class TestConditions:
         assert not condition_x(a4, all_subgroups(a4))
 
     def test_condition_x_on_supersoluble_groups(self):
-        from formationlab.predicates import is_supersoluble
-
         for maker in (lambda: build_group(dihedral(5)), lambda: build_group(cyclic(12)),
                       lambda: group_of(3, "(1 2)", "(1 2 3)")):
             g = maker()
@@ -156,10 +161,6 @@ class TestFormationClosure:
     def test_two_minimal_normals_with_trivial_intersection(self):
         # if G/N1 and G/N2 both satisfy the chain condition and N1 meets N2
         # trivially, G embeds in the product of the quotients and must too
-        from formationlab.corpus import direct_product, symmetric, cyclic
-        from formationlab.groups import quotient_by
-        from formationlab.lattice import minimal_normal_subgroups
-
         makers = [
             lambda: group_of(6, "(1 2 3 4 5 6)"),
             lambda: group_of(4, "(1 2)(3 4)", "(1 3)(2 4)"),
@@ -181,6 +182,58 @@ class TestFormationClosure:
                         exercised += 1
                         assert condition_x(g, all_subgroups(g))
         assert exercised >= 3
+
+    @pytest.mark.parametrize("n, report", [(4, "standard.tsv"), (5, "standard.tsv"), (6, "s6.tsv")])
+    def test_census_reports_are_subgroup_closed(self, n, report):
+        # every verdict column names a subgroup-closed class, so K true and
+        # H <= K must give H true; the census holds every subgroup H of S_n
+        verdicts = golden_verdicts(report)
+        lat = all_subgroups(build_group(symmetric(n)))
+        names = [f"S{n}-sub{i:03d}-o{s.order}" for i, s in enumerate(lat.subgroups)]
+        table = np.array([[verdicts[name][key] for key in PREDICATE_KEYS] for name in names])
+        checked = 0
+        for column, key in enumerate(PREDICATE_KEYS):
+            held = table[:, column]
+            checked += int((lat.containment & held[None, :]).sum())
+            escaped = np.argwhere(lat.containment & ~held[:, None] & held[None, :])
+            assert not escaped.size, (key, [(names[h], names[k]) for h, k in escaped[:3]])
+        assert checked == {4: 660, 5: 4_980, 6: 72_690}[n]  # (column, H <= K) with K true
+
+    def test_standard_report_is_quotient_closed_and_saturated(self):
+        # U, X, B (the word law) and D are saturated formations: G in F gives
+        # G/N in F for each minimal normal N, and G/Phi(G) is in F iff G is
+        def verdicts_of(q):
+            lat = all_subgroups(q)
+            return {
+                "supersoluble": is_supersoluble(q, lat),
+                "cond_x": condition_x(q, lat),
+                "cond_b_law": condition_b_law(q),
+                "sylow_tower": has_sylow_tower_sst(q),
+            }
+
+        golden = golden_verdicts("standard.tsv")
+        violations = []
+        saturation_checks = quotient_checks = 0
+        for spec in standard_corpus():
+            g = build_group(spec)
+            lat = all_subgroups(g)
+            verdicts = golden[spec.name]
+            phi = frattini(lat)
+            if phi.order > 1:
+                for key, held in verdicts_of(quotient_by(g, phi).group).items():
+                    saturation_checks += 1
+                    if held != verdicts[key]:
+                        violations.append(f"{spec.name}: {key} of G/Phi(G) is {held}")
+            for n in minimal_normal_subgroups(lat):
+                if n.order == g.order:
+                    continue  # G/G is trivial and in every class
+                for key, held in verdicts_of(quotient_by(g, n).group).items():
+                    if verdicts[key]:
+                        quotient_checks += 1
+                        if not held:
+                            violations.append(f"{spec.name}: {key} fails on G/N, |N| = {n.order}")
+        assert not violations, violations[:5]
+        assert (saturation_checks, quotient_checks) == (548, 1_872)
 
 
 class TestClassify:

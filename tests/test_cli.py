@@ -11,24 +11,23 @@ from formationlab.corpus import (
     cyclic,
     dihedral,
     order75_witness,
-    save_group,
     symmetric,
 )
 
-from conftest import changed_rows
+from conftest import changed_rows, write_group
 
 
 @pytest.fixture()
 def s3_file(tmp_path):
     path = tmp_path / "s3.group"
-    save_group(symmetric(3), path)
+    write_group(symmetric(3), path)
     return str(path)
 
 
 @pytest.fixture()
 def a4_file(tmp_path):
     path = tmp_path / "a4.group"
-    save_group(alternating(4), path)
+    write_group(alternating(4), path)
     return str(path)
 
 
@@ -37,7 +36,7 @@ def small_corpus_dir(tmp_path):
     directory = tmp_path / "corpus"
     directory.mkdir()
     for spec in (cyclic(6), symmetric(3), alternating(4), dihedral(4), symmetric(4)):
-        save_group(spec, directory / f"{spec.name}.group")
+        write_group(spec, directory / f"{spec.name}.group")
     return str(directory)
 
 
@@ -73,7 +72,7 @@ class TestCheck:
 
     def test_resource_bound_exit_3(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "s5.group"
-        save_group(symmetric(5), path)
+        write_group(symmetric(5), path)
         monkeypatch.setenv("FORMATIONLAB_MAX_ORDER", "50")
         assert main(["check", str(path)]) == 3
         assert "50" in capsys.readouterr().err
@@ -188,7 +187,7 @@ class TestVerify:
 
         for spec in (cyclic(2), cyclic(9), cyclic(12), direct_product(cyclic(2), cyclic(2)),
                      direct_product(cyclic(4), cyclic(6))):
-            save_group(spec, directory / f"{spec.name}.group")
+            write_group(spec, directory / f"{spec.name}.group")
         report = tmp_path / "out.tsv"
         assert main(["verify", "--corpus", str(directory), "--report", str(report)]) == 0
         for line in report.read_text().splitlines()[1:]:
@@ -215,7 +214,7 @@ class TestWitness:
         directory = tmp_path / "corpus"
         directory.mkdir()
         for spec in (symmetric(3), cyclic(10), order75_witness()):
-            save_group(spec, directory / f"{spec.name.replace(':', '_')}.group")
+            write_group(spec, directory / f"{spec.name.replace(':', '_')}.group")
         assert main(["witness", "--in", "D", "--notin", "X", "--corpus", str(directory)]) == 0
         out = capsys.readouterr().out
         assert "order 75" in out
@@ -251,12 +250,12 @@ class TestLattice:
 
     def test_c8_chain(self, tmp_path, capsys):
         path = tmp_path / "c8.group"
-        save_group(cyclic(8), path)
+        write_group(cyclic(8), path)
         assert main(["lattice", str(path)]) == 0
         assert "subgroups: 4" in capsys.readouterr().out
 
     def test_s4_conjugacy_classes(self, tmp_path, capsys):
         path = tmp_path / "s4.group"
-        save_group(symmetric(4), path)
+        write_group(symmetric(4), path)
         assert main(["lattice", str(path)]) == 0
         assert "subgroups: 30  conjugacy classes: 11" in capsys.readouterr().out

@@ -13,14 +13,13 @@ from formationlab.corpus import (
 )
 import numpy as np
 
-from formationlab.groups import Subgroup, subgroup_generated
+from formationlab.checkers import condition_lf_f
+from formationlab.groups import Subgroup
 from formationlab.lattice import (
     Lattice,
     all_subgroups,
     chief_series,
     frattini,
-    is_normal,
-    maximal_subgroups,
     minimal_normal_subgroups,
     normal_subgroups,
     p_reachable,
@@ -30,20 +29,17 @@ from formationlab.perms import parse_cycles
 from formationlab.predicates import is_supersoluble
 from formationlab.primes import p_part, prime_divisors
 
-from conftest import group_of
+from conftest import group_of, sub_of, subgroup_generated
 from oracles import (
     all_subgroups_oracle,
     cyclic_extension_oracle,
+    is_soluble,
     lattice_bookkeeping_oracle,
     mask_int,
     restrict,
     sequential_extension_oracle,
     subgroup_classes_oracle,
 )
-
-
-def sub_of(g, *texts):
-    return subgroup_generated(g, [g.index_of(parse_cycles(t, g.degree)) for t in texts])
 
 
 class TestEnumeration:
@@ -170,7 +166,7 @@ class TestNormalAndMaximal:
 
     def test_maximal_subgroups_s3(self, s3):
         lat = all_subgroups(s3)
-        assert sorted(s.order for s in maximal_subgroups(lat)) == [2, 2, 2, 3]
+        assert sorted(lat.orders[list(lat.maximal_indices())].tolist()) == [2, 2, 2, 3]
 
     def test_normal_subgroups_s4(self, s4):
         lat = all_subgroups(s4)
@@ -178,8 +174,8 @@ class TestNormalAndMaximal:
 
     def test_is_normal_examples(self, s3):
         lat = all_subgroups(s3)
-        assert is_normal(lat, sub_of(s3, "(1 2 3)"))
-        assert not is_normal(lat, sub_of(s3, "(1 2)"))
+        assert lat.normal_flags()[lat.index_of(sub_of(s3, "(1 2 3)"))]
+        assert not lat.normal_flags()[lat.index_of(sub_of(s3, "(1 2)"))]
 
 
 class TestBookkeeping:
@@ -223,7 +219,7 @@ class TestFrattini:
     def test_frattini_is_normal(self, a4, s4):
         for g in (a4, s4):
             lat = all_subgroups(g)
-            assert is_normal(lat, frattini(lat))
+            assert lat.normal_flags()[lat.index_of(frattini(lat))]
 
 
 class TestChiefSeries:
@@ -248,8 +244,6 @@ class TestChiefSeries:
             assert f.primes == prime_divisors(f.order)
 
     def test_soluble_groups_have_prime_power_chief_factors(self, s4, q8, c6):
-        from formationlab.predicates import is_soluble
-
         for maker in (lambda: build_group(dihedral(12)), lambda: build_group(quaternion_generalized(6))):
             g = maker()
             assert is_soluble(g)
@@ -259,6 +253,19 @@ class TestChiefSeries:
             assert is_soluble(g)
             for f in chief_series(all_subgroups(g)):
                 assert len(f.primes) == 1
+
+    @pytest.mark.parametrize("name", ["s3", "s4"])
+    def test_member_order_does_not_change_the_series(self, name, request):
+        # from each term the least-order normal member above it is taken,
+        # so a lattice listing its members largest first gives the same
+        # factors, and cond_lf, which reads them, the same verdict
+        g = request.getfixturevalue(name)
+        lat = all_subgroups(g)
+        reversed_lat = Lattice(g, g.full_subgroup(), reversed(lat.subgroups))
+        orders = [f.order for f in chief_series(lat)]
+        assert orders == {"s3": [3, 2], "s4": [4, 3, 2]}[name]
+        assert [f.order for f in chief_series(reversed_lat)] == orders
+        assert condition_lf_f(g, reversed_lat) == condition_lf_f(g, lat)
 
     def test_insoluble_chief_factor_not_prime_power(self, a5):
         factors = chief_series(all_subgroups(a5))

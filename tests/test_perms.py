@@ -13,10 +13,11 @@ from formationlab.perms import (
     format_cycles,
     identity,
     inverse,
-    order_of,
     parse_cycles,
     power,
 )
+
+from oracles import order_of
 
 
 def perm(text: str, degree: int) -> Permutation:
