@@ -23,9 +23,13 @@ subgroup [H, H], as a normal closure of the commutators of H's generators
 subgroup named in a witness is named by ``Subgroup.generators``, the
 greedy generators of its mask, so the text depends on the group alone.
 
-``cond_lf`` works on the centralizer's member mask C = C_G(H/K) and never
-forms G/C: G/C is soluble iff the last term of G's derived series lies in
-C, and its exponent divides p - 1 iff every x^(p-1) lies in C.
+``classify`` takes one chief series of the lattice and reads two
+predicates off it.  The group is supersoluble iff every chief factor has
+prime order, and the first factor that does not is the witness.
+``cond_lf`` walks the same factors H/K.  It works on the centralizer's
+member mask C = C_G(H/K) and never forms G/C: G/C is soluble iff the last
+term of G's derived series lies in C, and its exponent divides p - 1 iff
+every x^(p-1) lies in C.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .groups import (
     exponent,
 )
 from .lattice import (
+    ChiefFactor,
     Lattice,
     all_subgroups,
     chief_series,
@@ -214,11 +219,10 @@ def condition_b_law(g: GroupTable) -> bool:
     return _condition_b_law_impl(g)[0]
 
 
-def _condition_lf_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
-    _check_lattice(g, lat)
+def _condition_lf_impl(g: GroupTable, series: list[ChiefFactor]) -> tuple[bool, Optional[str]]:
     every = np.arange(g.order)
     residual = None  # the last term of G's derived series, once needed
-    for factor in chief_series(lat):
+    for factor in series:
         cent = _centralizer_mod_mask(g, factor.upper, factor.lower)
         if cent.all():
             continue  # the quotient is trivial and lies in every f(p)
@@ -237,14 +241,16 @@ def _condition_lf_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]
 def condition_lf_f(g: GroupTable, lat: Lattice) -> bool:
     """For every chief factor H/K and every prime p | |H/K|, the quotient by
     the centralizer of H/K is soluble of exponent dividing p - 1."""
-    return _condition_lf_impl(g, lat)[0]
+    _check_lattice(g, lat)
+    return _condition_lf_impl(g, chief_series(lat))[0]
 
 
-def _supersoluble_witness(lat: Lattice) -> Optional[str]:
-    for factor in chief_series(lat):
+def _supersoluble_impl(series: list[ChiefFactor]) -> tuple[bool, Optional[str]]:
+    """Supersoluble iff every chief factor has prime order."""
+    for factor in series:
         if not is_prime(factor.order):
-            return f"chief factor of non-prime order {factor.order}"
-    return None
+            return False, f"chief factor of non-prime order {factor.order}"
+    return True, None
 
 
 PREDICATE_KEYS = (
@@ -289,7 +295,8 @@ class ClassReport:
 
 
 def classify(g: GroupTable, name: str = "") -> ClassReport:
-    """Build the lattice once and evaluate all six predicates.
+    """Build the lattice and one chief series of it once, and evaluate all
+    six predicates; the supersoluble verdict and ``cond_lf`` read the series.
 
     Resource and invariant errors gain the group's name; predicate
     disagreement among the four chain/law/local tests is reported as status
@@ -301,6 +308,7 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
     try:
         start = time.perf_counter()
         lat = all_subgroups(g)
+        series = chief_series(lat)
         times["lattice"] = time.perf_counter() - start
 
         def run(key: str, func) -> None:
@@ -311,12 +319,12 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
             if witness is not None:
                 witnesses[key] = witness
 
-        run("supersoluble", lambda: (is_supersoluble(g, lat), _supersoluble_witness(lat)))
+        run("supersoluble", lambda: _supersoluble_impl(series))
         run("sylow_tower", lambda: _sylow_tower_witness(g))
         run("cond_x", lambda: _condition_x_impl(g, lat))
         run("cond_b_subgroups", lambda: _condition_b_subgroups_impl(g, lat))
         run("cond_b_law", lambda: _condition_b_law_impl(g))
-        run("cond_lf", lambda: _condition_lf_impl(g, lat))
+        run("cond_lf", lambda: _condition_lf_impl(g, series))
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"group {name or '?'}: {exc.raw_message}", exc.bound)
     except InvariantError as exc:

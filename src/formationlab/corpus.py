@@ -229,6 +229,8 @@ def load_group(path) -> GroupSpec:
         elif keyword == "name":
             if not rest:
                 raise InputError(f"line {lineno}: empty name")
+            if "\t" in rest:
+                raise InputError(f"line {lineno}: name {rest!r} contains a tab, the report's field separator")
             name = rest
         elif keyword == "gen":
             try:
@@ -239,6 +241,8 @@ def load_group(path) -> GroupSpec:
             raise InputError(f"line {lineno}: unknown keyword {keyword!r}")
     if degree is None:
         raise InputError("file contains no 'degree' line")
+    if "\t" in name:  # a name line with one has raised already
+        raise InputError(f"file name {path.name!r} contains a tab, the report's field separator")
     return GroupSpec(name, degree, tuple(gens))
 
 

@@ -3,7 +3,8 @@
 A GroupTable carries a deterministic element ordering (identity first), the
 elements as one read-only array of image rows with the argsort that looks a
 row up, the full Cayley table as a numpy array in the smallest index dtype,
-and inverse/order arrays read off the table.
+and its cyclic subgroups, each walked once, from which the element orders
+and inverses are read.
 An element becomes a ``Permutation`` only when asked for (``perm``), for
 witness text, subgroup generators and census specs.  A subgroup is a bool
 mask over element indices (a lattice stacks its members' masks into one
@@ -63,50 +64,64 @@ class GroupTable:
     ``row_order`` sorts the rows, each viewed as one void scalar, so a row
     is found by binary search (``_lookup``).  Row 0 is the identity;
     ``mul[i, j]`` is the index of "element i then element j", int16 while
-    the order is below 2^15 and int32 beyond, and ``inv`` and every index
-    array derived from the table share its dtype.  The ordering is the
-    insertion order of the generator closure, so equal generator sequences
-    give bit-identical tables.  ``perm(i)`` builds element i as a
-    ``Permutation`` when asked.  ``elem_orders`` and ``inv`` come from the
-    table: for each divisor d of the order, in increasing order, the
-    elements not yet resolved are raised to the d-th power by repeated
-    squaring; the order of x is the least d with x^d = 1, and its inverse
-    is x^(order - 1).  Instances are immutable after construction.
+    the order is below 2^15 and int32 beyond, and ``inv``, ``cyclic_id``
+    and every index array derived from the table share its dtype.  The
+    ordering is the insertion order of the generator closure, so equal
+    generator sequences give bit-identical tables.  ``perm(i)`` builds
+    element i as a ``Permutation`` when asked.
+
+    ``elem_orders``, ``inv`` and the cyclic subgroups come from one walk
+    over each cyclic subgroup, started at its least generator x: the powers
+    x, x^2, ..., x^m = 1 give x^k the order m / gcd(k, m) and the inverse
+    x^(m - k), and x^k generates <x> when gcd(k, m) = 1.  ``cyclics`` lists
+    each non-trivial cyclic subgroup once, as (mask, least generator), in
+    order of that generator, and ``cyclic_id[x]`` is the position of <x> in
+    it (-1 for the identity).  Instances are immutable after construction.
     """
 
     __slots__ = (
         "degree",
-        "generators",
         "rows",
         "row_order",
         "order",
         "mul",
         "inv",
         "elem_orders",
+        "cyclics",
+        "cyclic_id",
         "gen_indices",
         "_full",
     )
 
-    def __init__(self, degree, generators, rows, row_order, mul, gen_indices):
-        self.degree = degree
-        self.generators = tuple(generators)
+    def __init__(self, rows, row_order, mul, gen_indices):
+        n, self.degree = rows.shape
+        self.order = n
         self.rows = rows
         self.row_order = row_order
-        self.order = rows.shape[0]
         self.mul = mul
-        self.elem_orders = np.zeros(self.order, np.int64)
-        for d in range(1, self.order + 1):
-            if self.order % d:
+        self.elem_orders = np.ones(n, np.int64)
+        self.inv = np.zeros(n, mul.dtype)
+        self.cyclic_id = np.full(n, -1, mul.dtype)
+        self.cyclics: list[tuple[np.ndarray, int]] = []
+        for i in range(1, n):
+            if self.cyclic_id[i] >= 0:
                 continue
-            pending = np.flatnonzero(self.elem_orders == 0)
-            if not pending.size:
-                break
-            self.elem_orders[pending[_powers(mul, pending, d) == 0]] = d
-        if not self.elem_orders.all():
-            raise InvariantError("an element's powers never reach the identity")
-        every = np.arange(self.order)
-        self.inv = _powers(mul, every, self.elem_orders - 1)
-        if (mul[every, self.inv] != 0).any():
+            powers = [i]  # powers[k - 1] = x^k, ending at the identity
+            while powers[-1] != 0:
+                if len(powers) == n:
+                    raise InvariantError("an element's powers never reach the identity")
+                powers.append(int(mul[powers[-1], i]))
+            powers = np.array(powers)
+            m = len(powers)
+            ks = np.arange(1, m + 1)
+            gcd = np.gcd(ks, m)
+            self.elem_orders[powers] = m // gcd
+            self.inv[powers] = powers[m - 1 - ks]  # x^(m - k); index -1 is x^m = 1
+            self.cyclic_id[powers[gcd == 1]] = len(self.cyclics)
+            arr = np.zeros(n, np.bool_)
+            arr[powers] = True
+            self.cyclics.append((arr, i))
+        if (mul[np.arange(n), self.inv] != 0).any():
             raise InvariantError("an element times its computed inverse is not the identity")
         self.gen_indices = tuple(gen_indices)
         self._full = None
@@ -139,14 +154,13 @@ class GroupTable:
         return f"GroupTable(order={self.order}, degree={self.degree})"
 
 
-def _powers(mul: np.ndarray, xs: np.ndarray, k) -> np.ndarray:
-    """x^k for each x in ``xs`` by repeated squaring; ``k`` is one
-    exponent or one per element."""
-    k = np.full(xs.shape, k, dtype=np.int64)
+def _powers(mul: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
+    """x^k for each x in ``xs`` by repeated squaring."""
     result = np.zeros(xs.shape, mul.dtype)
     base = xs
-    while k.any():
-        result = np.where(k & 1, mul[result, base], result)
+    while k:
+        if k & 1:
+            result = mul[result, base]
         k >>= 1
         base = mul[base, base]
     return result
@@ -328,7 +342,7 @@ def close_generators(
                 reached.append(k)
     if (mul[:, 0] < 0).any():
         raise InvariantError("Cayley table rows not reached from the generators")
-    return GroupTable(degree, gens, rows, order, mul, gen_indices)
+    return GroupTable(rows, order, mul, gen_indices)
 
 
 def as_subgroup(g: Union[GroupTable, Subgroup]) -> Subgroup:

@@ -21,7 +21,8 @@ it.  Containment between members is stored data, as in Cannon, Cox and
 Holt: one boolean product of the matrix with its complement, computed once
 per lattice, from which the prime-index edges, maximal subgroups,
 minimal normal subgroups, chief series and Huppert's supersolubility test
-are read.
+are read.  Normality in the top is read off the class ids: a normal member
+is a class of one.
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ class Lattice:
     in member j: one boolean product, since i lies in j iff no element of i
     is outside j; construction checks that every contained pair obeys
     Lagrange.  ``up_edges[i]`` lists the lattice indices j with
-    subgroups[i] < subgroups[j] at prime index.  Normality in ``top`` and
-    conjugacy-class ids under ``top`` are computed lazily and cached.
+    subgroups[i] < subgroups[j] at prime index.  Conjugacy-class ids under
+    ``top`` come with the enumerated lattice, or are computed by the orbit
+    algorithm when first asked for and cached; a member is normal in
+    ``top`` when its class has no other member.
     """
 
     __slots__ = (
@@ -87,7 +90,6 @@ class Lattice:
         "containment",
         "up_edges",
         "_index",
-        "_normal",
         "_class_ids",
     )
 
@@ -113,7 +115,6 @@ class Lattice:
             raise InvariantError("lattice must contain the trivial subgroup and the top")
         self.containment = ~(matrix @ ~matrix.T)
         self.containment.flags.writeable = False
-        self._normal: np.ndarray | None = None
         self._class_ids = _class_ids
         self.up_edges = self._build_edges()
 
@@ -154,15 +155,10 @@ class Lattice:
     # -- normality (relative to top) ------------------------------------
 
     def normal_flags(self) -> np.ndarray:
-        """Member i is normal in ``top`` when conjugating its mask by each
-        generator of the top gives the mask back: one take per generator."""
-        if self._normal is None:
-            g, m = self.parent, self.matrix
-            flags = np.ones(len(m), np.bool_)
-            for conj in _kernels.conjugation_maps(g.mul, g.inv, self.top.generator_indices):
-                flags &= (m[:, conj] == m).all(axis=1)
-            self._normal = flags
-        return self._normal
+        """Member i is normal in ``top`` when it is alone in its conjugacy
+        class under ``top``."""
+        ids = np.array(self.class_ids())
+        return np.bincount(ids)[ids] == 1
 
     def class_ids(self) -> tuple[int, ...]:
         """Conjugacy class of each member under ``top``, numbered 0, 1, ...
@@ -187,29 +183,6 @@ class Lattice:
         # the members other than i and the top that i lies in; -1 for the top
         over = self.containment.sum(axis=1) - 1 - self.containment[:, top]
         return tuple(np.flatnonzero(over == 0).tolist())
-
-
-def _cyclic_masks(g: GroupTable) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
-    """One mask per cyclic subgroup, with its least generator index, and
-    each element's cyclic-subgroup id: the position of <x> in that list (-1
-    for the identity).  The generators of <x> are the x^k with
-    gcd(k, |x|) = 1, so each cyclic subgroup is walked once."""
-    n = g.order
-    ids = np.full(n, -1, g.mul.dtype)
-    out: list[tuple[np.ndarray, int]] = []
-    for i in range(1, n):
-        if ids[i] >= 0:
-            continue
-        powers = [i]  # powers[k - 1] = x^k, ending at the identity
-        while powers[-1] != 0:
-            powers.append(int(g.mul[powers[-1], i]))
-        powers = np.array(powers)
-        ks = np.arange(1, len(powers) + 1)
-        ids[powers[np.gcd(ks, len(powers)) == 1]] = len(out)
-        arr = np.zeros(n, np.bool_)
-        arr[powers] = True
-        out.append((arr, i))
-    return out, ids
 
 
 def _class_of(
@@ -263,7 +236,7 @@ def all_subgroups(g: GroupTable) -> Lattice:
     The representative H is extended by one cyclic subgroup per orbit of
     its normaliser N_G(H): for x in N_G(H), <H, c^x> = <H, c>^x is in the
     class that <H, c> brought.  The one closed is the orbit's least in
-    ``_cyclic_masks`` order, the first that extending by every cyclic
+    ``GroupTable.cyclics`` order, the first that extending by every cyclic
     subgroup in that order would close; the later ones would only find
     conjugates already known.
 
@@ -278,7 +251,7 @@ def all_subgroups(g: GroupTable) -> Lattice:
     n = g.order
     mul, inv = g.mul, g.inv
     elements = np.arange(n)
-    cyclics, cyclic_id = _cyclic_masks(g)
+    cyclics, cyclic_id = g.cyclics, g.cyclic_id
     cyclic_gens = np.array([gen for _, gen in cyclics], np.intp)
     conjugators = _kernels.conjugation_maps(mul, inv, g.gen_indices)
 

@@ -12,14 +12,16 @@ test) by pairwise subset tests on int bitmasks, and the word sweep's start
 states from the commutators of all n*n pairs (numpy, the sweep's earlier
 first pass), and the order of a group of 2x2 matrices mod p by breadth-first
 search over the matrices (the package closes their permutations of the
-vectors).  Second algorithms for nilpotency (normal Sylow subgroups) and
-supersolubility (prime-order chief factors) cross-check the package's, and
-the Sylow tower and ``cond_lf`` are decided again on quotient group tables
-(the package decides both on masks of the group).  The two exceptions are
-the package's earlier enumerators, kept as differential references fast
-enough for whole-corpus comparisons: ``cyclic_extension_oracle`` (every
-subgroup extended by every cyclic subgroup, closed by frontier x members
-products), whose members' generators come from their masks alone, and
+vectors), and each element's cyclic subgroup by composing its powers as
+permutations (the package walks the Cayley table).  Second algorithms
+for nilpotency (normal Sylow subgroups) and supersolubility (prime-order
+chief factors) cross-check the package's, and the Sylow tower and
+``cond_lf`` are decided again on quotient group tables (the package
+decides both on masks of the group).  The two exceptions are the package's
+earlier enumerators, kept as differential references fast enough for
+whole-corpus comparisons: ``cyclic_extension_oracle`` (every subgroup
+extended by every cyclic subgroup, closed by frontier x members products),
+whose members' generators come from their masks alone, and
 ``sequential_extension_oracle`` (one ``close_mask`` call per seed, before
 seeds were closed a wave per call), which pins masks, class ids and edges.
 
@@ -53,8 +55,8 @@ from formationlab.groups import (
     exponent,
     is_normal_mask,
 )
-from formationlab.lattice import Lattice, _class_of, _cyclic_masks, chief_series
-from formationlab.perms import Permutation
+from formationlab.lattice import Lattice, _class_of, chief_series
+from formationlab.perms import Permutation, compose
 from formationlab.predicates import _check_lattice
 from formationlab.primes import is_prime, p_part, prime_divisors
 
@@ -217,6 +219,29 @@ def cayley_oracle(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mul, inv, orders
 
 
+def cyclic_subgroups_oracle(g: GroupTable) -> tuple[dict[int, frozenset[int]], dict[frozenset[int], int]]:
+    """<x> for each non-identity element x, as a set of element indices,
+    and the least generator of each distinct one: <x> holds x, x^2, ... up
+    to the identity, composed as permutations, and y generates <x> iff y
+    lies in <x> and has its order."""
+    orders = [order_of(g.perm(i)) for i in range(g.order)]
+    cyclic_of: dict[int, frozenset[int]] = {}
+    least: dict[frozenset[int], int] = {}
+    for i in range(1, g.order):
+        if i in cyclic_of:
+            continue
+        x = power = g.perm(i)
+        members = [i]
+        while not power.is_identity():
+            power = compose(power, x)
+            members.append(g.index_of(power))
+        sub = frozenset(members)
+        gens = [y for y in sub if orders[y] == len(sub)]
+        cyclic_of.update(dict.fromkeys(gens, sub))
+        least[sub] = min(gens)
+    return cyclic_of, least
+
+
 def all_subgroups_oracle(g: GroupTable) -> set[int]:
     """Every subgroup mask, found by closing S | {x} and S | {x, y} for all
     x, y outside each known S, iterated to a fixpoint."""
@@ -311,7 +336,7 @@ def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
     n = g.order
     mul, inv = g.mul, g.inv
     elements = np.arange(n)
-    cyclics, cyclic_id = _cyclic_masks(g)
+    cyclics, cyclic_id = g.cyclics, g.cyclic_id
     cyclic_gens = np.array([gen for _, gen in cyclics], np.intp)
     conjugators = _kernels.conjugation_maps(mul, inv, g.gen_indices)
 

@@ -190,6 +190,22 @@ class TestGroupFiles:
             load_group(path)
         assert "line 1" in str(err.value)
 
+    def test_tab_in_name_names_line(self, tmp_path):
+        # a tab would split the name across two columns of the TSV report
+        path = tmp_path / "bad.group"
+        path.write_text("degree 3\nname S3\tx\ngen (1 2)\n")
+        with pytest.raises(InputError) as err:
+            load_group(path)
+        assert "line 2" in str(err.value)
+
+    def test_tab_in_file_name_without_name_line(self, tmp_path):
+        path = tmp_path / "S2\tx.group"
+        path.write_text("degree 3\ngen (1 2)\n")
+        with pytest.raises(InputError, match="file name"):
+            load_group(path)
+        path.write_text("degree 3\nname S2\ngen (1 2)\n")
+        assert load_group(path).name == "S2"
+
     def test_unknown_keyword(self, tmp_path):
         path = tmp_path / "bad.group"
         path.write_text("degree 3\nfoo bar\n")

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from formationlab.errors import InputError, ResourceLimitError
+from formationlab.errors import InputError, InvariantError, ResourceLimitError
 from formationlab.groups import (
+    GroupTable,
     Subgroup,
     _centralizer_mod_mask,
     _lookup,
@@ -20,6 +21,7 @@ from conftest import group_of, sub_of, subgroup_generated
 from oracles import (
     cayley_oracle,
     commutator_values_oracle,
+    cyclic_subgroups_oracle,
     mask_int,
     order_of,
     quotient_by,
@@ -166,6 +168,30 @@ class TestElementRows:
                 p = g.perm(i)
                 assert g.elem_orders[i] == order_of(p)
                 assert g.perm(g.inv[i]) == inverse(p)
+
+
+class TestCyclicWalk:
+    def test_element_never_reaching_identity_raises(self):
+        # C3 with 1 * 1 = 1: element 1's powers stay at 1, so the walk
+        # must stop at |G| steps instead of looping
+        c3 = group_of(3, "(1 2 3)")
+        mul = c3.mul.copy()
+        mul[1, 1] = 1
+        with pytest.raises(InvariantError, match="never reach the identity"):
+            GroupTable(c3.rows, c3.row_order, mul, c3.gen_indices)
+
+    def test_cyclic_subgroups_match_permutation_oracle(self, s4, s5):
+        from formationlab.corpus import build_group, cyclic, standard_corpus
+
+        groups = [build_group(spec) for spec in standard_corpus()]
+        groups = [g for g in groups if g.order <= 60] + [s4, s5, build_group(cyclic(1999))]
+        for g in groups:
+            cyclic_of, least = cyclic_subgroups_oracle(g)
+            subs = [frozenset(np.flatnonzero(arr).tolist()) for arr, _ in g.cyclics]
+            assert dict(zip(subs, [gen for _, gen in g.cyclics])) == least
+            assert len(subs) == len(least)
+            assert g.cyclic_id[0] == -1
+            assert [subs[c] for c in g.cyclic_id[1:]] == [cyclic_of[x] for x in range(1, g.order)]
 
 
 class TestSubgroupGenerated:
