@@ -1,9 +1,9 @@
 """Hot inner loops over Cayley tables, all vectorized numpy kernels:
-subgroup closure, conjugation maps, element conjugacy classes, the table of
-negative powers, and the pair sweep of the iterated-commutator word.  The
-sweep steps each distinct start state ([x, y], y) once, not each of the n*n
-pairs, and takes those states from the conjugacy classes, not from the n*n
-commutators.
+subgroup closure, conjugation maps, orbit labels (the conjugacy classes of
+elements and of subgroups), the table of negative powers, and the pair
+sweep of the iterated-commutator word.  The sweep steps each distinct start
+state ([x, y], y) once, not each of the n*n pairs, and takes those states
+from the conjugacy classes, not from the n*n commutators.
 
 Conventions: ``mul`` is an (n, n) table with ``mul[i, j]`` the index of
 "element i then element j", int16 while n < 2^15 and int32 beyond; index 0
@@ -22,6 +22,7 @@ __all__ = [
     "JIT_ENABLED",
     "close_mask",
     "conjugation_maps",
+    "orbit_labels",
     "class_labels",
     "start_states",
     "brandl_sweep",
@@ -74,21 +75,18 @@ def conjugation_maps(mul: np.ndarray, inv: np.ndarray, gens) -> list[np.ndarray]
     return [mul[mul[inv[s]], s] for s in gens]
 
 
-def class_labels(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:
-    """Label of each element's conjugacy class: the least index in the
-    class.
+def orbit_labels(maps: np.ndarray) -> np.ndarray:
+    """Label of each point by the least point of its orbit under the group
+    generated by ``maps``, a (k, m) array whose rows are permutations of
+    0..m-1 (k may be 0).
 
-    The classes are the orbits of the group generated by the conjugation
-    maps x -> s^-1 x s of the generators s (the orbit algorithm; Holt, Eick
-    and O'Brien, Handbook of Computational Group Theory, 2005).  Labels
-    start as the element indices; each round takes the minimum of a label
-    and the label at each map's image, then jumps every label to its own
-    label, until nothing changes.  A label is always an element of the same
-    class, so the fixed point is constant on each class and equals its least
-    element.
+    Labels start as the points themselves; each round takes the minimum of
+    a label and the label at each map's image, then jumps every label to
+    its own label, until nothing changes.  A label is always a point of the
+    same orbit, so the fixed point is constant on each orbit and equals its
+    least point.
     """
-    maps = conjugation_maps(mul, inv, gens)
-    labels = np.arange(mul.shape[0])
+    labels = np.arange(maps.shape[1])
     while True:
         new = labels
         for conj in maps:
@@ -97,6 +95,15 @@ def class_labels(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:
         if np.array_equal(new, labels):
             return labels
         labels = new
+
+
+def class_labels(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:
+    """Label of each element's conjugacy class: the least index in the
+    class.  The classes are the orbits of the group generated by the
+    conjugation maps x -> s^-1 x s of the generators s (the orbit
+    algorithm; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005)."""
+    return orbit_labels(np.array(conjugation_maps(mul, inv, gens)).reshape(-1, mul.shape[0]))
 
 
 def start_states(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:

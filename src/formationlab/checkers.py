@@ -1,14 +1,15 @@
-"""The four predicates whose agreement the harness verifies, plus the
-iterated-commutator word machinery behind the law-based one.
+"""The four predicates whose agreement the harness verifies, ``classify``,
+and the word trace behind ``formationlab brandl``.
 
 The word sequence for a pair (x, y) is u_1 = [x, y] and
-u_{k+1} = u_k^(-k) [u_k, y], applied for every k >= 1.  A pair terminates
-when some u_k is the identity; since u_{k+1} depends on k only through
-k mod e (e the ambient exponent), a repeated (value, k mod e) state proves
-the sequence never terminates.  The sequence depends on (x, y) only through
-its start state ([x, y], y), so the all-pairs sweep (``_kernels.brandl_sweep``)
-steps each distinct start state once and then maps failures back to the
-least failing pair.
+u_{k+1} = u_k^(-k) [u_k, y], applied for every k >= 1 (Brandl's law).  A
+pair terminates when some u_k is the identity; since u_{k+1} depends on k
+only through k mod e (e the ambient exponent), a repeated (value, k mod e)
+state proves the sequence never terminates.  Both the all-pairs sweep
+(``_kernels.brandl_sweep``) and the single trace (``word_trace``) step it
+on the Cayley table.  The sequence depends on (x, y) only through its start
+state ([x, y], y), so the sweep steps each distinct start state once and
+then maps failures back to the least failing pair.
 
 ``cond_x`` and ``cond_b_subgroups`` judge one member per conjugacy class
 of subgroups (``Lattice.class_ids``), the first in lattice order:
@@ -41,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 from .groups import (
     GroupTable,
     Subgroup,
@@ -58,7 +59,7 @@ from .lattice import (
     chief_series,
     p_reachable,
 )
-from .perms import Permutation, commutator, compose, format_cycles, power
+from .perms import format_cycles
 from .predicates import (
     _check_lattice,
     _sylow_tower_impl,
@@ -70,10 +71,7 @@ from .predicates import (
 from .primes import is_prime
 
 __all__ = [
-    "BrandlState",
-    "BrandlTrace",
-    "brandl_next",
-    "brandl_terminates",
+    "word_trace",
     "condition_x",
     "condition_b_subgroups",
     "condition_b_law",
@@ -83,78 +81,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BrandlState:
-    """One step of the word iteration: value u_k, its index k, and the fixed
-    right argument y."""
+def word_trace(g: GroupTable, x: int, y: int) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """The word sequence of the pair of element indices (x, y), stepped on
+    the Cayley table until u_k is the identity or a state (u_k, k mod e)
+    repeats, e the exponent of g.
 
-    value: Permutation
-    step: int
-    y: Permutation
-
-
-@dataclass(frozen=True)
-class BrandlTrace:
-    terminated: bool
-    steps: tuple[Permutation, ...]
-    k_final: Optional[int] = None
-    cycle_detected: bool = False
-    cycle_start: Optional[int] = None
-    cycle_length: Optional[int] = None
-
-    def __post_init__(self):
-        if self.terminated == self.cycle_detected:
-            raise InvariantError("a trace either terminates or cycles, never both")
-        if self.terminated and not self.steps[-1].is_identity():
-            raise InvariantError("a terminated trace must end at the identity")
-
-
-def brandl_next(s: BrandlState) -> BrandlState:
-    """u_{k+1} = u_k^(-k) [u_k, y]."""
-    value = compose(power(s.value, -s.step), commutator(s.value, s.y))
-    return BrandlState(value, s.step + 1, s.y)
-
-
-def brandl_terminates(
-    x: Permutation,
-    y: Permutation,
-    e: int,
-    *,
-    group_order: int | None = None,
-) -> BrandlTrace:
-    """Iterate the word sequence for (x, y) until the identity appears or a
-    (value, step mod e) state repeats.
-
-    ``e`` must be a multiple of every element order of the ambient group.
-    When ``group_order`` is supplied, exceeding group_order * e iterations
-    without a repeat raises InvariantError (it is impossible by pigeonhole).
+    Returns (values, first): ``values[k - 1]`` is u_k, and ``first`` maps
+    each state met before the last step to the first k that reached it, so
+    a trace that does not end at the identity (index 0) ends on a state of
+    ``first``.  Going past the pigeonhole cap |G| * e + 1 without either
+    raises InvariantError.
     """
-    if x.degree != y.degree:
-        raise InputError(f"degree mismatch: {x.degree} vs {y.degree}")
-    if e < 1:
-        raise InputError(f"exponent must be positive, got {e}")
-    cap = group_order * e + 1 if group_order is not None else None
-    state = BrandlState(commutator(x, y), 1, y)
-    steps: list[Permutation] = []
-    seen: dict[tuple[Permutation, int], int] = {}
+    mul, inv = g.mul, g.inv
+    e = exponent(g)
+    cap = g.order * e + 1
+    u = int(_kernels._commutators(mul, inv, x, y))
+    values: list[int] = []
+    first: dict[tuple[int, int], int] = {}
+    k = 1
     while True:
-        steps.append(state.value)
-        if state.value.is_identity():
-            return BrandlTrace(True, tuple(steps), k_final=state.step)
-        key = (state.value, state.step % e)
-        first = seen.get(key)
-        if first is not None:
-            return BrandlTrace(
-                False,
-                tuple(steps),
-                cycle_detected=True,
-                cycle_start=first,
-                cycle_length=state.step - first,
-            )
-        seen[key] = state.step
-        if cap is not None and state.step > cap:
+        values.append(u)
+        state = (u, k % e)
+        if u == 0 or state in first:
+            return values, first
+        first[state] = k
+        if k > cap:
             raise InvariantError("word iteration exceeded the pigeonhole cap without repeating")
-        state = brandl_next(state)
+        u = int(mul[_powers(mul, inv[u], k % e), _kernels._commutators(mul, inv, u, y)])  # u^(-k) [u, y]
+        k += 1
 
 
 def _describe(s: Subgroup) -> str:

@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .checkers import PREDICATE_KEYS, ClassReport, brandl_terminates, classify
+from .checkers import PREDICATE_KEYS, ClassReport, classify, word_trace
 from .corpus import GroupSpec, build_group, load_group, standard_corpus
 from .errors import InputError, ResourceLimitError
 from .groups import exponent
@@ -151,21 +151,21 @@ def cmd_brandl(args) -> int:
     table = build_group(spec)
     x = parse_cycles(args.x, table.degree)
     y = parse_cycles(args.y, table.degree)
+    pair = []
     for p, label in ((x, "--x"), (y, "--y")):
         try:
-            table.index_of(p)
+            pair.append(table.index_of(p))
         except InputError:
             raise InputError(f"{label} {format_cycles(p)} is not an element of {spec.name}") from None
-    trace = brandl_terminates(x, y, exponent(table), group_order=table.order)
-    for k, value in enumerate(trace.steps, start=1):
-        print(f"u_{k} = {format_cycles(value)}")
-    if trace.terminated:
-        print(f"terminates at k = {trace.k_final}")
+    values, first = word_trace(table, *pair)
+    for k, value in enumerate(values, start=1):
+        print(f"u_{k} = {format_cycles(table.perm(value))}")
+    k = len(values)
+    if values[-1] == 0:
+        print(f"terminates at k = {k}")
     else:
-        print(
-            f"cycle detected (length {trace.cycle_length}, "
-            f"state first reached at k = {trace.cycle_start})"
-        )
+        start = first[values[-1], k % exponent(table)]
+        print(f"cycle detected (length {k - start}, state first reached at k = {start})")
     return 0
 
 

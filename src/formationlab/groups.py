@@ -31,7 +31,6 @@ __all__ = [
     "is_normal_mask",
     "commutator_subgroup",
     "derived_series",
-    "lower_central_series",
     "exponent",
     "default_order_bound",
 ]
@@ -390,19 +389,6 @@ def derived_series(g: Union[GroupTable, Subgroup]) -> list[Subgroup]:
     series = [start]
     while series[-1].order > 1:
         nxt = commutator_subgroup(table, series[-1], series[-1])
-        series.append(nxt)
-        if nxt == series[-2]:
-            break
-    return series
-
-
-def lower_central_series(g: Union[GroupTable, Subgroup]) -> list[Subgroup]:
-    """G_1 = G, G_{i+1} = [G_i, G]; same tail convention as derived_series."""
-    start = as_subgroup(g)
-    table = start.parent
-    series = [start]
-    while series[-1].order > 1:
-        nxt = commutator_subgroup(table, series[-1], start)
         series.append(nxt)
         if nxt == series[-2]:
             break

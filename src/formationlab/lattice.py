@@ -162,18 +162,19 @@ class Lattice:
 
     def class_ids(self) -> tuple[int, ...]:
         """Conjugacy class of each member under ``top``, numbered 0, 1, ...
-        in order of each class's first member."""
+        in order of each class's first member.  For a lattice built without
+        them, conjugation by each generator of ``top`` permutes the members
+        (one scatter of the matrix, each image row looked up), and the
+        classes are the orbits of those permutations."""
         if self._class_ids is None:
             g = self.parent
-            conjugators = _kernels.conjugation_maps(g.mul, g.inv, self.top.generator_indices)
-            ids = [-1] * len(self.subgroups)
-            count = 0
-            for i, row in enumerate(self.matrix):
-                if ids[i] < 0:
-                    for arr, _ in _class_of(row, (), conjugators):
-                        ids[self._index[arr.tobytes()]] = count
-                    count += 1
-            self._class_ids = tuple(ids)
+            maps = np.empty((len(self.top.generator_indices), len(self.subgroups)), np.intp)
+            for row, conj in zip(maps, _kernels.conjugation_maps(g.mul, g.inv, self.top.generator_indices)):
+                images = np.empty_like(self.matrix)
+                images[:, conj] = self.matrix  # every member conjugated by one generator
+                row[:] = [self._index[key] for key in _row_keys(images)]
+            labels = _kernels.orbit_labels(maps)
+            self._class_ids = tuple(np.unique(labels, return_inverse=True)[1].tolist())
         return self._class_ids
 
     def maximal_indices(self) -> tuple[int, ...]:

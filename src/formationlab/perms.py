@@ -1,8 +1,10 @@
-"""Exact arithmetic on permutations of {1..n} and disjoint-cycle notation.
+"""Permutations of {1..n} as input and output: parsing and printing
+disjoint-cycle notation.
 
-Composition is left-to-right throughout the package: ``compose(a, b)`` applies
-``a`` first, then ``b``.  The commutator is ``[a, b] = a^-1 b^-1 a b`` under
-that convention.
+A ``Permutation`` is never multiplied.  Group generators become image rows
+of a ``groups.GroupTable``, and all arithmetic, the word law included, runs
+on its Cayley table, where products are left to right: "a then b" maps i to
+b(a(i)).
 """
 
 from __future__ import annotations
@@ -11,16 +13,7 @@ from typing import Iterator
 
 from .errors import InputError
 
-__all__ = [
-    "Permutation",
-    "identity",
-    "compose",
-    "inverse",
-    "power",
-    "commutator",
-    "parse_cycles",
-    "format_cycles",
-]
+__all__ = ["Permutation", "parse_cycles", "format_cycles"]
 
 
 class Permutation:
@@ -45,7 +38,7 @@ class Permutation:
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap an images tuple known to be a bijection on 1..n, unchecked:
-        for products of validated permutations and other bijections by
+        for the rows of a closed group table and other bijections by
         construction.  Outside input goes through the checking constructor."""
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
@@ -68,9 +61,6 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, ordered by smallest moved point."""
         n = self.degree
@@ -91,48 +81,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
-
-
-def identity(degree: int) -> Permutation:
-    if degree < 1:
-        raise InputError(f"degree must be positive, got {degree}")
-    return Permutation(range(1, degree + 1))
-
-
-def _check_degrees(a: Permutation, b: Permutation) -> None:
-    if a.degree != b.degree:
-        raise InputError(f"degree mismatch: {a.degree} vs {b.degree}")
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Apply ``a`` first, then ``b``: the result maps i to b(a(i))."""
-    _check_degrees(a, b)
-    bi = b.images
-    return Permutation(bi[v - 1] for v in a.images)
-
-
-def inverse(a: Permutation) -> Permutation:
-    inv = [0] * a.degree
-    for i, v in enumerate(a.images):
-        inv[v - 1] = i + 1
-    return Permutation(inv)
-
-
-def power(a: Permutation, e: int) -> Permutation:
-    """a^e for any integer e; the exponent reduces modulo the order of a
-    (cycle by cycle, so arbitrarily large |e| stays O(degree))."""
-    images = list(range(1, a.degree + 1))
-    for cyc in a.cycles():
-        k = e % len(cyc)
-        for i, p in enumerate(cyc):
-            images[p - 1] = cyc[(i + k) % len(cyc)]
-    return Permutation(images)
-
-
-def commutator(a: Permutation, b: Permutation) -> Permutation:
-    """[a, b] = a^-1 b^-1 a b; identity exactly when a and b commute."""
-    _check_degrees(a, b)
-    return compose(compose(compose(inverse(a), inverse(b)), a), b)
 
 
 def _tokens(text: str) -> Iterator[tuple[str, int]]:

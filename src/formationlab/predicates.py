@@ -1,11 +1,13 @@
 """Class-membership tests for the auxiliary group classes: cyclic, primary,
 nilpotent, supersoluble, and Sylow tower of supersoluble type.
 
-Supersolubility is judged by Huppert's theorem on the members of a
+Nilpotency is read off the element orders (one count of p-elements per
+prime), supersolubility is judged by Huppert's theorem on the members of a
 subgroup lattice, and the Sylow-tower test works on masks of the group
-(the preimages of its quotients' subgroups), so neither builds a group
-table or a lattice.  The independent second algorithms for nilpotency,
-supersolubility and the Sylow tower live with the test suite's oracles.
+(the preimages of its quotients' subgroups), so none of them builds a
+group table or a lattice.  The independent second algorithms for
+nilpotency (the lower central series), supersolubility and the Sylow tower
+live with the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError
-from .groups import (
-    GroupTable,
-    Subgroup,
-    _powers,
-    as_subgroup,
-    lower_central_series,
-)
+from .groups import GroupTable, Subgroup, _powers, as_subgroup
 from .lattice import Lattice
 from .primes import p_part, prime_divisors
 
@@ -51,7 +47,16 @@ def is_primary(g: GroupLike) -> bool:
 
 
 def is_nilpotent(g: GroupLike) -> bool:
-    return lower_central_series(g)[-1].order == 1
+    """Nilpotent iff every Sylow subgroup is normal, i.e. for each prime p
+    the elements of p-power order number exactly the p-part of the order
+    (then they are the one Sylow p-subgroup)."""
+    sub = as_subgroup(g)
+    orders = sub.parent.elem_orders[sub.indices()]
+    for p in prime_divisors(sub.order):
+        part = p_part(sub.order, p)
+        if int((part % orders == 0).sum()) != part:
+            return False
+    return True
 
 
 def _check_lattice(g: GroupLike, lat: Lattice) -> Subgroup:

@@ -13,9 +13,13 @@ states from the commutators of all n*n pairs (numpy, the sweep's earlier
 first pass), and the order of a group of 2x2 matrices mod p by breadth-first
 search over the matrices (the package closes their permutations of the
 vectors), and each element's cyclic subgroup by composing its powers as
-permutations (the package walks the Cayley table).  Second algorithms
-for nilpotency (normal Sylow subgroups) and supersolubility (prime-order
-chief factors) cross-check the package's, and the Sylow tower and
+permutations (the package walks the Cayley table).  The word law's
+sequence is iterated on permutations by ``word_terminates_oracle``, with
+the permutation arithmetic it needs (``compose``, ``inverse``, ``power``,
+``commutator``), against the package's sweep and trace on the Cayley
+table.  Second algorithms for nilpotency (the lower central series; the
+package counts p-elements) and supersolubility (prime-order chief
+factors) cross-check the package's, and the Sylow tower and
 ``cond_lf`` are decided again on quotient group tables (the package
 decides both on masks of the group).  The two exceptions are the package's
 earlier enumerators, kept as differential references fast enough for
@@ -51,12 +55,13 @@ from formationlab.groups import (
     _row_dtype,
     as_subgroup,
     close_generators,
+    commutator_subgroup,
     derived_series,
     exponent,
     is_normal_mask,
 )
 from formationlab.lattice import Lattice, _class_of, chief_series
-from formationlab.perms import Permutation, compose
+from formationlab.perms import Permutation
 from formationlab.predicates import _check_lattice
 from formationlab.primes import is_prime, p_part, prime_divisors
 
@@ -66,9 +71,68 @@ def mask_int(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
+def identity(degree: int) -> Permutation:
+    return Permutation(range(1, degree + 1))
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """Apply ``a`` first, then ``b``: the result maps i to b(a(i)), the
+    order of the package's table, where ``mul[a, b]`` is "a then b"."""
+    if a.degree != b.degree:
+        raise InputError(f"degree mismatch: {a.degree} vs {b.degree}")
+    return Permutation(b.images[v - 1] for v in a.images)
+
+
+def inverse(a: Permutation) -> Permutation:
+    images = [0] * a.degree
+    for i, v in enumerate(a.images):
+        images[v - 1] = i + 1
+    return Permutation(images)
+
+
+def power(a: Permutation, e: int) -> Permutation:
+    """a^e for any integer e; the exponent reduces modulo the order of a,
+    cycle by cycle."""
+    images = list(range(1, a.degree + 1))
+    for cyc in a.cycles():
+        k = e % len(cyc)
+        for i, p in enumerate(cyc):
+            images[p - 1] = cyc[(i + k) % len(cyc)]
+    return Permutation(images)
+
+
+def commutator(a: Permutation, b: Permutation) -> Permutation:
+    """[a, b] = a^-1 b^-1 a b; the identity exactly when a and b commute."""
+    return compose(compose(compose(inverse(a), inverse(b)), a), b)
+
+
 def order_of(a: Permutation) -> int:
     """Least m >= 1 with a^m = identity; the lcm of the cycle lengths."""
     return lcm(1, *(len(c) for c in a.cycles()))
+
+
+def word_terminates_oracle(x: Permutation, y: Permutation, e: int) -> tuple[list[Permutation], int | None]:
+    """The word sequence u_1 = [x, y], u_{k+1} = u_k^(-k) [u_k, y] composed
+    as permutations, until u_k is the identity or the state (u_k, k mod e)
+    repeats; ``e`` must be a multiple of every element order.
+
+    Returns (values, start): ``values`` are u_1, ..., u_K, and ``start`` is
+    None when u_K is the identity, else the first step that reached the
+    state (u_K, K mod e), so the cycle has length K - start.
+    """
+    one = identity(x.degree)
+    u, k = commutator(x, y), 1
+    values: list[Permutation] = []
+    seen: dict[tuple[Permutation, int], int] = {}
+    while True:
+        values.append(u)
+        if u == one:
+            return values, None
+        if (u, k % e) in seen:
+            return values, seen[u, k % e]
+        seen[u, k % e] = k
+        u = compose(power(u, -k), commutator(u, y))
+        k += 1
 
 
 def subgroup_from_mask(parent: GroupTable, mask) -> Subgroup:
@@ -227,14 +291,15 @@ def cyclic_subgroups_oracle(g: GroupTable) -> tuple[dict[int, frozenset[int]], d
     orders = [order_of(g.perm(i)) for i in range(g.order)]
     cyclic_of: dict[int, frozenset[int]] = {}
     least: dict[frozenset[int], int] = {}
+    one = identity(g.degree)
     for i in range(1, g.order):
         if i in cyclic_of:
             continue
-        x = power = g.perm(i)
+        x = p = g.perm(i)
         members = [i]
-        while not power.is_identity():
-            power = compose(power, x)
-            members.append(g.index_of(power))
+        while p != one:
+            p = compose(p, x)
+            members.append(g.index_of(p))
         sub = frozenset(members)
         gens = [y for y in sub if orders[y] == len(sub)]
         cyclic_of.update(dict.fromkeys(gens, sub))
@@ -498,16 +563,18 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
     }
 
 
-def is_nilpotent_sylow(g) -> bool:
-    """Nilpotency as: every Sylow subgroup is normal, i.e. for each prime
-    the p-power-order elements number exactly the p-part."""
-    sub = as_subgroup(g)
-    orders = sub.parent.elem_orders[sub.indices()]
-    for p in prime_divisors(sub.order):
-        part = p_part(sub.order, p)
-        if int((part % orders == 0).sum()) != part:
-            return False
-    return True
+def lower_central_series(g) -> list[Subgroup]:
+    """G_1 = G, G_{i+1} = [G_i, G]; stops at the trivial subgroup, or
+    repeats the stable term exactly once when the series bottoms out above
+    it.  G is nilpotent iff the last term is trivial."""
+    start = as_subgroup(g)
+    series = [start]
+    while series[-1].order > 1:
+        nxt = commutator_subgroup(start.parent, series[-1], start)
+        series.append(nxt)
+        if nxt == series[-2]:
+            break
+    return series
 
 
 def is_supersoluble_chief(g, lat: Lattice) -> bool:

@@ -7,16 +7,14 @@ import pytest
 
 from formationlab.checkers import (
     PREDICATE_KEYS,
-    BrandlState,
     _condition_lf_impl,
     _sylow_tower_witness,
-    brandl_next,
-    brandl_terminates,
     classify,
     condition_b_law,
     condition_b_subgroups,
     condition_lf_f,
     condition_x,
+    word_trace,
 )
 from formationlab.corpus import (
     alternating,
@@ -29,8 +27,7 @@ from formationlab.corpus import (
     standard_corpus,
     symmetric,
 )
-from formationlab.errors import InputError
-from formationlab.groups import GroupTable
+from formationlab.groups import GroupTable, _powers, exponent
 from formationlab.lattice import (
     Lattice,
     all_subgroups,
@@ -39,7 +36,7 @@ from formationlab.lattice import (
     minimal_normal_subgroups,
     p_reachable,
 )
-from formationlab.perms import format_cycles, identity, parse_cycles, power
+from formationlab.perms import format_cycles, parse_cycles
 from formationlab.predicates import has_sylow_tower_sst, is_supersoluble
 
 from conftest import golden_verdicts, group_of, sub_of
@@ -50,42 +47,80 @@ from oracles import (
     p_subnormal_oracle,
     quotient_by,
     sylow_tower_oracle,
+    word_terminates_oracle,
 )
 
 
+def _trace_text(g, x, y):
+    """word_trace of a pair given in cycle notation, as (value texts, final
+    k, cycle start or None)."""
+    values, first = word_trace(g, g.index_of(parse_cycles(x, g.degree)), g.index_of(parse_cycles(y, g.degree)))
+    k = len(values)
+    start = None if values[-1] == 0 else first[values[-1], k % exponent(g)]
+    return [format_cycles(g.perm(v)) for v in values], k, start
+
+
+def _assert_trace_matches_oracle(g, x, y):
+    values, first = word_trace(g, x, y)
+    expected, start = word_terminates_oracle(g.perm(x), g.perm(y), exponent(g))
+    assert [g.perm(v) for v in values] == expected, (g, x, y)
+    if start is None:
+        assert values[-1] == 0
+    else:
+        assert first[values[-1], len(values) % exponent(g)] == start, (g, x, y)
+
+
 class TestWordIteration:
-    def test_next_fixes_identity(self):
-        y = parse_cycles("(1 2 3)", 3)
-        state = BrandlState(identity(3), 5, y)
-        assert brandl_next(state).value == identity(3)
+    def test_trace_ends_at_first_identity(self, s4):
+        # the identity is a fixed point of the step, so a trace stops there
+        n = s4.order
+        for x in range(n):
+            for y in range(n):
+                values, _ = word_trace(s4, x, y)
+                assert 0 not in values[:-1]
 
-    def test_next_on_commuting_value_is_negative_power(self):
-        y = parse_cycles("(1 2 3)", 3)
-        v = parse_cycles("(1 3 2)", 3)  # commutes with y
-        nxt = brandl_next(BrandlState(v, 2, y))
-        assert nxt.value == power(v, -2)
-        assert nxt.step == 3
+    def test_next_on_commuting_value_is_negative_power(self, s4):
+        # when u_k commutes with y, [u_k, y] = 1 and u_{k+1} = u_k^(-k)
+        mul, n = s4.mul, s4.order
+        checked = 0
+        for x in range(n):
+            for y in range(n):
+                values, _ = word_trace(s4, x, y)
+                for k, (u, nxt) in enumerate(zip(values, values[1:]), start=1):
+                    if mul[u, y] == mul[y, u]:
+                        assert nxt == _powers(mul, s4.inv[u], k)
+                        checked += 1
+        assert checked > 0
 
-    def test_hand_trace_in_s3(self):
-        x, y = parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)
-        trace = brandl_terminates(x, y, 6, group_order=6)
-        assert trace.terminated and trace.k_final == 4
-        assert [format_cycles(p) for p in trace.steps] == ["(1 3 2)", "(1 2 3)", "(1 2 3)", "()"]
+    def test_hand_trace_in_s3(self, s3):
+        assert _trace_text(s3, "(1 2)", "(1 2 3)") == (["(1 3 2)", "(1 2 3)", "(1 2 3)", "()"], 4, None)
 
     def test_equal_pair_terminates_immediately(self):
-        x = parse_cycles("(1 2 3 4)", 4)
-        trace = brandl_terminates(x, x, 4)
-        assert trace.terminated and trace.k_final == 1
+        g = group_of(4, "(1 2 3 4)")
+        x = g.index_of(parse_cycles("(1 2 3 4)", 4))
+        assert word_trace(g, x, x) == ([0], {})
 
-    def test_a4_pair_cycles(self):
-        trace = brandl_terminates(parse_cycles("(1 2 3)", 4), parse_cycles("(1 2 4)", 4), 6, group_order=12)
-        assert trace.cycle_detected and not trace.terminated
-        assert trace.cycle_length and trace.cycle_length % 6 == 0
-        assert not any(p.is_identity() for p in trace.steps)
+    def test_a4_pair_cycles(self, a4):
+        texts, k, start = _trace_text(a4, "(1 2 3)", "(1 2 4)")
+        assert start is not None and (k - start) % 6 == 0
+        assert "()" not in texts
 
-    def test_degree_mismatch(self):
-        with pytest.raises(InputError):
-            brandl_terminates(identity(3), identity(4), 2)
+    @pytest.mark.parametrize("name", ["s3", "s4", "a4"])
+    def test_matches_permutation_oracle_on_every_pair(self, name, request):
+        g = request.getfixturevalue(name)
+        for x in range(g.order):
+            for y in range(g.order):
+                _assert_trace_matches_oracle(g, x, y)
+
+    def test_matches_permutation_oracle_on_a4xc7_sample(self):
+        # a fixed sample of ordered pairs, both terminating and cycling ones
+        g = build_group(direct_product(alternating(4), cyclic(7)))
+        pairs = np.random.default_rng(7).integers(0, g.order, size=(60, 2)).tolist()
+        cycling = 0
+        for x, y in pairs:
+            _assert_trace_matches_oracle(g, x, y)
+            cycling += word_trace(g, x, y)[0][-1] != 0
+        assert 0 < cycling < len(pairs)
 
 
 class TestPSubnormal:

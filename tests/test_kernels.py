@@ -29,6 +29,7 @@ from oracles import (
     py_close,
     sequential_extension_oracle,
     start_states_oracle,
+    word_terminates_oracle,
 )
 
 
@@ -143,6 +144,15 @@ def large_groups():
 
 
 class TestClasses:
+    def test_orbit_labels(self):
+        # no maps leave every point alone; a 3-cycle and a transposition on
+        # disjoint points give two orbits, labelled by their least points;
+        # a 5-cycle carrying each point to the one below takes several rounds
+        assert np.array_equal(_kernels.orbit_labels(np.empty((0, 5), np.intp)), np.arange(5))
+        maps = np.array([[1, 2, 0, 3, 4], [0, 1, 2, 4, 3]])
+        assert np.array_equal(_kernels.orbit_labels(maps), [0, 0, 0, 3, 3])
+        assert np.array_equal(_kernels.orbit_labels(np.array([[4, 0, 1, 2, 3]])), np.zeros(5))
+
     def test_labels_match_oracle(self):
         groups = class_groups()
         assert len(groups) > 300
@@ -185,8 +195,6 @@ class TestSweep:
     def test_sweep_matches_permutation_level_iteration(self, chunk, monkeypatch):
         # dual route: the returned pair must be the least pair in index order
         # whose permutation-level trace cycles.
-        from formationlab.checkers import brandl_terminates
-
         if chunk is not None:
             monkeypatch.setattr(_kernels, "SWEEP_CHUNK", chunk)
         for g in sweep_groups():
@@ -194,7 +202,7 @@ class TestSweep:
             e = exponent(g)
 
             def terminates(i):
-                return brandl_terminates(g.perm(i // n), g.perm(i % n), e, group_order=n).terminated
+                return word_terminates_oracle(g.perm(i // n), g.perm(i % n), e)[1] is None
 
             status, bx, by = _kernels.brandl_sweep(g.mul, g.inv, g.gen_indices, e)
             least = n * n if status == 1 else bx * n + by

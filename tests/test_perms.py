@@ -1,3 +1,7 @@
+"""Cycle notation, which the package parses and prints, and the
+permutation arithmetic of ``tests/oracles.py``, on which the word law's
+reference iteration composes."""
+
 from __future__ import annotations
 
 import itertools
@@ -6,18 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from formationlab.errors import InputError
-from formationlab.perms import (
-    Permutation,
-    commutator,
-    compose,
-    format_cycles,
-    identity,
-    inverse,
-    parse_cycles,
-    power,
-)
+from formationlab.perms import Permutation, format_cycles, parse_cycles
 
-from oracles import order_of
+from oracles import commutator, compose, identity, inverse, order_of, power
 
 
 def perm(text: str, degree: int) -> Permutation:

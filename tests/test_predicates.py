@@ -14,7 +14,7 @@ from formationlab.predicates import (
 )
 
 from conftest import group_of, sub_of
-from oracles import in_f_p, is_nilpotent_sylow, is_soluble, is_supersoluble_chief, quotient_by, restrict
+from oracles import in_f_p, is_soluble, is_supersoluble_chief, lower_central_series, quotient_by, restrict
 
 
 class TestBasicPredicates:
@@ -49,8 +49,10 @@ class TestBasicPredicates:
         assert is_nilpotent(klein)
 
     def test_nilpotent_dual_algorithms_agree(self, s3, s4, a4, a5, q8, klein, c6):
+        # every subgroup too: cond_b_subgroups tests subgroups of the group
         for g in (s3, s4, a4, a5, q8, klein, c6):
-            assert is_nilpotent(g) == is_nilpotent_sylow(g)
+            for h in all_subgroups(g).subgroups:
+                assert is_nilpotent(h) == (lower_central_series(h)[-1].order == 1), h
 
     def test_implication_chain(self, s3, s4, a4, a5, q8, klein, c6):
         for g in (s3, s4, a4, a5, q8, klein, c6):
