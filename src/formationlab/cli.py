@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .checkers import PREDICATE_KEYS, ClassReport, classify, word_trace
 from .corpus import GroupSpec, build_group, load_group, standard_corpus
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .groups import exponent
 from .lattice import all_subgroups, frattini, minimal_normal_subgroups, normal_subgroups
 from .perms import format_cycles, parse_cycles
@@ -39,6 +39,9 @@ TSV_COLUMNS = (
     "status",
     "witnesses",
 )
+
+# Groups between two progress lines of a corpus run on stderr.
+PROGRESS_EVERY = 100
 
 CLASS_KEYS = {"U": "supersoluble", "X": "cond_x", "D": "sylow_tower"}
 # Pairs ruled out by the inclusion chain U <= X <= D; finding one is a bug
@@ -88,28 +91,43 @@ def _skip_report(spec: GroupSpec, message: str) -> ClassReport:
 
 def _classify_spec(payload) -> tuple[int, ClassReport | None]:
     idx, spec, max_order = payload
+    started = time.perf_counter()
     try:
         table = build_group(spec)
+    except InvariantError as exc:
+        raise InvariantError(f"group {spec.name}: {exc}") from exc
     except ResourceLimitError as exc:
-        return idx, _skip_report(spec, str(exc))
-    if max_order is not None and table.order > max_order:
-        return idx, None
-    try:
-        return idx, classify(table, spec.name)
-    except ResourceLimitError as exc:
-        return idx, _skip_report(spec, str(exc))
+        table, report = None, _skip_report(spec, str(exc))
+    build = time.perf_counter() - started
+    if table is not None:
+        if max_order is not None and table.order > max_order:
+            return idx, None
+        try:
+            report = classify(table, spec.name)
+        except ResourceLimitError as exc:
+            report = _skip_report(spec, str(exc))
+    report.times["build"] = build
+    return idx, report
+
+
+def _classified(payloads: list, jobs: int):
+    if jobs <= 1:
+        yield from map(_classify_spec, payloads)
+        return
+    import multiprocessing  # here, so that single-job runs skip its import time
+
+    with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        yield from pool.imap_unordered(_classify_spec, payloads)
 
 
 def _run_corpus(specs: list[GroupSpec], max_order: int | None, jobs: int) -> list[ClassReport]:
     payloads = [(i, spec, max_order) for i, spec in enumerate(specs)]
-    if jobs <= 1:
-        results = [_classify_spec(p) for p in payloads]
-    else:
-        import multiprocessing  # here, so that single-job runs skip its import time
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            results = list(pool.imap_unordered(_classify_spec, payloads))
+    started, results = time.perf_counter(), []
+    for result in _classified(payloads, jobs):
+        results.append(result)
+        if len(results) % PROGRESS_EVERY == 0:
+            elapsed = time.perf_counter() - started
+            print(f"progress: {len(results)}/{len(payloads)} groups, {elapsed:.1f} s", file=sys.stderr)
     results.sort(key=lambda t: t[0])
     return [report for _, report in results if report is not None]
 

@@ -1,8 +1,8 @@
 """Fully enumerated finite groups built from permutation generators.
 
 A GroupTable carries a deterministic element ordering (identity first), the
-elements as one read-only array of image rows with the argsort that looks a
-row up, the full Cayley table as a numpy array in the smallest index dtype,
+elements in orbit/transversal/base form with a sorted lookup of their base
+images, the full Cayley table as a numpy array in the smallest index dtype,
 and its cyclic subgroups, each walked once, from which the element orders
 and inverses are read.
 An element becomes a ``Permutation`` only when asked for (``perm``), for
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_BOUND = 2000
-# Rows per lookup when ``close_generators`` fills a generator's table row,
-# which keeps each lookup's temporaries near 1 MB at degree 2000.
-ROW_BLOCK = 256
 
 
 def default_order_bound() -> int:
@@ -58,16 +55,19 @@ def default_order_bound() -> int:
 class GroupTable:
     """A finite permutation group with every element enumerated.
 
-    ``rows[i]`` holds element i's images of the points 0..degree-1 (one
-    read-only (order, degree) array, int16 while degree < 2^15) and
-    ``row_order`` sorts the rows, each viewed as one void scalar, so a row
-    is found by binary search (``_lookup``).  Row 0 is the identity;
-    ``mul[i, j]`` is the index of "element i then element j", int16 while
-    the order is below 2^15 and int32 beyond, and ``inv``, ``cyclic_id``
-    and every index array derived from the table share its dtype.  The
-    ordering is the insertion order of the generator closure, so equal
-    generator sequences give bit-identical tables.  ``perm(i)`` builds
-    element i as a ``Permutation`` when asked.
+    Elements are held in orbit/transversal/base form (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4):
+    ``orbit[q]`` numbers point q's orbit, ``images[o, i]`` is element i's
+    image of orbit o's least point r, and ``transversal[q]`` is the least
+    element taking r to q, so element i's image row is
+    ``images[orbit, mul[transversal, i]]``.  Only the identity fixes every
+    ``base`` point, so the base images ``keys`` tell the elements apart;
+    ``key_order`` sorts them.  Row 0 is the identity; ``mul[i, j]`` is the
+    index of "element i then element j", int16 while the order is below
+    2^15 and int32 beyond, and ``inv``, ``cyclic_id``, ``transversal`` and
+    every index array derived from the table share its dtype.  The ordering
+    is the insertion order of the generator closure, so equal generator
+    sequences give bit-identical tables.
 
     ``elem_orders``, ``inv`` and the cyclic subgroups come from one walk
     over each cyclic subgroup, started at its least generator x: the powers
@@ -80,8 +80,12 @@ class GroupTable:
 
     __slots__ = (
         "degree",
-        "rows",
-        "row_order",
+        "orbit",
+        "images",
+        "transversal",
+        "base",
+        "keys",
+        "key_order",
         "order",
         "mul",
         "inv",
@@ -92,11 +96,10 @@ class GroupTable:
         "_full",
     )
 
-    def __init__(self, rows, row_order, mul, gen_indices):
-        n, self.degree = rows.shape
-        self.order = n
-        self.rows = rows
-        self.row_order = row_order
+    def __init__(self, store, mul, gen_indices):
+        self.orbit, self.images, self.transversal, self.base, self.keys, self.key_order = store
+        self.degree = len(self.orbit)
+        n = self.order = mul.shape[0]
         self.mul = mul
         self.elem_orders = np.ones(n, np.int64)
         self.inv = np.zeros(n, mul.dtype)
@@ -136,15 +139,21 @@ class GroupTable:
         return Subgroup(self, mask, ())
 
     def perm(self, index: int) -> Permutation:
-        return Permutation._trusted(tuple((self.rows[index] + 1).tolist()))
+        return Permutation._trusted(tuple((self.images[self.orbit, self.mul[self.transversal, index]] + 1).tolist()))
+
+    def indices_of(self, block: np.ndarray) -> np.ndarray:
+        """The element index of each image row in ``block``, or -1 where the
+        row is no element: a lookup of its base images, then a full check."""
+        found = _lookup(self.keys, self.key_order, block[:, self.base].astype(self.keys.dtype))
+        rows = self.images[self.orbit[:, None], self.mul[self.transversal[:, None], found]].T
+        return np.where((rows == block).all(axis=1), found, -1)
 
     def index_of(self, p: Permutation) -> int:
         if p.degree != self.degree:
             raise InputError(
                 f"permutation {format_cycles(p)} has degree {p.degree}, not the group's {self.degree}"
             )
-        row = np.array(p.images, dtype=self.rows.dtype)[None, :] - 1
-        index = int(_lookup(self.rows, self.row_order, row)[0])
+        index = int(self.indices_of(np.array(p.images)[None, :] - 1)[0])
         if index < 0:
             raise InputError(f"permutation {format_cycles(p)} is not a group element")
         return index
@@ -183,13 +192,13 @@ def _void_rows(block: np.ndarray) -> np.ndarray:
     return block.view(np.dtype((np.void, block.shape[1] * block.itemsize))).ravel()
 
 
-def _lookup(rows: np.ndarray, order: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The index in ``rows`` of each row of ``block`` (same dtype and
+def _lookup(keys: np.ndarray, order: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The index in ``keys`` of each row of ``block`` (same dtype and
     width), or -1 where the row is absent.  ``order`` is the argsort of
-    ``_void_rows(rows)``: one binary search per row, then an equality check."""
-    keys, probes = _void_rows(rows), _void_rows(block)
-    found = order[np.minimum(np.searchsorted(keys, probes, sorter=order), len(order) - 1)]
-    return np.where(keys[found] == probes, found, -1)
+    ``_void_rows(keys)``: one binary search per row, then an equality check."""
+    void_keys, probes = _void_rows(keys), _void_rows(block)
+    found = order[np.minimum(np.searchsorted(void_keys, probes, sorter=order), len(order) - 1)]
+    return np.where(void_keys[found] == probes, found, -1)
 
 
 class Subgroup:
@@ -265,20 +274,16 @@ def _greedy_generators(
 
 def _close_rows(degree: int, gen_rows: list[np.ndarray], bound: int) -> np.ndarray:
     """Image rows of the group generated by ``gen_rows`` in insertion order,
-    read-only.  The keys of one insertion-ordered dict are the only store of
-    the rows while they are found; the closed set is read back from them."""
+    found as the keys of one insertion-ordered dict, then drained into one
+    array, last key first, so that each key is freed once it is copied."""
     dtype = _row_dtype(degree)
     found: dict[bytes, None] = {np.arange(degree, dtype=dtype).tobytes(): None}
-
-    def closed() -> np.ndarray:
-        return np.frombuffer(b"".join(found), dtype).reshape(-1, degree)
-
     taken: list[np.ndarray] = []
     for grow in gen_rows:
         taken.append(grow)
         if grow.tobytes() in found:
             continue
-        base = closed()  # the closed subgroup so far
+        base = np.frombuffer(b"".join(found), dtype).reshape(-1, degree)  # the closed subgroup so far
         queue: deque[np.ndarray] = deque([grow])
         while queue:
             rep = queue.popleft()
@@ -289,7 +294,33 @@ def _close_rows(degree: int, gen_rows: list[np.ndarray], bound: int) -> np.ndarr
             found.update(dict.fromkeys(_row_keys(rep[base])))  # (h then rep): images rep[h[p]]
             for s in taken:
                 queue.append(s[rep])  # (rep then s)
-    return closed()
+    rows = np.empty((len(found), degree), dtype)
+    buf, width = memoryview(rows).cast("B"), degree * rows.itemsize
+    for end in range(rows.nbytes, 0, -width):
+        buf[end - width:end] = found.popitem()[0]
+    return rows
+
+
+def _element_store(rows: np.ndarray) -> tuple:
+    """The store of GroupTable read from the closed ``rows``.  The base is
+    greedy: while an element other than the identity fixes every base point,
+    add the first point the least such element moves ([0] if none does)."""
+    n, degree = rows.shape
+    labels = rows.min(axis=0)  # column q is the orbit of point q
+    reps = np.flatnonzero(labels == np.arange(degree))
+    orbit = np.searchsorted(reps, labels)
+    images = rows.T[reps]
+    transversal = np.empty(degree, _row_dtype(n))
+    transversal[images[:, ::-1]] = np.arange(n - 1, -1, -1)  # the least element writes last
+    base: list[int] = []
+    fixing = np.arange(n) > 0  # the elements other than the identity that fix every base point
+    while t := int(fixing.argmax()):  # 0 once no such element is left
+        p = int((rows[t] != np.arange(degree)).argmax())
+        base.append(p)
+        fixing &= rows[:, p] == p
+    base = np.array(base or [0])
+    keys = rows[:, base]
+    return orbit, images, transversal, base, keys, np.argsort(_void_rows(keys))
 
 
 def close_generators(
@@ -304,13 +335,11 @@ def close_generators(
     appending whole right cosets H*rep of the previously closed set H (one
     2-D take per coset), with new coset representatives produced by
     multiplying known representatives by the generators taken so far.  Each
-    row is held once: as a bytes key while the closure runs, then in one
-    read-only (order, degree) array with its sorted lookup; no
-    ``Permutation`` is built per element.  Insertion order (hence the table)
-    is deterministic.  The Cayley table, in the smallest index dtype, is
-    built by rows: each distinct generator's row is looked up in blocks of
-    ``ROW_BLOCK`` rows, and the row of (s then i) is ``mul[s][mul[i]]`` by
-    associativity, filled breadth-first.
+    row is held once: as a bytes key, then in one (order, degree) array that
+    is dropped once the store (see GroupTable) and each generator's Cayley
+    row, looked up by base images, are read from it.  Insertion order (hence
+    the table) is deterministic.  The rest of the table, in the smallest
+    index dtype, is filled by rows: (s then i) is ``mul[s][mul[i]]``.
     """
     if degree < 1:
         raise InputError(f"degree must be a positive integer, got {degree}")
@@ -321,27 +350,30 @@ def close_generators(
 
     gen_rows = [np.array(g.images, dtype=_row_dtype(degree)) - 1 for g in gens]
     rows = _close_rows(degree, gen_rows, bound)
-    order = np.argsort(_void_rows(rows))
-    gen_indices = _lookup(rows, order, np.array(gen_rows, rows.dtype).reshape(-1, degree)).tolist()
-    n = rows.shape[0]
+    store = _element_store(rows)
+    base, keys, key_order = store[3:]
+    gen_indices = _lookup(keys, key_order, np.array(gen_rows, rows.dtype).reshape(-1, degree)[:, base]).tolist()
+    gen_mul: dict[int, list[int]] = {}  # each distinct non-identity generator's table row
+    for s, grow in zip(gen_indices, gen_rows):
+        if s and s not in gen_mul:  # (s then j) maps b to j[s[b]]
+            gen_mul[s] = _lookup(keys, key_order, rows[:, grow[base]]).tolist()
+    n = len(rows)
+    del rows  # before the table is allocated
     mul = np.full((n, n), -1, dtype=_row_dtype(n))  # -1 marks a row not yet built
     mul[0] = np.arange(n)
-    left: list[int] = []  # the distinct non-identity generators
-    for s, grow in zip(gen_indices, gen_rows):
-        if mul[s, 0] < 0:
-            for lo in range(0, n, ROW_BLOCK):  # (s then j): j[s[p]]
-                mul[s, lo:lo + ROW_BLOCK] = _lookup(rows, order, rows[lo:lo + ROW_BLOCK, grow])
-            left.append(s)
-    reached = [0, *left]
+    for s, row in gen_mul.items():
+        mul[s] = row
+    reached = [0, *gen_mul]
+    seen = set(reached)
     for i in reached:  # grows while iterating
-        for s in left:
-            k = int(mul[s, i])
-            if mul[k, 0] < 0:
-                mul[k] = mul[s][mul[i]]
+        for s, srow in gen_mul.items():
+            if (k := srow[i]) not in seen:
+                seen.add(k)
+                mul[s].take(mul[i], out=mul[k])
                 reached.append(k)
     if (mul[:, 0] < 0).any():
         raise InvariantError("Cayley table rows not reached from the generators")
-    return GroupTable(rows, order, mul, gen_indices)
+    return GroupTable(store, mul, gen_indices)
 
 
 def as_subgroup(g: Union[GroupTable, Subgroup]) -> Subgroup:

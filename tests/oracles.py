@@ -51,7 +51,6 @@ from formationlab.groups import (
     Subgroup,
     _centralizer_mod_mask,
     _greedy_generators,
-    _lookup,
     _row_dtype,
     as_subgroup,
     close_generators,
@@ -168,8 +167,8 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
 
     Coset representatives are the least element index in each coset; each
     element's image is found by looking up its coset row among the
-    quotient's rows, and the projection is verified to be a homomorphism
-    with kernel exactly ``n_sub``.
+    quotient's elements (``GroupTable.indices_of``), and the projection is
+    verified to be a homomorphism with kernel exactly ``n_sub``.
     """
     if n_sub.parent is not g:
         raise InputError("subgroup belongs to a different group")
@@ -190,7 +189,7 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     quotient = close_generators(m, qgens, order_bound=m)
     if quotient.order != m:
         raise InvariantError("quotient order does not equal the subgroup index")
-    projection = _lookup(quotient.rows, quotient.row_order, coset_rows)
+    projection = quotient.indices_of(coset_rows)
     for i in g.gen_indices:
         for j in g.gen_indices:
             if projection[g.mul[i, j]] != quotient.mul[projection[i], projection[j]]:

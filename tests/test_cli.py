@@ -129,6 +129,38 @@ class TestVerify:
         data = json.loads(report.read_text())
         assert len(data) == 5 and all("predicates" in row for row in data)
 
+    def test_json_times_include_build(self, small_corpus_dir, tmp_path, monkeypatch):
+        # resource-skipped rows (A4 and S4 over the bound) carry it too
+        monkeypatch.setenv("FORMATIONLAB_MAX_ORDER", "10")
+        report = tmp_path / "out.json"
+        assert main(["verify", "--corpus", small_corpus_dir, "--json", "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert sum(row["status"] == "resource-skip" for row in data) == 2
+        assert all(row["times"]["build"] >= 0 for row in data)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_lines(self, small_corpus_dir, tmp_path, monkeypatch, capsys, jobs):
+        import formationlab.cli as cli
+
+        monkeypatch.setattr(cli, "PROGRESS_EVERY", 2)
+        report = tmp_path / "out.tsv"
+        assert main(["verify", "--corpus", small_corpus_dir, "--jobs", jobs, "--report", str(report)]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("progress: ")]
+        assert [line.split(",")[0] for line in lines] == ["progress: 2/5 groups", "progress: 4/5 groups"]
+        assert all(line.endswith(" s") for line in lines)
+
+    def test_build_failure_names_the_group(self, monkeypatch):
+        import formationlab.groups as groups
+        from formationlab.cli import _classify_spec
+        from formationlab.errors import InvariantError
+
+        def broken(*args):
+            raise InvariantError("closure broke")
+
+        monkeypatch.setattr(groups, "_close_rows", broken)
+        with pytest.raises(InvariantError, match="^group S3: closure broke$"):
+            _classify_spec((0, symmetric(3), None))
+
     def test_jobs_do_not_change_bytes(self, small_corpus_dir, tmp_path):
         r1, r2 = tmp_path / "r1.tsv", tmp_path / "r2.tsv"
         assert main(["verify", "--corpus", small_corpus_dir, "--jobs", "1", "--report", str(r1)]) == 0

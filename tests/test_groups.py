@@ -8,7 +8,6 @@ from formationlab.groups import (
     GroupTable,
     Subgroup,
     _centralizer_mod_mask,
-    _lookup,
     close_generators,
     commutator_subgroup,
     derived_series,
@@ -127,12 +126,46 @@ class TestElementRows:
         from formationlab.corpus import build_group, cyclic, order75_witness
 
         for g in (s4, q8, build_group(order75_witness()), build_group(cyclic(1999))):
-            assert g.rows.dtype == np.int16
+            assert g.images.dtype == g.keys.dtype == np.int16
             assert [g.index_of(g.perm(i)) for i in range(g.order)] == list(range(g.order))
 
+    @pytest.mark.parametrize(
+        "degree, gens",
+        [(4, []), (1, []), (4, ["()"]), (4, ["()", "(1 2 3)"]), (4, ["(1 2 3 4)", "(1 3)", "(1 2 3 4)"])],
+    )
+    def test_trivial_identity_and_repeated_generators(self, degree, gens):
+        g = group_of(degree, *gens)
+        rows = np.array([g.perm(i).images for i in range(g.order)]) - 1
+        assert g.perm(0) == identity(degree)
+        assert len({tuple(r) for r in rows.tolist()}) == g.order
+        assert g.indices_of(rows).tolist() == list(range(g.order))
+        assert [g.perm(i) for i in g.gen_indices] == [parse_cycles(t, degree) for t in gens]
+        if g.order == 1 and degree > 1:
+            assert g.indices_of(np.array([[1, 0, *range(2, degree)]])).tolist() == [-1]
+
+    def test_census_members_reject_every_other_element(self, s4):
+        # a base point test alone would accept an element that agrees with
+        # a member on the base; the whole row must be checked
+        from formationlab.corpus import build_group, subgroups_of_symmetric
+
+        every = [s4.perm(i) for i in range(s4.order)]
+        rows = np.array([p.images for p in every]) - 1
+        for spec in subgroups_of_symmetric(4):
+            h = build_group(spec)
+            members = {h.perm(i) for i in range(h.order)}
+            found = h.indices_of(rows)
+            for p, index in zip(every, found.tolist()):
+                assert (index >= 0) == (p in members), (spec.name, p)
+                if p in members:
+                    assert h.perm(index) == p
+                else:
+                    with pytest.raises(InputError, match="not a group element"):
+                        h.index_of(p)
+
     def test_c1999_build_memory(self):
-        # each element is held once, in int16: the rows (8 MB) and the
-        # table (8 MB), with no bytes-keyed copy of the rows beside them
+        # the traced peak is the closure's bytes keys beside the int16 rows
+        # they are drained into (8 MB each); after the build only the table
+        # (8 MB) is kept, not the rows
         import tracemalloc
 
         from formationlab.corpus import build_group, cyclic
@@ -140,18 +173,18 @@ class TestElementRows:
         tracemalloc.start()
         try:
             g = build_group(cyclic(1999))
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 24e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak <= 18e6, f"peak {peak / 1e6:.1f} MB"
+        assert kept <= 9e6, f"kept {kept / 1e6:.1f} MB"
         assert g.mul.dtype == g.inv.dtype == np.int16
-        assert not g.rows.flags.writeable
 
     def test_lookup_marks_only_non_members(self, a4):
-        members = a4.rows[[5, 0, 11]]
-        transposition = np.array([[1, 0, 2, 3]], a4.rows.dtype)
+        members = np.array([a4.perm(i).images for i in (5, 0, 11)]) - 1
+        transposition = np.array([[1, 0, 2, 3]])
         block = np.concatenate([members[:2], transposition, members[2:]])
-        assert _lookup(a4.rows, a4.row_order, block).tolist() == [5, 0, -1, 11]
+        assert a4.indices_of(block).tolist() == [5, 0, -1, 11]
 
     def test_index_of_rejects_wrong_degree(self, s3):
         with pytest.raises(InputError, match="degree 4"):
@@ -180,7 +213,7 @@ class TestCyclicWalk:
         mul = c3.mul.copy()
         mul[1, 1] = 1
         with pytest.raises(InvariantError, match="never reach the identity"):
-            GroupTable(c3.rows, c3.row_order, mul, c3.gen_indices)
+            GroupTable((c3.orbit, c3.images, c3.transversal, c3.base, c3.keys, c3.key_order), mul, c3.gen_indices)
 
     def test_cyclic_subgroups_match_permutation_oracle(self, s4, s5):
         from formationlab.corpus import build_group, cyclic, standard_corpus
