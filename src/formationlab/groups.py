@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_BOUND = 2000
+ROW_BUFFER_BYTES = 1 << 16  # the closure's first row buffer (at least one row); it doubles from there
 
 
 def default_order_bound() -> int:
@@ -93,7 +94,6 @@ class GroupTable:
         "cyclics",
         "cyclic_id",
         "gen_indices",
-        "_full",
     )
 
     def __init__(self, store, mul, gen_indices):
@@ -126,12 +126,11 @@ class GroupTable:
         if (mul[np.arange(n), self.inv] != 0).any():
             raise InvariantError("an element times its computed inverse is not the identity")
         self.gen_indices = tuple(gen_indices)
-        self._full = None
 
     def full_subgroup(self) -> "Subgroup":
-        if self._full is None:
-            self._full = Subgroup(self, np.ones(self.order, np.bool_), self.gen_indices)
-        return self._full
+        """A fresh Subgroup on each call: caching it here would make a
+        table <-> subgroup cycle that outlives the group until gc runs."""
+        return Subgroup(self, np.ones(self.order, np.bool_), self.gen_indices)
 
     def trivial_subgroup(self) -> "Subgroup":
         mask = np.zeros(self.order, np.bool_)
@@ -274,31 +273,46 @@ def _greedy_generators(
 
 def _close_rows(degree: int, gen_rows: list[np.ndarray], bound: int) -> np.ndarray:
     """Image rows of the group generated by ``gen_rows`` in insertion order,
-    found as the keys of one insertion-ordered dict, then drained into one
-    array, last key first, so that each key is freed once it is copied."""
+    written into one buffer that doubles as it fills (never past ``bound``)
+    and found through a dict from the hash of a row's bytes to its number.
+    A hit is checked against the stored row, so a hash collision raises
+    rather than merging two elements."""
     dtype = _row_dtype(degree)
-    found: dict[bytes, None] = {np.arange(degree, dtype=dtype).tobytes(): None}
+    rows = np.empty((max(1, min(bound, ROW_BUFFER_BYTES // (degree * np.dtype(dtype).itemsize))), degree), dtype)
+    rows[0] = np.arange(degree)
+    index = {hash(rows[0].tobytes()): 0}
+    n = 1
     taken: list[np.ndarray] = []
     for grow in gen_rows:
         taken.append(grow)
-        if grow.tobytes() in found:
-            continue
-        base = np.frombuffer(b"".join(found), dtype).reshape(-1, degree)  # the closed subgroup so far
+        m = n
+        base = rows[:m]  # the closed subgroup so far
         queue: deque[np.ndarray] = deque([grow])
         while queue:
             rep = queue.popleft()
-            if rep.tobytes() in found:
+            key = rep.tobytes()
+            if (k := index.get(hash(key))) is not None:
+                if rows[k].tobytes() != key:
+                    raise InvariantError("two image rows share a hash")
                 continue  # else H*rep is disjoint from the cosets already found
-            if len(found) + len(base) > bound:
+            if n + m > bound:
                 raise ResourceLimitError("group order exceeds the order bound", bound)
-            found.update(dict.fromkeys(_row_keys(rep[base])))  # (h then rep): images rep[h[p]]
+            if n + m > len(rows):
+                grown = np.empty((min(2 * len(rows), bound), degree), dtype)  # holds n + m <= 2n rows
+                grown[:n] = rows[:n]
+                rows, base = grown, grown[:m]
+            if m == 1:  # H*rep = {rep}, whose hash was just missed
+                rows[n] = rep
+                index[hash(key)] = n
+            else:
+                block = rep.take(base, out=rows[n:n + m])  # (h then rep): images rep[h[p]]
+                index.update(zip(map(hash, _row_keys(block)), range(n, n + m)))
+                if len(index) != n + m:
+                    raise InvariantError("a coset repeats a row's hash")
+            n += m
             for s in taken:
                 queue.append(s[rep])  # (rep then s)
-    rows = np.empty((len(found), degree), dtype)
-    buf, width = memoryview(rows).cast("B"), degree * rows.itemsize
-    for end in range(rows.nbytes, 0, -width):
-        buf[end - width:end] = found.popitem()[0]
-    return rows
+    return rows[:n]
 
 
 def _element_store(rows: np.ndarray) -> tuple:
@@ -335,11 +349,13 @@ def close_generators(
     appending whole right cosets H*rep of the previously closed set H (one
     2-D take per coset), with new coset representatives produced by
     multiplying known representatives by the generators taken so far.  Each
-    row is held once: as a bytes key, then in one (order, degree) array that
-    is dropped once the store (see GroupTable) and each generator's Cayley
-    row, looked up by base images, are read from it.  Insertion order (hence
-    the table) is deterministic.  The rest of the table, in the smallest
-    index dtype, is filled by rows: (s then i) is ``mul[s][mul[i]]``.
+    row is held once, in one (order, degree) buffer indexed by the hashes of
+    the rows' bytes (``_close_rows``); it is dropped once the store (see
+    GroupTable) and each generator's Cayley row, looked up by base images,
+    are read from it, before a page of the table is touched.  Insertion
+    order (hence the table) is deterministic.  The rest of the table, in the
+    smallest index dtype, is filled by rows: (s then i) is
+    ``mul[s][mul[i]]``; every row must be reached exactly once.
     """
     if degree < 1:
         raise InputError(f"degree must be a positive integer, got {degree}")
@@ -356,10 +372,13 @@ def close_generators(
     gen_mul: dict[int, list[int]] = {}  # each distinct non-identity generator's table row
     for s, grow in zip(gen_indices, gen_rows):
         if s and s not in gen_mul:  # (s then j) maps b to j[s[b]]
-            gen_mul[s] = _lookup(keys, key_order, rows[:, grow[base]]).tolist()
+            row = _lookup(keys, key_order, rows[:, grow[base]])
+            if row.min() < 0:
+                raise InvariantError("a generator's product with an element is no element")
+            gen_mul[s] = row.tolist()
     n = len(rows)
-    del rows  # before the table is allocated
-    mul = np.full((n, n), -1, dtype=_row_dtype(n))  # -1 marks a row not yet built
+    mul = np.empty((n, n), dtype=_row_dtype(n))  # its pages are touched only once the rows are gone
+    del rows
     mul[0] = np.arange(n)
     for s, row in gen_mul.items():
         mul[s] = row
@@ -371,7 +390,7 @@ def close_generators(
                 seen.add(k)
                 mul[s].take(mul[i], out=mul[k])
                 reached.append(k)
-    if (mul[:, 0] < 0).any():
+    if len(reached) != n:
         raise InvariantError("Cayley table rows not reached from the generators")
     return GroupTable(store, mul, gen_indices)
 

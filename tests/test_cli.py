@@ -161,6 +161,51 @@ class TestVerify:
         with pytest.raises(InvariantError, match="^group S3: closure broke$"):
             _classify_spec((0, symmetric(3), None))
 
+    # every row hashing to 0, the first generator's lookup hits the identity;
+    # hashed by the low byte of point 2's image, (1 2 3)'s coset repeats
+    # the identity's hash
+    @pytest.mark.parametrize(
+        "row_hash, message",
+        [(lambda key: 0, "two image rows share a hash"), (lambda key: key[2], "a coset repeats a row's hash")],
+        ids=["zero", "point2"],
+    )
+    def test_hash_collision_names_the_group(self, monkeypatch, tmp_path, row_hash, message):
+        import formationlab.groups as groups
+        from formationlab.corpus import build_group
+        from formationlab.errors import InvariantError
+
+        monkeypatch.setattr(groups, "hash", row_hash, raising=False)
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            build_group(symmetric(3))
+        write_group(symmetric(3), tmp_path / "S3.group")
+        with pytest.raises(InvariantError, match=f"^group S3: {message}$"):
+            main(["verify", "--corpus", str(tmp_path), "--jobs", "1"])
+
+    def test_tables_are_freed_without_the_cycle_collector(self):
+        # nothing a classification builds refers back to its table in a
+        # cycle, so each table is freed when its report is returned
+        import gc
+
+        from formationlab.cli import _classify_spec
+        from formationlab.groups import GroupTable
+
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        kept = len(gc.garbage)
+        try:
+            for i, spec in enumerate((symmetric(4), cyclic(1000))):
+                _classify_spec((i, spec, None))
+            gc.collect()
+            tables = [obj for obj in gc.garbage[kept:] if isinstance(obj, GroupTable)]
+        finally:
+            del gc.garbage[kept:]
+            gc.set_debug(flags)
+            if enabled:
+                gc.enable()
+        assert tables == []
+
     def test_jobs_do_not_change_bytes(self, small_corpus_dir, tmp_path):
         r1, r2 = tmp_path / "r1.tsv", tmp_path / "r2.tsv"
         assert main(["verify", "--corpus", small_corpus_dir, "--jobs", "1", "--report", str(r1)]) == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -62,9 +64,30 @@ class TestCloseGenerators:
             close_generators(0, [])
 
     def test_order_bound(self):
+        # |S5| = 120: the row buffer may reach the bound but never pass it
+        gens = [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)]
+        assert close_generators(5, gens, order_bound=120).order == 120
         with pytest.raises(ResourceLimitError) as err:
-            close_generators(5, [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)], order_bound=100)
-        assert "100" in str(err.value)
+            close_generators(5, gens, order_bound=119)
+        assert "119" in str(err.value)
+
+    @pytest.mark.parametrize("lost, message", [("product", "no element"), ("generator", "not reached")])
+    def test_lost_lookup_raises(self, monkeypatch, lost, message):
+        # a product missing from a generator's Cayley row must not be written
+        # as row -1; a generator looked up as the identity leaves rows unbuilt
+        import formationlab.groups as groups
+
+        lookup = groups._lookup
+
+        def lossy(keys, order, block):
+            found = lookup(keys, order, block)
+            if (len(block) == len(keys)) == (lost == "product"):  # a Cayley row, or the generators
+                found[-1] = -1 if lost == "product" else 0
+            return found
+
+        monkeypatch.setattr(groups, "_lookup", lossy)
+        with pytest.raises(InvariantError, match=message):
+            group_of(3, "(1 2)", "(1 2 3)")
 
     def test_determinism_bit_identical(self):
         a = group_of(4, "(1 2)", "(1 2 3 4)")
@@ -162,23 +185,35 @@ class TestElementRows:
                     with pytest.raises(InputError, match="not a group element"):
                         h.index_of(p)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM, which Linux keeps")
     def test_c1999_build_memory(self):
-        # the traced peak is the closure's bytes keys beside the int16 rows
-        # they are drained into (8 MB each); after the build only the table
-        # (8 MB) is kept, not the rows
-        import tracemalloc
+        # resident memory, read in a fresh process: the build's peak rises by
+        # the 8 MB table (int16), not by a second copy of the 8 MB of rows
+        # beside it (13.4 MB when the rows were bytes keys first).  VmHWM is
+        # the process's own peak; ru_maxrss would start at the peak of the
+        # process that started it, which Linux carries across exec.
+        import subprocess
+        import sys
+        from pathlib import Path
 
-        from formationlab.corpus import build_group, cyclic
+        import formationlab
 
-        tracemalloc.start()
-        try:
-            g = build_group(cyclic(1999))
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 18e6, f"peak {peak / 1e6:.1f} MB"
-        assert kept <= 9e6, f"kept {kept / 1e6:.1f} MB"
-        assert g.mul.dtype == g.inv.dtype == np.int16
+        code = (
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+            "from formationlab.corpus import build_group, cyclic\n"
+            "spec = cyclic(1999)\n"
+            "before = peak()\n"
+            "g = build_group(spec)\n"
+            "print(peak() - before, g.mul.dtype, g.inv.dtype)\n"
+        )
+        src = str(Path(formationlab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout.split()
+        rise = int(out[0]) * 1024  # VmHWM is in KiB
+        assert rise <= 11e6, f"peak RSS rose {rise / 1e6:.1f} MB"
+        assert out[1:] == ["int16", "int16"]
 
     def test_lookup_marks_only_non_members(self, a4):
         members = np.array([a4.perm(i).images for i in (5, 0, 11)]) - 1
