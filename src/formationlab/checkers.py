@@ -12,7 +12,8 @@ state ([x, y], y), so the sweep steps each distinct start state once and
 then maps failures back to the least failing pair.
 
 ``cond_x`` and ``cond_b_subgroups`` judge one member per conjugacy class
-of subgroups (``Lattice.class_ids``), the first in lattice order:
+of subgroups (``Lattice.class_ids``), the first in lattice order, which
+``Lattice`` fixes whatever order its members were given in:
 conjugation by the top is an automorphism fixing the top, so "cyclic,
 primary and not prime-step subnormal", "[H, H] nilpotent" and "H
 supersoluble" hold for all of a class or for none, and the first failing
@@ -52,13 +53,7 @@ from .groups import (
     derived_series,
     exponent,
 )
-from .lattice import (
-    ChiefFactor,
-    Lattice,
-    all_subgroups,
-    chief_series,
-    p_reachable,
-)
+from .lattice import ChiefFactor, Lattice, all_subgroups, chief_series
 from .perms import format_cycles
 from .predicates import (
     _check_lattice,
@@ -116,20 +111,17 @@ def _describe(s: Subgroup) -> str:
     return f"<{gens}> of order {s.order}"
 
 
-def _class_firsts(lat: Lattice):
-    """The first member of each conjugacy class of subgroups, in lattice
-    order."""
-    seen: set[int] = set()
-    for h, class_id in zip(lat.subgroups, lat.class_ids()):
-        if class_id not in seen:
-            seen.add(class_id)
-            yield h
+def _class_firsts(lat: Lattice) -> np.ndarray:
+    """The index of the first member of each conjugacy class of subgroups,
+    in lattice order."""
+    return np.flatnonzero(lat.class_ids() == np.arange(len(lat)))
 
 
 def _condition_x_impl(g, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
-    for s in _class_firsts(lat):
-        if is_primary(s) and is_cyclic(s) and not p_reachable(lat, s):
+    for i in _class_firsts(lat):
+        s = lat.subgroups[i]
+        if not lat.p_subnormal[i] and is_primary(s) and is_cyclic(s):
             return False, f"cyclic primary subgroup {_describe(s)} is not prime-step subnormal"
     return True, None
 
@@ -141,7 +133,8 @@ def condition_x(g, lat: Lattice) -> bool:
 
 def _condition_b_subgroups_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
-    for h in _class_firsts(lat):
+    for i in _class_firsts(lat):
+        h = lat.subgroups[i]
         if is_supersoluble(h, lat):
             continue  # a supersoluble group's derived subgroup is nilpotent
         derived = commutator_subgroup(lat.parent, h, h)
@@ -274,7 +267,7 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
                 witnesses[key] = witness
 
         run("supersoluble", lambda: _supersoluble_impl(series))
-        run("sylow_tower", lambda: _sylow_tower_witness(g))
+        run("sylow_tower", lambda: _sylow_tower_impl(g))
         run("cond_x", lambda: _condition_x_impl(g, lat))
         run("cond_b_subgroups", lambda: _condition_b_subgroups_impl(g, lat))
         run("cond_b_law", lambda: _condition_b_law_impl(g))
@@ -287,10 +280,3 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
     report = ClassReport(name, g.degree, g.order, predicates, witnesses, times)
     report.status = "ok" if report.theorem_consistent() else "mismatch"
     return report
-
-
-def _sylow_tower_witness(g: GroupTable) -> tuple[bool, Optional[str]]:
-    ok, p = _sylow_tower_impl(g)
-    if ok:
-        return True, None
-    return False, f"Sylow {p}-subgroup is not normal at its tower level"

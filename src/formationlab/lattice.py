@@ -1,7 +1,7 @@
 """Complete subgroup lattices and the lattice-level objects the predicates
 consume: conjugacy classes of subgroups, maximal/normal/minimal-normal
-subgroups, the Frattini subgroup, chief series, and prime-index
-reachability.
+subgroups, the Frattini subgroup, chief series, and prime-step
+subnormality.
 
 Enumeration is by cyclic extension over conjugacy classes of subgroups
 (Neubüser's method, as in Cannon, Cox and Holt, "Computing the subgroup
@@ -13,16 +13,18 @@ conjugation by the group's generators.  Those orbits are the conjugacy
 classes, so the enumerated lattice carries a class id per member.  The
 representatives are extended in waves, and all seeds H | <c> of one wave
 are closed together in batched ``close_mask`` calls.  Subgroups are
-deduplicated by element mask, never by isomorphism, and the lattice order
-is (order, mask) so every downstream choice is reproducible.
+deduplicated by element mask, never by isomorphism.
 
 A lattice is one (S, n) bool matrix of element masks, each member a row of
-it.  Containment between members is stored data, as in Cannon, Cox and
-Holt: one boolean product of the matrix with its complement, computed once
-per lattice, from which the prime-index edges, maximal subgroups,
-minimal normal subgroups, chief series and Huppert's supersolubility test
-are read.  Normality in the top is read off the class ids: a normal member
-is a class of one.
+it.  ``Lattice`` alone decides the member order, (order, mask), and labels
+each conjugacy class by its least member, whatever order the members
+arrive in, so every downstream choice depends on the group alone.
+Containment between members is stored data, as in Cannon, Cox and Holt:
+one boolean product of the matrix with its complement, computed once per
+lattice, from which prime-step subnormality, maximal subgroups, minimal
+normal subgroups, chief series and Huppert's supersolubility test are
+read.  Normality in the top is read off the class ids: a normal member is
+a class of one.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "minimal_normal_subgroups",
     "frattini",
     "chief_series",
-    "p_reachable",
 ]
 
 DEFAULT_SUBGROUP_BOUND = 10**6
@@ -68,17 +69,19 @@ class ChiefFactor:
 class Lattice:
     """All subgroups of ``top`` inside a parent GroupTable.
 
-    ``matrix`` is one read-only (S, n) bool array, row i a copy of the
-    element mask of ``subgroups[i]``, and ``orders`` its row counts.  The
-    members keep the order they are given in; ``all_subgroups`` gives them
-    in (order, mask) order.  ``containment[i, j]`` holds when member i lies
-    in member j: one boolean product, since i lies in j iff no element of i
-    is outside j; construction checks that every contained pair obeys
-    Lagrange.  ``up_edges[i]`` lists the lattice indices j with
-    subgroups[i] < subgroups[j] at prime index.  Conjugacy-class ids under
-    ``top`` come with the enumerated lattice, or are computed by the orbit
-    algorithm when first asked for and cached; a member is normal in
-    ``top`` when its class has no other member.
+    The lattice sorts its members, whatever order they are given in, into
+    (order, mask) order, the highest element index most significant, so the
+    trivial subgroup is member 0, the top is the last member, and every
+    choice read off the lattice depends on the members alone.  ``matrix`` is
+    one read-only (S, n) bool array, row i the element mask of
+    ``subgroups[i]``, and ``orders`` its row counts.  ``containment[i, j]``
+    holds when member i lies in member j: one boolean product, since i lies
+    in j iff no element of i is outside j; construction checks that every
+    contained pair obeys Lagrange.  ``p_subnormal[i]`` holds when a chain of
+    members, each of prime index in the next, leads from member i up to the
+    top.  ``class_ids()`` labels each member's conjugacy class under
+    ``top`` by the index of its least member; a member is normal in ``top``
+    when its class has no other member.
     """
 
     __slots__ = (
@@ -88,7 +91,7 @@ class Lattice:
         "matrix",
         "orders",
         "containment",
-        "up_edges",
+        "p_subnormal",
         "_index",
         "_class_ids",
     )
@@ -99,31 +102,41 @@ class Lattice:
         top: Subgroup,
         subgroups: Sequence[Subgroup],
         *,
-        _class_ids: tuple[int, ...] | None = None,
+        _class_ids: Sequence[int] | None = None,
     ):
+        """``_class_ids``, when given, numbers each member's conjugacy class
+        under ``top`` (any numbers, equal within a class), in the order the
+        members are given."""
         self.parent = parent
         self.top = top
-        self.subgroups = tuple(subgroups)
-        matrix = np.array([s.mask for s in self.subgroups], np.bool_).reshape(len(self.subgroups), parent.order)
-        matrix.flags.writeable = False
-        self.matrix = matrix
-        self.orders = np.count_nonzero(matrix, axis=1)
-        self._index = {key: i for i, key in enumerate(_row_keys(matrix))}
-        if len(self._index) != len(self.subgroups):
+        members = tuple(subgroups)
+        matrix = np.array([s.mask for s in members], np.bool_).reshape(len(members), parent.order)
+        orders = np.count_nonzero(matrix, axis=1)
+        # byte k of a little-endian packed mask holds elements 8k..8k+7, low bit first
+        rank = np.lexsort([*np.packbits(matrix, axis=1, bitorder="little").T, orders])
+        self.subgroups = tuple(members[k] for k in rank)
+        self.matrix = matrix[rank]
+        self.matrix.flags.writeable = False
+        self.orders = orders[rank]
+        self._index = {key: i for i, key in enumerate(_row_keys(self.matrix))}
+        if len(self._index) != len(members):
             raise InvariantError("duplicate subgroup masks in lattice")
-        if parent.trivial_subgroup().mask.tobytes() not in self._index or top.mask.tobytes() not in self._index:
+        if not members or self.orders[0] != 1 or not np.array_equal(self.matrix[-1], top.mask):
             raise InvariantError("lattice must contain the trivial subgroup and the top")
-        self.containment = ~(matrix @ ~matrix.T)
+        self.containment = ~(self.matrix @ ~self.matrix.T)
         self.containment.flags.writeable = False
-        self._class_ids = _class_ids
-        self.up_edges = self._build_edges()
+        self._class_ids = None
+        if _class_ids is not None:
+            _, first, inverse = np.unique(np.asarray(_class_ids)[rank], return_index=True, return_inverse=True)
+            self._class_ids = first[inverse]
+        self.p_subnormal = self._p_subnormal_flags()
 
-    def _build_edges(self) -> tuple[tuple[int, ...], ...]:
+    def _p_subnormal_flags(self) -> np.ndarray:
         # Every contained pair must obey Lagrange; then no member can lie
         # strictly between a pair at prime index, so those pairs are the
-        # edges.  A violation means the enumeration or a mask is broken.
+        # prime steps.  A violation means the enumeration or a mask is broken.
         orders = self.orders
-        small, big = np.nonzero(self.containment)  # ordered by small, then big
+        small, big = np.nonzero(self.containment)
         bad = np.flatnonzero(orders[big] % orders[small])
         if bad.size:
             i, j = small[bad[0]], big[bad[0]]
@@ -132,11 +145,14 @@ class Lattice:
             )
         prime = np.zeros(self.parent.order + 1, np.bool_)
         prime[list(prime_divisors(self.parent.order))] = True
-        edge = prime[orders[big] // orders[small]]
-        small, big = small[edge], big[edge]
-        starts = np.searchsorted(small, np.arange(len(orders) + 1)).tolist()
-        ups = big.tolist()
-        return tuple(tuple(ups[lo:hi]) for lo, hi in zip(starts, starts[1:]))
+        step = prime[orders[big] // orders[small]]
+        small, big = small[step], big[step]
+        # one round per prime step down from the top
+        flags = np.arange(len(orders)) == len(orders) - 1
+        while (flags[small] < flags[big]).any():
+            flags[small[flags[big]]] = True
+        flags.flags.writeable = False
+        return flags
 
     # -- indexed access ------------------------------------------------
 
@@ -147,7 +163,7 @@ class Lattice:
             raise InputError("subgroup does not belong to this lattice")
 
     def top_index(self) -> int:
-        return self._index[self.top.mask.tobytes()]
+        return len(self.subgroups) - 1
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -157,12 +173,12 @@ class Lattice:
     def normal_flags(self) -> np.ndarray:
         """Member i is normal in ``top`` when it is alone in its conjugacy
         class under ``top``."""
-        ids = np.array(self.class_ids())
+        ids = self.class_ids()
         return np.bincount(ids)[ids] == 1
 
-    def class_ids(self) -> tuple[int, ...]:
-        """Conjugacy class of each member under ``top``, numbered 0, 1, ...
-        in order of each class's first member.  For a lattice built without
+    def class_ids(self) -> np.ndarray:
+        """Conjugacy class of each member under ``top``, labelled by the
+        index of the class's least member.  For a lattice built without
         them, conjugation by each generator of ``top`` permutes the members
         (one scatter of the matrix, each image row looked up), and the
         classes are the orbits of those permutations."""
@@ -173,16 +189,15 @@ class Lattice:
                 images = np.empty_like(self.matrix)
                 images[:, conj] = self.matrix  # every member conjugated by one generator
                 row[:] = [self._index[key] for key in _row_keys(images)]
-            labels = _kernels.orbit_labels(maps)
-            self._class_ids = tuple(np.unique(labels, return_inverse=True)[1].tolist())
+            self._class_ids = _kernels.orbit_labels(maps)
+        self._class_ids.flags.writeable = False  # every caller shares the labels
         return self._class_ids
 
     def maximal_indices(self) -> tuple[int, ...]:
         """Members other than the top that lie in no member but themselves
         and the top."""
-        top = self.top_index()
         # the members other than i and the top that i lies in; -1 for the top
-        over = self.containment.sum(axis=1) - 1 - self.containment[:, top]
+        over = self.containment.sum(axis=1) - 1 - self.containment[:, -1]
         return tuple(np.flatnonzero(over == 0).tolist())
 
 
@@ -247,7 +262,9 @@ def all_subgroups(g: GroupTable) -> Lattice:
     rather than from H, so a long cyclic subgroup is not walked one power
     per round, and each seed whose closure is new becomes a representative.
     A member's generators generate its mask and serve the algorithms;
-    reports name it by ``Subgroup.generators``, from the mask alone.
+    reports name it by ``Subgroup.generators``, from the mask alone.  The
+    members go to ``Lattice`` in discovery order, each with the number of
+    its class's representative, and ``Lattice`` orders and labels them.
     """
     n = g.order
     mul, inv = g.mul, g.inv
@@ -258,7 +275,7 @@ def all_subgroups(g: GroupTable) -> Lattice:
 
     trivial = np.zeros(n, np.bool_)
     trivial[0] = True
-    # mask bytes -> (mask, generators, class number in order of discovery)
+    # mask bytes -> (mask, generators, number of its class's representative)
     found: dict[bytes, tuple[np.ndarray, tuple[int, ...], int]] = {trivial.tobytes(): (trivial, (), 0)}
     seeds_done: set[bytes] = set()
     reps = [(trivial, ())]
@@ -293,16 +310,8 @@ def all_subgroups(g: GroupTable) -> Lattice:
             if len(found) > DEFAULT_SUBGROUP_BOUND:
                 raise ResourceLimitError("subgroup count exceeds the enumeration bound", DEFAULT_SUBGROUP_BOUND)
 
-    arrs, gens, reps = zip(*found.values())
-    # (order, mask) order, the highest element index most significant: byte
-    # k of a little-endian packed mask holds elements 8k..8k+7, low bit first
-    matrix = np.array(arrs)
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    rank = np.lexsort([*packed.T, np.count_nonzero(matrix, axis=1)]).tolist()
-    subgroups = [Subgroup(g, arrs[k], gens[k]) for k in rank]
-    numbering: dict[int, int] = {}
-    class_ids = tuple(numbering.setdefault(reps[k], len(numbering)) for k in rank)
-    return Lattice(g, g.full_subgroup(), subgroups, _class_ids=class_ids)
+    subgroups = [Subgroup(g, arr, gens) for arr, gens, _ in found.values()]
+    return Lattice(g, g.full_subgroup(), subgroups, _class_ids=[rep for _, _, rep in found.values()])
 
 
 def normal_subgroups(lat: Lattice) -> list[Subgroup]:
@@ -332,32 +341,14 @@ def frattini(lat: Lattice) -> Subgroup:
 def chief_series(lat: Lattice) -> list[ChiefFactor]:
     """One maximal chain of normal-in-top subgroups: from each term, the
     normal member of least order above it (the first such in lattice order),
-    so no normal subgroup lies strictly between two terms whatever the
-    order of the members."""
+    so no normal subgroup lies strictly between two terms."""
     flags, contains, orders = lat.normal_flags(), lat.containment, lat.orders
-    current = lat.index_of(lat.parent.trivial_subgroup())
-    top = lat.top_index()
+    current, top = 0, lat.top_index()
     factors: list[ChiefFactor] = []
     while current != top:
-        above = np.flatnonzero(flags & contains[current] & (orders > orders[current]))
-        nxt = int(above[np.argmin(orders[above])])
+        nxt = int(np.flatnonzero(flags & contains[current] & (orders > orders[current]))[0])
         ratio = int(orders[nxt] // orders[current])
         factors.append(ChiefFactor(lat.subgroups[current], lat.subgroups[nxt], ratio, prime_divisors(ratio)))
         current = nxt
     return factors
 
-
-def p_reachable(lat: Lattice, frm: Subgroup) -> bool:
-    """True when the top is reachable from ``frm`` along prime-index edges."""
-    goal = lat.top_index()
-    seen = {lat.index_of(frm)}
-    stack = list(seen)
-    while stack:
-        i = stack.pop()
-        if i == goal:
-            return True
-        for j in lat.up_edges[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return False

@@ -12,7 +12,7 @@ live with the test suite's oracles.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -90,16 +90,16 @@ def has_sylow_tower_sst(g: GroupTable) -> bool:
     """Sylow tower of supersoluble type: peeling primes largest-first, each
     Sylow subgroup is normal in the remaining quotient.  The test works on
     masks of g, the preimages of the quotients' subgroups."""
-    ok, _ = _sylow_tower_impl(g)
-    return ok
+    return _sylow_tower_impl(g)[0]
 
 
-def _sylow_tower_impl(g: GroupTable) -> tuple[bool, int | None]:
+def _sylow_tower_impl(g: GroupTable) -> tuple[bool, Optional[str]]:
     """N runs through the tower's terms as masks of g.  With p^a the
     p-part of |G|, xN has p-power order in G/N iff x^(p^a) lies in N, so
     ``above`` is the preimage of G/N's p-elements; they form a (normal)
     Sylow subgroup iff there are |N| * p^a of them, and then ``above`` is
-    the next term.  Returns the first prime whose Sylow subgroup fails."""
+    the next term.  The witness names the first prime whose Sylow subgroup
+    fails."""
     every = np.arange(g.order)
     below = np.zeros(g.order, np.bool_)
     below[0] = True
@@ -107,6 +107,6 @@ def _sylow_tower_impl(g: GroupTable) -> tuple[bool, int | None]:
         part = p_part(g.order, p)
         above = below[_powers(g.mul, every, part)]
         if int(above.sum()) != int(below.sum()) * part:
-            return False, p
+            return False, f"Sylow {p}-subgroup is not normal at its tower level"
         below = above
     return True, None

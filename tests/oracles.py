@@ -386,15 +386,14 @@ def cyclic_extension_oracle(g: GroupTable) -> Lattice:
                     found[closed.tobytes()] = closed
                     fresh.append(closed)
         frontier = fresh
-    arrs = sorted(found.values(), key=lambda arr: (int(arr.sum()), mask_int(arr)))
-    return Lattice(g, g.full_subgroup(), [subgroup_from_mask(g, arr) for arr in arrs])
+    return Lattice(g, g.full_subgroup(), [subgroup_from_mask(g, arr) for arr in found.values()])
 
 
 def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
     """The class-representative cyclic extension of ``all_subgroups``, one
     seed closed at a time from H by ``close_mask``; each member's
     generators are those of the path that found it.  Returns the lattice,
-    with class ids in order of discovery, and the number of waves: a
+    with its class ids, and the number of waves: a
     representative's wave is one more than the wave of the one it extends,
     and the trivial subgroup is wave 0."""
     n = g.order
@@ -430,11 +429,11 @@ def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
             for member, member_gens in _class_of(closed, gens, conjugators):
                 found[member.tobytes()] = (member, member_gens, len(reps) - 1)
 
-    entries = sorted(found.values(), key=lambda t: (int(t[0].sum()), mask_int(t[0])))
-    numbering: dict[int, int] = {}
-    class_ids = tuple(numbering.setdefault(rep, len(numbering)) for _, _, rep in entries)
     lat = Lattice(
-        g, g.full_subgroup(), [Subgroup(g, arr, gens) for arr, gens, _ in entries], _class_ids=class_ids
+        g,
+        g.full_subgroup(),
+        [Subgroup(g, arr, gens) for arr, gens, _ in found.values()],
+        _class_ids=[rep for _, _, rep in found.values()],
     )
     return lat, reps[-1][2] + 1
 
@@ -504,7 +503,8 @@ def commutator_values_oracle(g: GroupTable, a_mask: int, b_mask: int) -> int:
 
 def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
     """The lattice's bookkeeping by pairwise subset tests on int bitmasks:
-    prime-index edges, maximal members, normal flags (conjugating every
+    prime-step subnormality (the top reached along prime-index edges),
+    maximal members, normal flags (conjugating every
     element by each generator of the top), minimal normal members, the
     chief series as (lower, upper) index pairs, and Huppert's test on each
     member against the members inside it."""
@@ -526,7 +526,13 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
             for i in by_order.get(orders[j] // p, ()):
                 if inside(i, j):
                     up[i].append(j)
-    up_edges = tuple(tuple(sorted(js)) for js in up)
+    p_subnormal = [i == top for i in range(count)]
+    grown = True
+    while grown:
+        grown = False
+        for i in range(count):
+            if not p_subnormal[i] and any(p_subnormal[j] for j in up[i]):
+                p_subnormal[i] = grown = True
     maximal = tuple(
         i for i in range(count)
         if i != top and not any(k != top and orders[k] > orders[i] and inside(i, k) for k in range(count))
@@ -553,7 +559,7 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
         prime_index = [k for k in members if is_prime(orders[h] // orders[k])]
         supersoluble.append(all(any(inside(k, m) for m in prime_index) for k in members))
     return {
-        "up_edges": up_edges,
+        "p_subnormal": p_subnormal,
         "maximal": maximal,
         "normal": normal,
         "minimal_normal": minimal_normal,
@@ -614,20 +620,18 @@ def condition_lf_oracle(g: GroupTable, lat: Lattice) -> tuple[bool, str | None]:
 
 def subgroup_classes_oracle(lat: Lattice) -> list[int]:
     """Conjugacy class id of each member of a whole-group lattice, by
-    conjugating its mask by every element of the group; classes are
-    numbered in order of their first member."""
+    conjugating its mask by every element of the group; each class is
+    labelled by the index of its first member."""
     g = lat.parent
     members = [s.indices().tolist() for s in lat.subgroups]
     index = {mask_int(s.mask): i for i, s in enumerate(lat.subgroups)}
     ids = [-1] * len(members)
-    count = 0
     for i, xs in enumerate(members):
         if ids[i] >= 0:
             continue
         for y in range(g.order):
             conj = sum(1 << int(g.mul[g.mul[g.inv[y], x], y]) for x in xs)
-            ids[index[conj]] = count
-        count += 1
+            ids[index[conj]] = i
     return ids
 
 

@@ -19,7 +19,7 @@ import pytest
 from formationlab.checkers import condition_b_law, condition_x, word_trace
 from formationlab.cli import main
 from formationlab.corpus import build_group, standard_corpus, symmetric
-from formationlab.lattice import all_subgroups, frattini, normal_subgroups, p_reachable
+from formationlab.lattice import all_subgroups, frattini, normal_subgroups
 from formationlab.perms import format_cycles, parse_cycles
 from formationlab.predicates import is_nilpotent, is_supersoluble
 
@@ -164,8 +164,8 @@ def test_criterion_5_oracle_equivalences(corpus_specs):
         if is_nilpotent(g) != (lower_central_series(g)[-1].order == 1):
             failures.append(f"{spec.name}: nilpotency algorithms")
         memo: dict = {}
-        for h in lat.subgroups:
-            if p_reachable(lat, h) != p_subnormal_oracle(lat, h, memo):
+        for h, flag in zip(lat.subgroups, lat.p_subnormal):
+            if flag != p_subnormal_oracle(lat, h, memo):
                 failures.append(f"{spec.name}: subnormality of order-{h.order}")
                 break
     _verdict(

@@ -8,7 +8,6 @@ import pytest
 from formationlab.checkers import (
     PREDICATE_KEYS,
     _condition_lf_impl,
-    _sylow_tower_witness,
     classify,
     condition_b_law,
     condition_b_subgroups,
@@ -34,10 +33,9 @@ from formationlab.lattice import (
     chief_series,
     frattini,
     minimal_normal_subgroups,
-    p_reachable,
 )
 from formationlab.perms import format_cycles, parse_cycles
-from formationlab.predicates import has_sylow_tower_sst, is_supersoluble
+from formationlab.predicates import _sylow_tower_impl, has_sylow_tower_sst, is_supersoluble
 
 from conftest import golden_verdicts, group_of, sub_of
 from oracles import (
@@ -124,10 +122,11 @@ class TestWordIteration:
 
 
 class TestPSubnormal:
+    """``Lattice.p_subnormal``, which ``cond_x`` reads."""
+
     def test_order_two_in_a4_via_klein(self, a4):
         lat = all_subgroups(a4)
-        h = sub_of(a4, "(1 2)(3 4)")
-        assert p_reachable(lat, h)
+        assert lat.p_subnormal[lat.index_of(sub_of(a4, "(1 2)(3 4)"))]
 
     @pytest.mark.parametrize("maker", [
         lambda: group_of(3, "(1 2)", "(1 2 3)"),
@@ -138,11 +137,11 @@ class TestPSubnormal:
         lambda: group_of(5, "(1 2)", "(1 2 3 4 5)"),  # order 120
     ])
     def test_bfs_matches_recursive_oracle(self, maker):
+        # every member, the top and A4's <(1 2 3)> and Klein group among them
         g = maker()
         lat = all_subgroups(g)
         memo = {}
-        for h in lat.subgroups:
-            assert p_reachable(lat, h) == p_subnormal_oracle(lat, h, memo)
+        assert lat.p_subnormal.tolist() == [p_subnormal_oracle(lat, h, memo) for h in lat.subgroups]
 
 
 class TestConditions:
@@ -184,6 +183,18 @@ class TestConditions:
             assert condition_b_law(g) == condition_b_law_opposite(g)
 
 
+CENSUS_REPORTS = [(4, "standard.tsv"), (5, "standard.tsv"), (6, "s6.tsv")]
+
+
+def _census_verdicts(n: int, report: str):
+    """The lattice of S_n, its census row names (row S{n}-sub{i:03d}-o{order}
+    is member i) and the (members, six) table of their golden verdicts."""
+    verdicts = golden_verdicts(report)
+    lat = all_subgroups(build_group(symmetric(n)))
+    names = [f"S{n}-sub{i:03d}-o{s.order}" for i, s in enumerate(lat.subgroups)]
+    return lat, names, np.array([[verdicts[name][key] for key in PREDICATE_KEYS] for name in names])
+
+
 class TestFormationClosure:
     def test_two_minimal_normals_with_trivial_intersection(self):
         # if G/N1 and G/N2 both satisfy the chain condition and N1 meets N2
@@ -210,14 +221,11 @@ class TestFormationClosure:
                         assert condition_x(g, all_subgroups(g))
         assert exercised >= 3
 
-    @pytest.mark.parametrize("n, report", [(4, "standard.tsv"), (5, "standard.tsv"), (6, "s6.tsv")])
+    @pytest.mark.parametrize("n, report", CENSUS_REPORTS)
     def test_census_reports_are_subgroup_closed(self, n, report):
         # every verdict column names a subgroup-closed class, so K true and
         # H <= K must give H true; the census holds every subgroup H of S_n
-        verdicts = golden_verdicts(report)
-        lat = all_subgroups(build_group(symmetric(n)))
-        names = [f"S{n}-sub{i:03d}-o{s.order}" for i, s in enumerate(lat.subgroups)]
-        table = np.array([[verdicts[name][key] for key in PREDICATE_KEYS] for name in names])
+        lat, names, table = _census_verdicts(n, report)
         checked = 0
         for column, key in enumerate(PREDICATE_KEYS):
             held = table[:, column]
@@ -225,6 +233,17 @@ class TestFormationClosure:
             escaped = np.argwhere(lat.containment & ~held[:, None] & held[None, :])
             assert not escaped.size, (key, [(names[h], names[k]) for h, k in escaped[:3]])
         assert checked == {4: 660, 5: 4_980, 6: 72_690}[n]  # (column, H <= K) with K true
+
+    @pytest.mark.parametrize("n, report", CENSUS_REPORTS)
+    def test_census_verdicts_are_constant_on_conjugacy_classes(self, n, report):
+        # conjugate subgroups are isomorphic, so every verdict row equals
+        # the row of its class's least member, the class label
+        lat, names, table = _census_verdicts(n, report)
+        ids = lat.class_ids()
+        differ = np.flatnonzero((table != table[ids]).any(axis=1))
+        assert not differ.size, [(names[i], names[ids[i]]) for i in differ[:3]]
+        classes = np.count_nonzero(ids == np.arange(len(lat)))
+        assert (len(lat), classes) == {4: (30, 11), 5: (156, 19), 6: (1455, 56)}[n]
 
     def test_standard_report_is_quotient_closed_and_saturated(self):
         # U, X, B (the word law) and D are saturated formations: G in F gives
@@ -363,7 +382,7 @@ class TestQuotientOracles:
     def test_sylow_tower(self, quotient_oracle_groups):
         outcomes = set()
         for g, _ in quotient_oracle_groups:
-            got = _sylow_tower_witness(g)
+            got = _sylow_tower_impl(g)
             assert got == sylow_tower_oracle(g)
             outcomes.add(got[0])
         assert outcomes == {True, False}

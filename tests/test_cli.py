@@ -10,6 +10,7 @@ from formationlab.corpus import (
     alternating,
     cyclic,
     dihedral,
+    order294_candidate,
     order75_witness,
     symmetric,
 )
@@ -300,6 +301,13 @@ class TestWitness:
         assert main(["witness", "--in", "D", "--notin", "X", "--corpus", str(directory)]) == 0
         out = capsys.readouterr().out
         assert "order 75" in out
+
+    def test_x_but_not_u_finds_order_294(self, tmp_path, capsys):
+        # the one corpus group in X but not U: every cyclic primary
+        # subgroup is prime-step subnormal in a non-supersoluble group
+        write_group(order294_candidate(), tmp_path / "c7sq_s3.group")
+        assert main(["witness", "--in", "X", "--notin", "U", "--corpus", str(tmp_path)]) == 0
+        assert "witness: C7^2:S3 (degree 49, order 294)" in capsys.readouterr().out.splitlines()
 
     def test_not_found_is_not_failure(self, small_corpus_dir, capsys):
         assert main(["witness", "--in", "X", "--notin", "U", "--corpus", small_corpus_dir]) == 0
