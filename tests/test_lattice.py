@@ -251,6 +251,19 @@ class TestChiefSeries:
             for f in chief_series(all_subgroups(g)):
                 assert len(f.primes) == 1
 
+    @pytest.mark.parametrize("name", ["s3", "s4"])
+    def test_member_order_does_not_change_the_series(self, name, request):
+        # Lattice sorts the members it is given, so a lattice listing its
+        # members largest first gives the same factors, and cond_lf, which
+        # reads them, the same verdict
+        g = request.getfixturevalue(name)
+        lat = all_subgroups(g)
+        reversed_lat = Lattice(g, g.full_subgroup(), reversed(lat.subgroups))
+        orders = [f.order for f in chief_series(lat)]
+        assert orders == {"s3": [3, 2], "s4": [4, 3, 2]}[name]
+        assert [f.order for f in chief_series(reversed_lat)] == orders
+        assert condition_lf_f(g, reversed_lat) == condition_lf_f(g, lat)
+
     def test_insoluble_chief_factor_not_prime_power(self, a5):
         factors = chief_series(all_subgroups(a5))
         assert [f.order for f in factors] == [60]
