@@ -26,19 +26,7 @@ from .groups import exponent
 from .lattice import all_subgroups, frattini, minimal_normal_subgroups, normal_subgroups
 from .perms import format_cycles, parse_cycles
 
-TSV_COLUMNS = (
-    "name",
-    "degree",
-    "order",
-    "supersoluble",
-    "cond_x",
-    "cond_b_subgroups",
-    "cond_b_law",
-    "cond_lf",
-    "sylow_tower",
-    "status",
-    "witnesses",
-)
+TSV_COLUMNS = ("name", "degree", "order", *PREDICATE_KEYS, "status", "witnesses")
 
 # Groups between two progress lines of a corpus run on stderr.
 PROGRESS_EVERY = 100

@@ -9,6 +9,9 @@ Group files are line-oriented UTF-8 text:
     gen CYCLES         (one line per generator)
 
 The first non-comment line must be the degree; blank lines are ignored.
+Each generator is parsed once, by ``load_group``; a spec keeps it as the
+tuple of its images of 1..N, which ``build_group`` hands to the closure,
+and prints it back in canonical cycle form (``GroupSpec.generator_texts``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 from .errors import InputError
 from .groups import GroupTable, close_generators
 from .lattice import all_subgroups
-from .perms import Permutation, format_cycles, parse_cycles
+from .perms import format_cycles, parse_cycles
 from .primes import is_prime
 
 __all__ = [
@@ -43,22 +46,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A named recipe for one corpus group: degree plus generator texts."""
+    """A named recipe for one corpus group: degree plus generators, each the
+    tuple of its images of 1..degree."""
 
     name: str
     degree: int
-    generator_texts: tuple[str, ...]
+    generators: tuple[tuple[int, ...], ...]
 
-    def generators(self) -> list[Permutation]:
-        return [parse_cycles(t, self.degree) for t in self.generator_texts]
+    @property
+    def generator_texts(self) -> tuple[str, ...]:
+        """The generators in canonical cycle form, as group files write them."""
+        return tuple(format_cycles(g) for g in self.generators)
 
 
 def build_group(spec: GroupSpec) -> GroupTable:
-    return close_generators(spec.degree, spec.generators())
+    return close_generators(spec.degree, spec.generators)
 
 
-def _spec_from_perms(name: str, degree: int, perms: Sequence[Permutation]) -> GroupSpec:
-    return GroupSpec(name, degree, tuple(format_cycles(p) for p in perms))
+def _rotation(n: int) -> tuple[int, ...]:
+    """(1 2 ... n)."""
+    return (*range(2, n + 1), 1)
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -67,17 +74,14 @@ def cyclic(n: int) -> GroupSpec:
         raise InputError(f"cyclic(n) needs n >= 1, got {n}")
     if n == 1:
         return GroupSpec("C1", 1, ())
-    rot = Permutation([i % n + 1 for i in range(1, n + 1)])
-    return _spec_from_perms(f"C{n}", n, [rot])
+    return GroupSpec(f"C{n}", n, (_rotation(n),))
 
 
 def dihedral(n: int) -> GroupSpec:
     """Dihedral group on n points (rotation plus reflection); order 2n."""
     if n < 3:
         raise InputError(f"dihedral(n) needs n >= 3, got {n}")
-    rot = Permutation([i % n + 1 for i in range(1, n + 1)])
-    refl = Permutation([n - i for i in range(n)])
-    return _spec_from_perms(f"Dih{n}", n, [rot, refl])
+    return GroupSpec(f"Dih{n}", n, (_rotation(n), tuple(range(n, 0, -1))))
 
 
 def symmetric(n: int) -> GroupSpec:
@@ -88,9 +92,8 @@ def symmetric(n: int) -> GroupSpec:
         return GroupSpec("S1", 1, ())
     swap = parse_cycles("(1 2)", n)
     if n == 2:
-        return _spec_from_perms("S2", 2, [swap])
-    cycle = Permutation([i % n + 1 for i in range(1, n + 1)])
-    return _spec_from_perms(f"S{n}", n, [swap, cycle])
+        return GroupSpec("S2", 2, (swap,))
+    return GroupSpec(f"S{n}", n, (swap, _rotation(n)))
 
 
 def alternating(n: int) -> GroupSpec:
@@ -99,12 +102,9 @@ def alternating(n: int) -> GroupSpec:
         raise InputError(f"alternating(n) needs n >= 3, got {n}")
     three = parse_cycles("(1 2 3)", n)
     if n == 3:
-        return _spec_from_perms("A3", 3, [three])
-    if n % 2 == 1:
-        big = Permutation([i % n + 1 for i in range(1, n + 1)])
-    else:
-        big = Permutation([1] + [i + 1 for i in range(2, n)] + [2])  # (2 3 ... n)
-    return _spec_from_perms(f"A{n}", n, [three, big])
+        return GroupSpec("A3", 3, (three,))
+    big = _rotation(n) if n % 2 == 1 else (1, *range(3, n + 1), 2)  # (1 2 ... n) or (2 3 ... n)
+    return GroupSpec(f"A{n}", n, (three, big))
 
 
 def quaternion_generalized(m: int) -> GroupSpec:
@@ -132,18 +132,15 @@ def quaternion_generalized(m: int) -> GroupSpec:
             else:
                 mul_a[src] = point((i - 1) % two_m, 1)
                 mul_b[src] = point((i + m) % two_m, 0)
-    return _spec_from_perms(f"Q{4 * m}", 4 * m, [Permutation(mul_a), Permutation(mul_b)])
+    return GroupSpec(f"Q{4 * m}", 4 * m, (tuple(mul_a), tuple(mul_b)))
 
 
 def direct_product(a: GroupSpec, b: GroupSpec) -> GroupSpec:
     """Product acting on disjoint point sets; order |a| * |b|."""
     degree = a.degree + b.degree
-    perms = []
-    for p in a.generators():
-        perms.append(Permutation(tuple(p.images) + tuple(range(a.degree + 1, degree + 1))))
-    for p in b.generators():
-        perms.append(Permutation(tuple(range(1, a.degree + 1)) + tuple(v + a.degree for v in p.images)))
-    return _spec_from_perms(f"{a.name}x{b.name}", degree, perms)
+    gens = [(*p, *range(a.degree + 1, degree + 1)) for p in a.generators]
+    gens += [(*range(1, a.degree + 1), *(v + a.degree for v in p)) for p in b.generators]
+    return GroupSpec(f"{a.name}x{b.name}", degree, tuple(gens))
 
 
 def _mat_mod(matrix, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -170,17 +167,16 @@ def affine_semidirect(p: int, *matrices) -> GroupSpec:
     def point(x: int, y: int) -> int:
         return 1 + x + p * y
 
-    t1 = Permutation(point((x + 1) % p, y) for y in range(p) for x in range(p))
-    t2 = Permutation(point(x, (y + 1) % p) for y in range(p) for x in range(p))
-    perms = [t1, t2]
-    for (a, b), (c, d) in mats:
-        perms.append(
-            Permutation(point((a * x + b * y) % p, (c * x + d * y) % p) for y in range(p) for x in range(p))
-        )
+    t1 = tuple(point((x + 1) % p, y) for y in range(p) for x in range(p))
+    t2 = tuple(point(x, (y + 1) % p) for y in range(p) for x in range(p))
+    linear = [
+        tuple(point((a * x + b * y) % p, (c * x + d * y) % p) for y in range(p) for x in range(p))
+        for (a, b), (c, d) in mats
+    ]
     # the matrices' permutations of the vectors generate a copy of their
     # linear group, whose order is at most |GL2(p)|
-    k = close_generators(p * p, perms[2:], order_bound=(p * p - 1) * (p * p - p)).order
-    return _spec_from_perms(f"C{p}^2:L{k}", p * p, perms)
+    k = close_generators(p * p, linear, order_bound=(p * p - 1) * (p * p - p)).order
+    return GroupSpec(f"C{p}^2:L{k}", p * p, (t1, t2, *linear))
 
 
 def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
@@ -196,7 +192,7 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     table = build_group(symmetric(n))
     lat = all_subgroups(table)
     return [
-        _spec_from_perms(f"S{n}-sub{i:03d}-o{sub.order}", n, sub.generators())
+        GroupSpec(f"S{n}-sub{i:03d}-o{sub.order}", n, sub.generators())
         for i, sub in enumerate(lat.subgroups)
     ]
 
@@ -210,7 +206,7 @@ def load_group(path) -> GroupSpec:
         raise InputError(f"cannot read {path}: {exc}")
     degree: int | None = None
     name = path.stem
-    gens: list[str] = []
+    gens: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -234,7 +230,7 @@ def load_group(path) -> GroupSpec:
             name = rest
         elif keyword == "gen":
             try:
-                gens.append(format_cycles(parse_cycles(rest, degree)))
+                gens.append(parse_cycles(rest, degree))
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}")
         else:
@@ -270,7 +266,7 @@ def order294_candidate() -> GroupSpec:
     """C7^2 : S3 via a faithful irreducible 2-dimensional action mod 7: the
     rotation has eigenlines but the swap exchanges them."""
     spec = affine_semidirect(7, ROTATION_MATRIX, SWAP_MATRIX)
-    return GroupSpec("C7^2:S3", spec.degree, spec.generator_texts)
+    return GroupSpec("C7^2:S3", spec.degree, spec.generators)
 
 
 def standard_corpus(sn_levels: Sequence[int] = (4, 5)) -> list[GroupSpec]:

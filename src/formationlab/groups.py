@@ -5,7 +5,9 @@ elements in orbit/transversal/base form with a sorted lookup of their base
 images, the full Cayley table as a numpy array in the smallest index dtype,
 and its cyclic subgroups, each walked once, from which the element orders
 and inverses are read.
-An element becomes a ``Permutation`` only when asked for (``perm``), for
+A permutation enters and leaves as the tuple of its images of 1..degree:
+``close_generators`` checks once that each generator tuple is a bijection,
+and an element's tuple is read back only when asked for (``perm``), for
 witness text, subgroup generators and census specs.  A subgroup is a bool
 mask over element indices (a lattice stacks its members' masks into one
 matrix), and all heavy algebra runs through the kernels in ``_kernels``.
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, InvariantError, ResourceLimitError
-from .perms import Permutation, format_cycles
+from .perms import format_cycles
 
 __all__ = [
     "DEFAULT_ORDER_BOUND",
@@ -132,13 +134,9 @@ class GroupTable:
         table <-> subgroup cycle that outlives the group until gc runs."""
         return Subgroup(self, np.ones(self.order, np.bool_), self.gen_indices)
 
-    def trivial_subgroup(self) -> "Subgroup":
-        mask = np.zeros(self.order, np.bool_)
-        mask[0] = True
-        return Subgroup(self, mask, ())
-
-    def perm(self, index: int) -> Permutation:
-        return Permutation._trusted(tuple((self.images[self.orbit, self.mul[self.transversal, index]] + 1).tolist()))
+    def perm(self, index: int) -> tuple[int, ...]:
+        """Element ``index`` as the tuple of its images of 1..degree."""
+        return tuple((self.images[self.orbit, self.mul[self.transversal, index]] + 1).tolist())
 
     def indices_of(self, block: np.ndarray) -> np.ndarray:
         """The element index of each image row in ``block``, or -1 where the
@@ -147,12 +145,13 @@ class GroupTable:
         rows = self.images[self.orbit[:, None], self.mul[self.transversal[:, None], found]].T
         return np.where((rows == block).all(axis=1), found, -1)
 
-    def index_of(self, p: Permutation) -> int:
-        if p.degree != self.degree:
+    def index_of(self, p: Sequence[int]) -> int:
+        """The index of the element with images ``p`` of 1..degree."""
+        if len(p) != self.degree:
             raise InputError(
-                f"permutation {format_cycles(p)} has degree {p.degree}, not the group's {self.degree}"
+                f"permutation {format_cycles(p)} has degree {len(p)}, not the group's {self.degree}"
             )
-        index = int(self.indices_of(np.array(p.images)[None, :] - 1)[0])
+        index = int(self.indices_of(np.array(p)[None, :] - 1)[0])
         if index < 0:
             raise InputError(f"permutation {format_cycles(p)} is not a group element")
         return index
@@ -230,7 +229,7 @@ class Subgroup:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def generators(self) -> tuple[Permutation, ...]:
+    def generators(self) -> tuple[tuple[int, ...], ...]:
         """The subgroup's name in reports and census specs: the greedy
         generators of its mask, in element-index order, so they depend on
         the mask alone and not on how the subgroup was found."""
@@ -271,7 +270,7 @@ def _greedy_generators(
     return current, tuple(gens)
 
 
-def _close_rows(degree: int, gen_rows: list[np.ndarray], bound: int) -> np.ndarray:
+def _close_rows(degree: int, gen_rows: np.ndarray, bound: int) -> np.ndarray:
     """Image rows of the group generated by ``gen_rows`` in insertion order,
     written into one buffer that doubles as it fills (never past ``bound``)
     and found through a dict from the hash of a row's bytes to its number.
@@ -339,11 +338,13 @@ def _element_store(rows: np.ndarray) -> tuple:
 
 def close_generators(
     degree: int,
-    gens: Sequence[Permutation],
+    gens: Sequence[Sequence[int]],
     *,
     order_bound: int | None = None,
 ) -> GroupTable:
-    """Enumerate the group generated by ``gens`` on {1..degree}.
+    """Enumerate the group generated by ``gens`` on {1..degree}, each the
+    tuple of its images of 1..degree; one that is not a permutation of
+    1..degree raises InputError.
 
     Inductive closure on image rows: extend by one generator at a time,
     appending whole right cosets H*rep of the previously closed set H (one
@@ -361,14 +362,20 @@ def close_generators(
         raise InputError(f"degree must be a positive integer, got {degree}")
     bound = order_bound if order_bound is not None else default_order_bound()
     for g in gens:
-        if g.degree != degree:
-            raise InputError(f"generator degree {g.degree} != group degree {degree}")
+        if len(g) != degree:
+            raise InputError(f"generator degree {len(g)} != group degree {degree}")
+    gen_rows = np.array(gens, np.int64).reshape(len(gens), degree) - 1
+    inside = (gen_rows >= 0) & (gen_rows < degree)
+    hit = np.zeros(gen_rows.shape, np.bool_)  # hit[g, q]: generator g takes some point to q
+    hit[np.nonzero(inside)[0], gen_rows[inside]] = True
+    if not (inside.all() and hit.all()):
+        raise InputError(f"a generator is not a permutation of 1..{degree}")
+    gen_rows = gen_rows.astype(_row_dtype(degree))
 
-    gen_rows = [np.array(g.images, dtype=_row_dtype(degree)) - 1 for g in gens]
     rows = _close_rows(degree, gen_rows, bound)
     store = _element_store(rows)
     base, keys, key_order = store[3:]
-    gen_indices = _lookup(keys, key_order, np.array(gen_rows, rows.dtype).reshape(-1, degree)[:, base]).tolist()
+    gen_indices = _lookup(keys, key_order, gen_rows[:, base]).tolist()
     gen_mul: dict[int, list[int]] = {}  # each distinct non-identity generator's table row
     for s, grow in zip(gen_indices, gen_rows):
         if s and s not in gen_mul:  # (s then j) maps b to j[s[b]]

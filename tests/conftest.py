@@ -25,6 +25,12 @@ def subgroup_generated(g: GroupTable, seed) -> Subgroup:
     return Subgroup(g, closed, gens)
 
 
+def trivial_subgroup(g: GroupTable) -> Subgroup:
+    mask = np.zeros(g.order, np.bool_)
+    mask[0] = True
+    return Subgroup(g, mask, ())
+
+
 def sub_of(g: GroupTable, *cycle_texts: str) -> Subgroup:
     """The subgroup of g generated by permutations in cycle notation."""
     return subgroup_generated(g, [g.index_of(parse_cycles(t, g.degree)) for t in cycle_texts])

@@ -60,7 +60,7 @@ from formationlab.groups import (
     is_normal_mask,
 )
 from formationlab.lattice import Lattice, _class_of, chief_series
-from formationlab.perms import Permutation
+from formationlab.perms import _cycles
 from formationlab.predicates import _check_lattice
 from formationlab.primes import is_prime, p_part, prime_divisors
 
@@ -70,47 +70,50 @@ def mask_int(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
-def identity(degree: int) -> Permutation:
-    return Permutation(range(1, degree + 1))
+Perm = tuple[int, ...]  # a permutation of 1..n: the tuple of its images of 1..n
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
+def identity(degree: int) -> Perm:
+    return tuple(range(1, degree + 1))
+
+
+def compose(a: Perm, b: Perm) -> Perm:
     """Apply ``a`` first, then ``b``: the result maps i to b(a(i)), the
     order of the package's table, where ``mul[a, b]`` is "a then b"."""
-    if a.degree != b.degree:
-        raise InputError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return Permutation(b.images[v - 1] for v in a.images)
+    if len(a) != len(b):
+        raise InputError(f"degree mismatch: {len(a)} vs {len(b)}")
+    return tuple(b[v - 1] for v in a)
 
 
-def inverse(a: Permutation) -> Permutation:
-    images = [0] * a.degree
-    for i, v in enumerate(a.images):
+def inverse(a: Perm) -> Perm:
+    images = [0] * len(a)
+    for i, v in enumerate(a):
         images[v - 1] = i + 1
-    return Permutation(images)
+    return tuple(images)
 
 
-def power(a: Permutation, e: int) -> Permutation:
+def power(a: Perm, e: int) -> Perm:
     """a^e for any integer e; the exponent reduces modulo the order of a,
     cycle by cycle."""
-    images = list(range(1, a.degree + 1))
-    for cyc in a.cycles():
+    images = list(range(1, len(a) + 1))
+    for cyc in _cycles(a):
         k = e % len(cyc)
         for i, p in enumerate(cyc):
             images[p - 1] = cyc[(i + k) % len(cyc)]
-    return Permutation(images)
+    return tuple(images)
 
 
-def commutator(a: Permutation, b: Permutation) -> Permutation:
+def commutator(a: Perm, b: Perm) -> Perm:
     """[a, b] = a^-1 b^-1 a b; the identity exactly when a and b commute."""
     return compose(compose(compose(inverse(a), inverse(b)), a), b)
 
 
-def order_of(a: Permutation) -> int:
+def order_of(a: Perm) -> int:
     """Least m >= 1 with a^m = identity; the lcm of the cycle lengths."""
-    return lcm(1, *(len(c) for c in a.cycles()))
+    return lcm(1, *(len(c) for c in _cycles(a)))
 
 
-def word_terminates_oracle(x: Permutation, y: Permutation, e: int) -> tuple[list[Permutation], int | None]:
+def word_terminates_oracle(x: Perm, y: Perm, e: int) -> tuple[list[Perm], int | None]:
     """The word sequence u_1 = [x, y], u_{k+1} = u_k^(-k) [u_k, y] composed
     as permutations, until u_k is the identity or the state (u_k, k mod e)
     repeats; ``e`` must be a multiple of every element order.
@@ -119,10 +122,10 @@ def word_terminates_oracle(x: Permutation, y: Permutation, e: int) -> tuple[list
     None when u_K is the identity, else the first step that reached the
     state (u_K, K mod e), so the cycle has length K - start.
     """
-    one = identity(x.degree)
+    one = identity(len(x))
     u, k = commutator(x, y), 1
-    values: list[Permutation] = []
-    seen: dict[tuple[Permutation, int], int] = {}
+    values: list[Perm] = []
+    seen: dict[tuple[Perm, int], int] = {}
     while True:
         values.append(u)
         if u == one:
@@ -162,8 +165,7 @@ class QuotientMap(NamedTuple):
 
 
 def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
-    """Quotient acting on right cosets by right multiplication (a bijection
-    by construction, so the coset permutations are not re-checked).
+    """Quotient acting on right cosets by right multiplication.
 
     Coset representatives are the least element index in each coset; each
     element's image is found by looking up its coset row among the
@@ -185,7 +187,7 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     m = len(reps)
     # coset_rows[x, r]: the coset of reps[r] * x, the image of point r under x
     coset_rows = coset_id.astype(_row_dtype(m))[g.mul[reps].T]
-    qgens = [Permutation._trusted(tuple((coset_rows[i] + 1).tolist())) for i in g.gen_indices]
+    qgens = [tuple((coset_rows[i] + 1).tolist()) for i in g.gen_indices]
     quotient = close_generators(m, qgens, order_bound=m)
     if quotient.order != m:
         raise InvariantError("quotient order does not equal the subgroup index")
@@ -268,7 +270,7 @@ def cayley_oracle(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     product and inverse is composed from the elements' image rows and
     looked up by its row bytes."""
     elements = [g.perm(i) for i in range(g.order)]
-    rows = np.array([p.images for p in elements], dtype=np.int64) - 1
+    rows = np.array(elements, dtype=np.int64) - 1
     width = np.dtype((np.void, rows.itemsize * rows.shape[1]))
     index = {key: i for i, key in enumerate(rows.view(width).ravel().tolist())}
 

@@ -134,18 +134,12 @@ class TestSymmetricCensus:
                 picked.append((subs[0], subs[1]))
         assert picked
         for a, b in picked:
-            ga = build_group(GroupSpec("a", 4, tuple(map(str_of, a.generators()))))
-            gb = build_group(GroupSpec("b", 4, tuple(map(str_of, b.generators()))))
+            ga = build_group(GroupSpec("a", 4, a.generators()))
+            gb = build_group(GroupSpec("b", 4, b.generators()))
             if not conjugate_in(s4, a, b):
                 continue
             ra, rb = classify(ga, "a"), classify(gb, "b")
             assert ra.predicates == rb.predicates
-
-
-def str_of(p):
-    from formationlab.perms import format_cycles
-
-    return format_cycles(p)
 
 
 def conjugate_in(g, a, b) -> bool:
@@ -168,6 +162,26 @@ class TestGroupFiles:
         assert loaded.name == spec.name
         assert loaded.degree == spec.degree
         assert loaded.generator_texts == spec.generator_texts
+
+    def test_each_generator_line_is_parsed_once(self, tmp_path, monkeypatch):
+        # the spec keeps the parsed images; building the group parses nothing
+        import formationlab.corpus as corpus
+        import formationlab.perms as perms
+
+        calls = []
+        parse = perms.parse_cycles
+
+        def counted(text, degree):
+            calls.append(text)
+            return parse(text, degree)
+
+        for module in (corpus, perms):
+            monkeypatch.setattr(module, "parse_cycles", counted)
+        path = tmp_path / "s4.group"
+        path.write_text("degree 4\ngen (1 2)\ngen (4 3 2 1)\ngen (1 2)\n")
+        table = build_group(load_group(path))
+        assert calls == ["(1 2)", "(4 3 2 1)", "(1 2)"]
+        assert table.order == 24
 
     def test_simple_file(self, tmp_path):
         path = tmp_path / "s3.group"

@@ -15,9 +15,9 @@ from formationlab.groups import (
     derived_series,
     exponent,
 )
-from formationlab.perms import Permutation, parse_cycles
+from formationlab.perms import parse_cycles
 
-from conftest import group_of, sub_of, subgroup_generated
+from conftest import group_of, sub_of, subgroup_generated, trivial_subgroup
 from oracles import (
     cayley_oracle,
     commutator_values_oracle,
@@ -58,6 +58,19 @@ class TestCloseGenerators:
     def test_degree_mismatch(self):
         with pytest.raises(InputError):
             close_generators(4, [parse_cycles("(1 2 3)", 3)])
+
+    @pytest.mark.parametrize(
+        "gen, message",
+        [
+            ((2, 3, 1), "generator degree 3 != group degree 4"),
+            ((2, 2, 3, 4), "not a permutation of 1..4"),  # repeated image
+            ((2, 3, 4, 5), "not a permutation of 1..4"),  # image above the range
+            ((0, 1, 2, 3), "not a permutation of 1..4"),  # image below the range
+        ],
+    )
+    def test_rejects_generator_that_is_no_permutation(self, gen, message):
+        with pytest.raises(InputError, match=message):
+            close_generators(4, [(2, 1, 3, 4), gen])
 
     def test_bad_degree(self):
         with pytest.raises(InputError):
@@ -139,7 +152,7 @@ class TestCayleyTable:
         @given(gens_at_degree)
         def check(case):
             degree, gens = case
-            assert_matches_cayley_oracle(close_generators(degree, [Permutation(p) for p in gens]))
+            assert_matches_cayley_oracle(close_generators(degree, gens))
 
         check()
 
@@ -158,7 +171,7 @@ class TestElementRows:
     )
     def test_trivial_identity_and_repeated_generators(self, degree, gens):
         g = group_of(degree, *gens)
-        rows = np.array([g.perm(i).images for i in range(g.order)]) - 1
+        rows = np.array([g.perm(i) for i in range(g.order)]) - 1
         assert g.perm(0) == identity(degree)
         assert len({tuple(r) for r in rows.tolist()}) == g.order
         assert g.indices_of(rows).tolist() == list(range(g.order))
@@ -172,7 +185,7 @@ class TestElementRows:
         from formationlab.corpus import build_group, subgroups_of_symmetric
 
         every = [s4.perm(i) for i in range(s4.order)]
-        rows = np.array([p.images for p in every]) - 1
+        rows = np.array(every) - 1
         for spec in subgroups_of_symmetric(4):
             h = build_group(spec)
             members = {h.perm(i) for i in range(h.order)}
@@ -216,7 +229,7 @@ class TestElementRows:
         assert out[1:] == ["int16", "int16"]
 
     def test_lookup_marks_only_non_members(self, a4):
-        members = np.array([a4.perm(i).images for i in (5, 0, 11)]) - 1
+        members = np.array([a4.perm(i) for i in (5, 0, 11)]) - 1
         transposition = np.array([[1, 0, 2, 3]])
         block = np.concatenate([members[:2], transposition, members[2:]])
         assert a4.indices_of(block).tolist() == [5, 0, -1, 11]
@@ -224,6 +237,11 @@ class TestElementRows:
     def test_index_of_rejects_wrong_degree(self, s3):
         with pytest.raises(InputError, match="degree 4"):
             s3.index_of(parse_cycles("(1 2)", 4))
+
+    @pytest.mark.parametrize("images", [(1,), (2, 1)])
+    def test_index_of_rejects_tuple_of_wrong_degree(self, s3, images):
+        with pytest.raises(InputError, match=f"has degree {len(images)}, not the group's 3"):
+            s3.index_of(images)
 
     def test_index_of_rejects_non_member(self, a4):
         with pytest.raises(InputError):
@@ -316,7 +334,7 @@ class TestQuotient:
             assert len({int(q.projection[x]) for x in coset}) == 1
 
     def test_quotient_by_trivial_preserves_order(self, s4):
-        q = quotient_by(s4, s4.trivial_subgroup())
+        q = quotient_by(s4, trivial_subgroup(s4))
         assert q.group.order == s4.order
 
     def test_projection_is_homomorphism_everywhere(self, a4):
@@ -387,9 +405,9 @@ class TestCommutatorSubgroup:
         @given(gens_at_degree)
         def check(case):
             degree, a_gens, b_gens = case
-            g = close_generators(degree, [Permutation(p) for p in a_gens + b_gens])
+            g = close_generators(degree, a_gens + b_gens)
             a, b = (
-                subgroup_generated(g, [g.index_of(Permutation(p)) for p in gens])
+                subgroup_generated(g, [g.index_of(p) for p in gens])
                 for gens in (a_gens, b_gens)
             )
             assert mask_int(commutator_subgroup(g, a, b).mask) == commutator_values_oracle(
@@ -429,16 +447,16 @@ class TestExponentCentralizer:
             assert g.order % exponent(g) == 0
 
     def test_centralizer_of_trivial(self, s4):
-        assert _centralizer_mod_mask(s4, s4.trivial_subgroup(), s4.trivial_subgroup()).all()
+        assert _centralizer_mod_mask(s4, trivial_subgroup(s4), trivial_subgroup(s4)).all()
 
     def test_centralizer_of_klein_in_a4(self, a4):
         klein = sub_of(a4, "(1 2)(3 4)", "(1 3)(2 4)")
-        got = _centralizer_mod_mask(a4, klein, a4.trivial_subgroup())
+        got = _centralizer_mod_mask(a4, klein, trivial_subgroup(a4))
         assert (got == klein.mask).all()
 
     def test_centralizer_mod_trivial_is_plain_centralizer(self, s3):
         c3 = sub_of(s3, "(1 2 3)")
-        got = _centralizer_mod_mask(s3, c3, s3.trivial_subgroup())
+        got = _centralizer_mod_mask(s3, c3, trivial_subgroup(s3))
         assert (got == c3.mask).all()
 
     def test_centralizer_mod_precondition(self, s3):
@@ -451,7 +469,7 @@ class TestExponentCentralizer:
 
     def test_centralizer_brute_force(self, s4):
         c4 = sub_of(s4, "(1 2 3 4)")
-        got = _centralizer_mod_mask(s4, c4, s4.trivial_subgroup())
+        got = _centralizer_mod_mask(s4, c4, trivial_subgroup(s4))
         members = c4.indices()
         expected = 0
         for x in range(s4.order):

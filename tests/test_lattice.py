@@ -301,9 +301,10 @@ class TestMemberOrder:
                 assert _lattice_facts(g, Lattice(g, g.full_subgroup(), given)) == expected, g
 
 
-class TestReachability:
-    """Construction of the prime steps: the Lagrange check on every
-    contained pair, and the lattice of a member."""
+class TestConstruction:
+    """What building a Lattice checks: a member that is no subgroup is
+    rejected by the Lagrange check on every contained pair; and the lattice
+    of a member."""
 
     def test_planted_non_subgroup_mask_is_rejected(self):
         # {e, r} with r of order 3 is not closed; it lies in <r>, and 2 does

@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from formationlab.errors import InputError
-from formationlab.perms import Permutation, format_cycles, parse_cycles
+from formationlab.perms import format_cycles, parse_cycles
 
 from oracles import commutator, compose, identity, inverse, order_of, power
 
 
-def perm(text: str, degree: int) -> Permutation:
+def perm(text: str, degree: int) -> tuple[int, ...]:
     return parse_cycles(text, degree)
 
 
 perms_st = st.integers(1, 8).flatmap(
-    lambda n: st.permutations(range(1, n + 1)).map(Permutation)
+    lambda n: st.permutations(range(1, n + 1)).map(tuple)
 )
 
 
@@ -91,7 +91,7 @@ class TestCycleNotation:
         assert format_cycles(identity(3)) == "()"
 
     def test_two_cycles(self):
-        assert parse_cycles("(1 2 3)(4 5)", 5).images == (2, 3, 1, 5, 4)
+        assert parse_cycles("(1 2 3)(4 5)", 5) == (2, 3, 1, 5, 4)
 
     def test_canonical_form(self):
         assert format_cycles(parse_cycles("(2 1)", 2)) == "(1 2)"
@@ -113,24 +113,23 @@ class TestCycleNotation:
         assert "position" in str(err.value)
 
     def test_round_trip_all_of_s5(self):
-        for images in itertools.permutations(range(1, 6)):
-            p = Permutation(images)
+        for p in itertools.permutations(range(1, 6)):
             assert parse_cycles(format_cycles(p), 5) == p
 
 
 class TestGroupLaws:
     def test_associativity_all_of_s4(self):
-        elements = [Permutation(im) for im in itertools.permutations(range(1, 5))]
+        elements = list(itertools.permutations(range(1, 5)))
         for a, b, c in itertools.product(elements, repeat=3):
             assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
     @given(perms_st)
     def test_inverse_law(self, p):
-        assert compose(p, inverse(p)) == identity(p.degree)
+        assert compose(p, inverse(p)) == identity(len(p))
 
     @given(perms_st, st.integers(-20, 20))
     def test_power_matches_repeated_product(self, p, e):
-        expected = identity(p.degree)
+        expected = identity(len(p))
         base = p if e >= 0 else inverse(p)
         for _ in range(abs(e)):
             expected = compose(expected, base)
@@ -138,8 +137,8 @@ class TestGroupLaws:
 
     @given(perms_st)
     def test_round_trip(self, p):
-        assert parse_cycles(format_cycles(p), p.degree) == p
+        assert parse_cycles(format_cycles(p), len(p)) == p
 
-    @given(st.permutations(range(1, 7)).map(Permutation), st.permutations(range(1, 7)).map(Permutation))
+    @given(st.permutations(range(1, 7)).map(tuple), st.permutations(range(1, 7)).map(tuple))
     def test_commutator_trivial_iff_commuting(self, a, b):
         assert (commutator(a, b) == identity(6)) == (compose(a, b) == compose(b, a))
