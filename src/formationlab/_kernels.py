@@ -1,9 +1,11 @@
-"""Hot inner loops over Cayley tables, all vectorized numpy kernels:
-subgroup closure, conjugation maps, orbit labels (the conjugacy classes of
-elements and of subgroups), the table of negative powers, and the pair
-sweep of the iterated-commutator word.  The sweep steps each distinct start
-state ([x, y], y) once, not each of the n*n pairs, and takes those states
-from the conjugacy classes, not from the n*n commutators.
+"""Hot inner loops over Cayley tables, all vectorized numpy kernels, and
+the package's one home of words in table lookups: subgroup closure,
+conjugation maps, orbit labels (the conjugacy classes of elements and of
+subgroups), commutators and powers of index arrays, the table of negative
+powers, and the pair sweep of the iterated-commutator word.  The sweep
+steps each distinct start state ([x, y], y) once, not each of the n*n
+pairs, and takes those states from the conjugacy classes, not from the n*n
+commutators.
 
 Conventions: ``mul`` is an (n, n) table with ``mul[i, j]`` the index of
 "element i then element j", int16 while n < 2^15 and int32 beyond; index 0
@@ -27,12 +29,17 @@ __all__ = [
     "start_states",
     "brandl_sweep",
     "negative_power_table",
+    "commutators",
+    "powers",
 ]
 
 # Every kernel is numpy; the name stays because perfbench/run.py reports it.
 JIT_ENABLED = False
 # States or pairs per step of ``brandl_sweep``, which bounds its temporaries.
 SWEEP_CHUNK = 8192
+# Most products (rows * order * generators) per batch of ``close_mask``,
+# which bounds its temporary arrays to a few MB however many rows it closes.
+CLOSE_BATCH_PRODUCTS = 1 << 18
 
 
 def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
@@ -49,22 +56,27 @@ def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
     newly found element, by every generator of its row, about |K| * r
     products for a result of order |K| from r generators.  Every element
     is a word in the generators, so all are reached from the identity.
-    All rows advance together on flat indices row * n + element, so a
-    batch costs one round of numpy calls per search depth, not one per row.
+    The rows are closed in batches of as many as keep rows * n * r within
+    ``CLOSE_BATCH_PRODUCTS``, which bounds the temporaries however large
+    the batch; the rows of a batch advance together on flat indices
+    row * n + element, one round of numpy calls per search depth.
     """
     n = mul.shape[0]
     mask = np.array(base, dtype=np.bool_)
-    flat = mask.reshape(-1)
-    gens = np.asarray(gens, dtype=np.intp).reshape(flat.size // n, -1)
-    frontier = np.flatnonzero(flat)
-    while frontier.size:
-        row, x = np.divmod(frontier, n)
-        prods = (mul[x[:, None], gens[row]] + (row * n)[:, None]).ravel()
-        new = np.zeros_like(flat)
-        new[prods] = True
-        new &= ~flat
-        frontier = np.flatnonzero(new)
-        flat |= new
+    rows = mask.reshape(-1, n)
+    gens = np.asarray(gens, dtype=np.intp).reshape(len(rows), -1)
+    step = max(1, CLOSE_BATCH_PRODUCTS // (n * max(1, gens.shape[1])))
+    for lo in range(0, len(rows), step):
+        flat, row_gens = rows[lo:lo + step].reshape(-1), gens[lo:lo + step]  # flat views ``mask``
+        frontier = np.flatnonzero(flat)
+        while frontier.size:
+            row, x = np.divmod(frontier, n)
+            prods = (mul[x[:, None], row_gens[row]] + (row * n)[:, None]).ravel()
+            new = np.zeros_like(flat)
+            new[prods] = True
+            new &= ~flat
+            frontier = np.flatnonzero(new)
+            flat |= new
     return mask
 
 
@@ -130,6 +142,24 @@ def start_states(mul: np.ndarray, inv: np.ndarray, gens) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def commutators(mul: np.ndarray, inv: np.ndarray, x, y) -> np.ndarray:
+    """[x, y] = x^-1 y^-1 x y, for index arrays (or indices) that broadcast:
+    ``x[:, None], y[None, :]`` gives every pair."""
+    return mul[mul[mul[inv[x], inv[y]], x], y]
+
+
+def powers(mul: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
+    """x^k for each x in ``xs`` by repeated squaring."""
+    result = np.zeros(xs.shape, mul.dtype)
+    base = xs
+    while k:
+        if k & 1:
+            result = mul[result, base]
+        k >>= 1
+        base = mul[base, base]
+    return result
+
+
 def negative_power_table(mul: np.ndarray, inv: np.ndarray, rows: np.ndarray, e: int) -> np.ndarray:
     """Table P with P[i, j] = rows[i]^(-j) for 0 <= j < e, where e is a
     multiple of every element order (the group exponent).
@@ -146,11 +176,6 @@ def negative_power_table(mul: np.ndarray, inv: np.ndarray, rows: np.ndarray, e: 
         table[:, m:m + width] = mul[step[:, None], table[:, :width]]
         m += width
     return table
-
-
-def _commutators(mul, inv, x, y):
-    """[x, y] = x^-1 y^-1 x y, elementwise."""
-    return mul[mul[mul[inv[x], inv[y]], x], y]
 
 
 def _failing_states(mul, inv, pow_neg, row_of, e, states):
@@ -173,7 +198,7 @@ def _failing_states(mul, inv, pow_neg, row_of, e, states):
     k = k_saved = 1
     window = e
     while pos.size and k <= cap:
-        c = _commutators(mul, inv, v, y)
+        c = commutators(mul, inv, v, y)
         v = mul[pow_neg[row_of[v], k % e], c]
         k += 1
         keep = v != 0
@@ -232,7 +257,7 @@ def brandl_sweep(mul, inv, gens, e):
         marked[failing] = True
         for lo in range(0, pairs, SWEEP_CHUNK):
             x, y = np.divmod(np.arange(lo, min(lo + SWEEP_CHUNK, pairs), dtype=np.int64), n)
-            bad = marked[_commutators(mul, inv, x, y) * np.int64(n) + y]
+            bad = marked[commutators(mul, inv, x, y) * np.int64(n) + y]
             if bad.any():
                 least = lo + int(bad.argmax())
                 return 0, least // n, least % n

@@ -43,12 +43,11 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import InvariantError, ResourceLimitError
+from .errors import InvariantError, naming_group
 from .groups import (
     GroupTable,
     Subgroup,
     _centralizer_mod_mask,
-    _powers,
     commutator_subgroup,
     derived_series,
     exponent,
@@ -90,7 +89,7 @@ def word_trace(g: GroupTable, x: int, y: int) -> tuple[list[int], dict[tuple[int
     mul, inv = g.mul, g.inv
     e = exponent(g)
     cap = g.order * e + 1
-    u = int(_kernels._commutators(mul, inv, x, y))
+    u = int(_kernels.commutators(mul, inv, x, y))
     values: list[int] = []
     first: dict[tuple[int, int], int] = {}
     k = 1
@@ -102,7 +101,7 @@ def word_trace(g: GroupTable, x: int, y: int) -> tuple[list[int], dict[tuple[int
         first[state] = k
         if k > cap:
             raise InvariantError("word iteration exceeded the pigeonhole cap without repeating")
-        u = int(mul[_powers(mul, inv[u], k % e), _kernels._commutators(mul, inv, u, y)])  # u^(-k) [u, y]
+        u = int(mul[_kernels.powers(mul, inv[u], k % e), _kernels.commutators(mul, inv, u, y)])  # u^(-k) [u, y]
         k += 1
 
 
@@ -177,7 +176,7 @@ def _condition_lf_impl(g: GroupTable, series: list[ChiefFactor]) -> tuple[bool, 
             residual = derived_series(g)[-1].mask
         soluble = not (residual & ~cent).any()
         for p in factor.primes:
-            if not (soluble and cent[_powers(g.mul, every, p - 1)].all()):
+            if not (soluble and cent[_kernels.powers(g.mul, every, p - 1)].all()):
                 return False, (
                     f"chief factor of order {factor.order}: the action group of order "
                     f"{g.order // int(cent.sum())} is not soluble of exponent dividing {p} - 1"
@@ -252,7 +251,7 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
     predicates: dict[str, Optional[bool]] = {}
     witnesses: dict[str, str] = {}
     times: dict[str, float] = {}
-    try:
+    with naming_group(name or "?"):
         start = time.perf_counter()
         lat = all_subgroups(g)
         series = chief_series(lat)
@@ -272,10 +271,6 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
         run("cond_b_subgroups", lambda: _condition_b_subgroups_impl(g, lat))
         run("cond_b_law", lambda: _condition_b_law_impl(g))
         run("cond_lf", lambda: _condition_lf_impl(g, series))
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(f"group {name or '?'}: {exc.raw_message}", exc.bound)
-    except InvariantError as exc:
-        raise InvariantError(f"group {name or '?'}: {exc}") from exc
 
     report = ClassReport(name, g.degree, g.order, predicates, witnesses, times)
     report.status = "ok" if report.theorem_consistent() else "mismatch"

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .checkers import PREDICATE_KEYS, ClassReport, classify, word_trace
 from .corpus import GroupSpec, build_group, load_group, standard_corpus
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, naming_group
 from .groups import exponent
 from .lattice import all_subgroups, frattini, minimal_normal_subgroups, normal_subgroups
 from .perms import format_cycles, parse_cycles
@@ -77,47 +77,46 @@ def _skip_report(spec: GroupSpec, message: str) -> ClassReport:
     return report
 
 
-def _classify_spec(payload) -> tuple[int, ClassReport | None]:
-    idx, spec, max_order = payload
+def _classify_spec(payload) -> ClassReport | None:
+    spec, max_order = payload
     started = time.perf_counter()
     try:
-        table = build_group(spec)
-    except InvariantError as exc:
-        raise InvariantError(f"group {spec.name}: {exc}") from exc
+        with naming_group(spec.name):
+            table = build_group(spec)
     except ResourceLimitError as exc:
         table, report = None, _skip_report(spec, str(exc))
     build = time.perf_counter() - started
     if table is not None:
         if max_order is not None and table.order > max_order:
-            return idx, None
+            return None
         try:
             report = classify(table, spec.name)
         except ResourceLimitError as exc:
             report = _skip_report(spec, str(exc))
     report.times["build"] = build
-    return idx, report
+    return report
 
 
 def _classified(payloads: list, jobs: int):
+    """The reports of the payloads, in their order."""
     if jobs <= 1:
         yield from map(_classify_spec, payloads)
         return
     import multiprocessing  # here, so that single-job runs skip its import time
 
     with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        yield from pool.imap_unordered(_classify_spec, payloads)
+        yield from pool.imap(_classify_spec, payloads)
 
 
 def _run_corpus(specs: list[GroupSpec], max_order: int | None, jobs: int) -> list[ClassReport]:
-    payloads = [(i, spec, max_order) for i, spec in enumerate(specs)]
-    started, results = time.perf_counter(), []
-    for result in _classified(payloads, jobs):
-        results.append(result)
-        if len(results) % PROGRESS_EVERY == 0:
+    started, reports = time.perf_counter(), []
+    for done, report in enumerate(_classified([(spec, max_order) for spec in specs], jobs), start=1):
+        if report is not None:
+            reports.append(report)
+        if done % PROGRESS_EVERY == 0:
             elapsed = time.perf_counter() - started
-            print(f"progress: {len(results)}/{len(payloads)} groups, {elapsed:.1f} s", file=sys.stderr)
-    results.sort(key=lambda t: t[0])
-    return [report for _, report in results if report is not None]
+            print(f"progress: {done}/{len(specs)} groups, {elapsed:.1f} s", file=sys.stderr)
+    return reports
 
 
 def _corpus_from_args(args) -> list[GroupSpec]:
@@ -137,7 +136,8 @@ def _corpus_from_args(args) -> list[GroupSpec]:
 
 def cmd_check(args) -> int:
     spec = load_group(args.file)
-    table = build_group(spec)
+    with naming_group(spec.name):
+        table = build_group(spec)
     report = classify(table, spec.name)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -154,7 +154,8 @@ def cmd_check(args) -> int:
 
 def cmd_brandl(args) -> int:
     spec = load_group(args.file)
-    table = build_group(spec)
+    with naming_group(spec.name):
+        table = build_group(spec)
     x = parse_cycles(args.x, table.degree)
     y = parse_cycles(args.y, table.degree)
     pair = []
@@ -233,8 +234,9 @@ def cmd_witness(args) -> int:
 
 def cmd_lattice(args) -> int:
     spec = load_group(args.file)
-    table = build_group(spec)
-    lat = all_subgroups(table)
+    with naming_group(spec.name):
+        table = build_group(spec)
+        lat = all_subgroups(table)
     counts: dict[int, int] = {}
     for s in lat.subgroups:
         counts[s.order] = counts.get(s.order, 0) + 1

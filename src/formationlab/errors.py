@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``naming_group``, which
+names the group in the errors raised while it is built or classified.
 
 Exit-code mapping used by the CLI: InputError -> 2, ResourceLimitError -> 3.
 InvariantError signals an internal inconsistency (a bug, never expected input)
@@ -6,6 +7,8 @@ and is allowed to propagate.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class InputError(Exception):
@@ -33,3 +36,15 @@ class ResourceLimitError(Exception):
 
 class InvariantError(Exception):
     """An internal invariant failed; indicates a bug in this package."""
+
+
+@contextmanager
+def naming_group(name: str):
+    """Re-raise a ResourceLimitError or InvariantError from the block as
+    ``group NAME: message``, keeping a resource error's bound."""
+    try:
+        yield
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"group {name}: {exc.raw_message}", exc.bound) from exc
+    except InvariantError as exc:
+        raise InvariantError(f"group {name}: {exc}") from exc

@@ -160,18 +160,6 @@ class GroupTable:
         return f"GroupTable(order={self.order}, degree={self.degree})"
 
 
-def _powers(mul: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
-    """x^k for each x in ``xs`` by repeated squaring."""
-    result = np.zeros(xs.shape, mul.dtype)
-    base = xs
-    while k:
-        if k & 1:
-            result = mul[result, base]
-        k >>= 1
-        base = mul[base, base]
-    return result
-
-
 def _row_dtype(degree: int):
     return np.int16 if degree < 1 << 15 else np.int32
 
@@ -203,10 +191,11 @@ class Subgroup:
     """A bool mask over the element indices of a parent GroupTable.
 
     The mask is trusted to be product-closed.  It is made read-only, so
-    equality and hashing by its bytes stay valid.  Lagrange is asserted on
-    every construction.  ``generator_indices`` generate the mask and are
-    what the algorithms use; they come from whichever path built the
-    subgroup, so output names it by :meth:`generators` instead.
+    equality by its bytes stays valid; subgroups are compared, never
+    hashed (a lattice finds a member by its mask bytes).  Lagrange is
+    asserted on every construction.  ``generator_indices`` generate the
+    mask and are what the algorithms use; they come from whichever path
+    built the subgroup, so output names it by :meth:`generators` instead.
     """
 
     __slots__ = ("parent", "mask", "order", "generator_indices")
@@ -242,9 +231,6 @@ class Subgroup:
         if not isinstance(other, Subgroup):
             return NotImplemented
         return self.parent is other.parent and self.mask.tobytes() == other.mask.tobytes()
-
-    def __hash__(self) -> int:
-        return hash((id(self.parent), self.mask.tobytes()))
 
     def __repr__(self) -> str:
         gens = ", ".join(format_cycles(p) for p in self.generators()) or "()"
@@ -424,11 +410,8 @@ def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
     """
     ai = np.array(a.generator_indices, dtype=np.intp)
     bi = np.array(b.generator_indices, dtype=np.intp)
-    t = g.mul[np.ix_(g.inv[ai], g.inv[bi])]
-    t = g.mul[t, ai[:, None]]
-    t = g.mul[t, bi[None, :]]
     seed = np.zeros(g.order, np.bool_)
-    seed[t] = True
+    seed[_kernels.commutators(g.mul, g.inv, ai[:, None], bi[None, :])] = True
     closed, gens = _greedy_generators(g.mul, seed)
     conj = np.concatenate([ai, bi])[:, None]
     while True:
@@ -469,11 +452,5 @@ def _centralizer_mod_mask(g: GroupTable, h: Subgroup, k: Subgroup) -> np.ndarray
         raise InputError("the centralizer of H/K requires K <= H")
     if not is_normal_mask(g, k.mask, g.gen_indices):
         raise InputError("the centralizer of H/K requires K normal in the group")
-    ok = np.ones(g.order, np.bool_)
-    every = np.arange(g.order, dtype=np.int64)
-    for hg in h.generator_indices:
-        t = g.mul[g.inv[every], g.inv[hg]]
-        t = g.mul[t, every]
-        t = g.mul[t, hg]
-        ok &= k.mask[t]
-    return ok
+    hi = np.array(h.generator_indices, dtype=np.intp)
+    return k.mask[_kernels.commutators(g.mul, g.inv, np.arange(g.order)[:, None], hi[None, :])].all(axis=1)

@@ -12,8 +12,8 @@ subgroup brings its whole class, found by permuting its mask under
 conjugation by the group's generators.  Those orbits are the conjugacy
 classes, so the enumerated lattice carries a class id per member.  The
 representatives are extended in waves, and all seeds H | <c> of one wave
-are closed together in batched ``close_mask`` calls.  Subgroups are
-deduplicated by element mask, never by isomorphism.
+are closed in one ``close_mask`` call, which bounds its own batches.
+Subgroups are deduplicated by element mask, never by isomorphism.
 
 A lattice is one (S, n) bool matrix of element masks, each member a row of
 it.  ``Lattice`` alone decides the member order, (order, mask), and labels
@@ -30,7 +30,7 @@ a class of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,9 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_SUBGROUP_BOUND = 10**6
-# Most products (rows * order * generators) of one batched closure call,
-# which bounds its temporary arrays to a few MB however large the wave.
-CLOSE_BATCH_PRODUCTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,6 @@ class Lattice:
         except KeyError:
             raise InputError("subgroup does not belong to this lattice")
 
-    def top_index(self) -> int:
-        return len(self.subgroups) - 1
-
     def __len__(self) -> int:
         return len(self.subgroups)
 
@@ -220,24 +214,6 @@ def _class_of(
     return orbit
 
 
-def _close_seeds(mul: np.ndarray, seeds: Collection[tuple[np.ndarray, tuple[int, ...]]]) -> np.ndarray:
-    """The closure of each (mask, generators) seed, one row per seed.
-
-    Each seed's mask is a base row of a batched ``close_mask`` call and its
-    generators the generator row.  The seeds of one wave all have the same
-    number of generators (a representative found in wave w has w), so the
-    rows need no padding.  Each call takes as many rows as keep rows * order
-    * generators within ``CLOSE_BATCH_PRODUCTS``, which bounds its products.
-    """
-    bases = np.array([arr for arr, _ in seeds])
-    gens = np.array([gens for _, gens in seeds], np.intp)
-    step = max(1, CLOSE_BATCH_PRODUCTS // (mul.shape[0] * gens.shape[1]))
-    closed = [
-        _kernels.close_mask(mul, bases[lo : lo + step], gens[lo : lo + step]) for lo in range(0, len(bases), step)
-    ]
-    return np.concatenate(closed)
-
-
 def all_subgroups(g: GroupTable) -> Lattice:
     """Enumerate every subgroup of g by cyclic extension of class
     representatives.
@@ -258,7 +234,7 @@ def all_subgroups(g: GroupTable) -> Lattice:
 
     Representatives are handled in waves, a wave being those queued when
     the previous one ended.  The wave's distinct seeds not known before it
-    are closed together (``_close_seeds``), each from its mask H | <c>
+    are closed in one ``close_mask`` call, each from its mask H | <c>
     rather than from H, so a long cyclic subgroup is not walked one power
     per round, and each seed whose closure is new becomes a representative.
     A member's generators generate its mask and serve the algorithms;
@@ -301,7 +277,10 @@ def all_subgroups(g: GroupTable) -> Lattice:
         if not seeds:
             continue
         seeds_done.update(seeds)
-        for (_, gens), closed in zip(seeds.values(), _close_seeds(mul, seeds.values())):
+        # a representative found in wave w has w generators, so the rows need no padding
+        bases = np.array([arr for arr, _ in seeds.values()])
+        gen_rows = np.array([gens for _, gens in seeds.values()], np.intp)
+        for (_, gens), closed in zip(seeds.values(), _kernels.close_mask(mul, bases, gen_rows)):
             if closed.tobytes() in found:
                 continue
             reps.append((closed, gens))
@@ -343,7 +322,7 @@ def chief_series(lat: Lattice) -> list[ChiefFactor]:
     normal member of least order above it (the first such in lattice order),
     so no normal subgroup lies strictly between two terms."""
     flags, contains, orders = lat.normal_flags(), lat.containment, lat.orders
-    current, top = 0, lat.top_index()
+    current, top = 0, len(lat) - 1
     factors: list[ChiefFactor] = []
     while current != top:
         nxt = int(np.flatnonzero(flags & contains[current] & (orders > orders[current]))[0])

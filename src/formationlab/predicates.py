@@ -16,8 +16,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import InputError
-from .groups import GroupTable, Subgroup, _powers, as_subgroup
+from .groups import GroupTable, Subgroup, as_subgroup
 from .lattice import Lattice
 from .primes import p_part, prime_divisors
 
@@ -105,7 +106,7 @@ def _sylow_tower_impl(g: GroupTable) -> tuple[bool, Optional[str]]:
     below[0] = True
     for p in sorted(prime_divisors(g.order), reverse=True):
         part = p_part(g.order, p)
-        above = below[_powers(g.mul, every, part)]
+        above = below[_kernels.powers(g.mul, every, part)]
         if int(above.sum()) != int(below.sum()) * part:
             return False, f"Sylow {p}-subgroup is not normal at its tower level"
         below = above

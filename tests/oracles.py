@@ -9,8 +9,9 @@ tables, conjugacy classes of subgroups and of elements by conjugating by
 every element (the element classes in numpy), the lattice's bookkeeping
 (edges, maximal, normal and minimal normal members, chief series, Huppert's
 test) by pairwise subset tests on int bitmasks, and the word sweep's start
-states from the commutators of all n*n pairs (numpy, the sweep's earlier
-first pass), and the order of a group of 2x2 matrices mod p by breadth-first
+states from the commutators of all n*n pairs (``_kernels.commutators``,
+itself checked against ``commutator``; the sweep's earlier first pass),
+and the order of a group of 2x2 matrices mod p by breadth-first
 search over the matrices (the package closes their permutations of the
 vectors), and each element's cyclic subgroup by composing its powers as
 permutations (the package walks the Cayley table).  The word law's
@@ -652,7 +653,7 @@ def start_states_oracle(mul: np.ndarray, inv: np.ndarray) -> np.ndarray:
     y = np.arange(n)[None, :]
     for lo in range(0, n, 256):
         x = np.arange(lo, min(lo + 256, n))[:, None]
-        v = mul[mul[mul[inv[x], inv[y]], x], y].astype(np.int64)
+        v = _kernels.commutators(mul, inv, x, y).astype(np.int64)
         marked[(v * n + y).ravel()] = True
     marked[:n] = False
     return np.flatnonzero(marked)

@@ -26,7 +26,8 @@ from formationlab.corpus import (
     standard_corpus,
     symmetric,
 )
-from formationlab.groups import GroupTable, _powers, exponent
+from formationlab._kernels import powers
+from formationlab.groups import GroupTable, exponent
 from formationlab.lattice import (
     Lattice,
     all_subgroups,
@@ -86,7 +87,7 @@ class TestWordIteration:
                 values, _ = word_trace(s4, x, y)
                 for k, (u, nxt) in enumerate(zip(values, values[1:]), start=1):
                     if mul[u, y] == mul[y, u]:
-                        assert nxt == _powers(mul, s4.inv[u], k)
+                        assert nxt == powers(mul, s4.inv[u], k)
                         checked += 1
         assert checked > 0
 
@@ -220,6 +221,23 @@ class TestFormationClosure:
                         exercised += 1
                         assert condition_x(g, all_subgroups(g))
         assert exercised >= 3
+
+    def test_direct_products_take_the_conjunction(self):
+        # U, X, B and D are formations, and a subgroup-closed formation
+        # holds A x B iff it holds A and B, so every verdict of a product is
+        # the conjunction of its factors'
+        lefts = [symmetric(3), alternating(4), symmetric(4), order75_witness()]
+        rights = [cyclic(2), cyclic(3), symmetric(3)]
+        c294 = order294_candidate()
+        verdicts = {s.name: classify(build_group(s), s.name).predicates for s in [*lefts, *rights, c294]}
+        products = {}
+        for a, b in [*((a, b) for a in lefts for b in rights), (c294, cyclic(2)), (c294, cyclic(3))]:
+            spec = direct_product(a, b)
+            got = products[spec.name] = classify(build_group(spec), spec.name).predicates
+            assert got == {k: verdicts[a.name][k] and verdicts[b.name][k] for k in PREDICATE_KEYS}, spec.name
+        # in X but not U, and in D but not X
+        assert products["C7^2:S3xC2"]["cond_x"] and not products["C7^2:S3xC2"]["supersoluble"]
+        assert products["C5^2:L3xC2"]["sylow_tower"] and not products["C5^2:L3xC2"]["cond_x"]
 
     @pytest.mark.parametrize("n, report", CENSUS_REPORTS)
     def test_census_reports_are_subgroup_closed(self, n, report):

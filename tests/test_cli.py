@@ -76,7 +76,18 @@ class TestCheck:
         write_group(symmetric(5), path)
         monkeypatch.setenv("FORMATIONLAB_MAX_ORDER", "50")
         assert main(["check", str(path)]) == 3
-        assert "50" in capsys.readouterr().err
+        assert capsys.readouterr().err == "resource limit: group S5: group order exceeds the order bound (bound: 50)\n"
+
+    def test_broken_closure_names_the_group(self, s3_file, monkeypatch):
+        import formationlab.groups as groups
+        from formationlab.errors import InvariantError
+
+        def broken(*args):
+            raise InvariantError("closure broke")
+
+        monkeypatch.setattr(groups, "_close_rows", broken)
+        with pytest.raises(InvariantError, match="^group S3: closure broke$"):
+            main(["check", s3_file])
 
 
 class TestBrandl:
@@ -160,7 +171,7 @@ class TestVerify:
 
         monkeypatch.setattr(groups, "_close_rows", broken)
         with pytest.raises(InvariantError, match="^group S3: closure broke$"):
-            _classify_spec((0, symmetric(3), None))
+            _classify_spec((symmetric(3), None))
 
     # every row hashing to 0, the first generator's lookup hits the identity;
     # hashed by the low byte of point 2's image, (1 2 3)'s coset repeats
@@ -196,8 +207,8 @@ class TestVerify:
         gc.set_debug(gc.DEBUG_SAVEALL)
         kept = len(gc.garbage)
         try:
-            for i, spec in enumerate((symmetric(4), cyclic(1000))):
-                _classify_spec((i, spec, None))
+            for spec in (symmetric(4), cyclic(1000)):
+                _classify_spec((spec, None))
             gc.collect()
             tables = [obj for obj in gc.garbage[kept:] if isinstance(obj, GroupTable)]
         finally:
@@ -258,6 +269,7 @@ class TestVerify:
         rows = report.read_text().splitlines()[1:]
         skips = [r for r in rows if "resource-skip" in r]
         assert len(skips) == 2  # A4 (12) and S4 (24) exceed the bound
+        assert skips[0].endswith("\tresource: group A4: group order exceeds the order bound (bound: 10)")
         assert len(rows) == 5
 
     def test_bad_corpus_dir_exit_2(self):
@@ -349,3 +361,12 @@ class TestLattice:
         write_group(symmetric(4), path)
         assert main(["lattice", str(path)]) == 0
         assert "subgroups: 30  conjugacy classes: 11" in capsys.readouterr().out
+
+    def test_subgroup_bound_names_the_group(self, a4_file, monkeypatch, capsys):
+        import formationlab.lattice as lattice
+
+        monkeypatch.setattr(lattice, "DEFAULT_SUBGROUP_BOUND", 5)
+        assert main(["lattice", a4_file]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: group A4: subgroup count exceeds the enumeration bound (bound: 5)\n"
+        )

@@ -1,6 +1,7 @@
-"""The closure kernel against the pure-Python oracle, element classes and
-the sweep's start states against brute force, and the pair sweep against
-the permutation-level word iteration."""
+"""The closure kernel against the pure-Python oracle, commutators and
+powers against permutation arithmetic, element classes and the sweep's
+start states against brute force, and the pair sweep against the
+permutation-level word iteration."""
 
 from __future__ import annotations
 
@@ -23,9 +24,11 @@ from formationlab.groups import exponent
 
 from conftest import group_of
 from oracles import (
+    commutator,
     condition_b_law_opposite,
     element_classes_oracle,
     mask_int,
+    power,
     py_close,
     sequential_extension_oracle,
     start_states_oracle,
@@ -59,11 +62,18 @@ class TestClosure:
             base = _kernels.close_mask(g.mul, identity, gens[:1])
             assert mask_int(_kernels.close_mask(g.mul, base, gens)) == want
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_batch_matches_rows(self, seed):
+    # the bound 1 closes one row per step of the batch
+    @pytest.mark.parametrize(
+        "seed, bound",
+        [pytest.param(seed, None, id=str(seed)) for seed in range(4)]
+        + [pytest.param(seed, 1, id=f"{seed}-one-row-per-step") for seed in range(4)],
+    )
+    def test_batch_matches_rows(self, seed, bound, monkeypatch):
         # rows of one batched call equal separate 1-D closures, from closed
         # bases H and from non-closed bases H | <c>, with generator rows of
         # different lengths padded with the identity
+        if bound is not None:
+            monkeypatch.setattr(_kernels, "CLOSE_BATCH_PRODUCTS", bound)
         rng = np.random.default_rng(seed)
         for g in groups():
             identity = np.zeros(g.order, np.bool_)
@@ -102,6 +112,32 @@ class TestClosure:
         lattice.all_subgroups(g)
         assert 0 < len(calls) <= waves
         assert sum(calls) > waves  # more seeds than calls
+
+
+class TestWords:
+    """The words of the Cayley table against permutation arithmetic on the
+    image tuples."""
+
+    @pytest.mark.parametrize("name", ["s4", "a5"])
+    def test_commutator_of_every_pair(self, name, request):
+        g = request.getfixturevalue(name)
+        perms = [g.perm(i) for i in range(g.order)]
+        index = {p: i for i, p in enumerate(perms)}
+        every = np.arange(g.order)
+        got = _kernels.commutators(g.mul, g.inv, every[:, None], every[None, :])
+        assert got.shape == (g.order, g.order)
+        want = [[index[commutator(p, q)] for q in perms] for p in perms]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["s4", "a5"])
+    def test_power_up_to_twice_the_exponent(self, name, request):
+        g = request.getfixturevalue(name)
+        perms = [g.perm(i) for i in range(g.order)]
+        index = {p: i for i, p in enumerate(perms)}
+        e = exponent(g)
+        for k in range(2 * e + 1):
+            got = _kernels.powers(g.mul, np.arange(g.order), k)
+            assert got.tolist() == [index[power(p, k)] for p in perms], k
 
 
 def sweep_groups():
