@@ -19,11 +19,11 @@ primary and not prime-step subnormal", "[H, H] nilpotent" and "H
 supersoluble" hold for all of a class or for none, and the first failing
 member and its witness are those of a member-by-member scan.
 ``cond_b_subgroups`` first judges H's supersolubility on the given lattice
-(Huppert's test); only for a non-supersoluble H does it take the derived
-subgroup [H, H], as a normal closure of the commutators of H's generators
-(``groups.commutator_subgroup``), not from all |H|^2 commutators.  A
-subgroup named in a witness is named by ``Subgroup.generators``, the
-greedy generators of its mask, so the text depends on the group alone.
+(Huppert's test); only for a non-supersoluble H does it read the derived
+subgroup [H, H] off the same lattice (``lattice.derived_index``), not from
+all |H|^2 commutators.  A subgroup named in a witness is named by
+``Subgroup.generators``, the greedy generators of its mask, so the text
+depends on the group alone.
 
 ``classify`` takes one chief series of the lattice and reads two
 predicates off it.  The group is supersoluble iff every chief factor has
@@ -31,7 +31,9 @@ prime order, and the first factor that does not is the witness.
 ``cond_lf`` walks the same factors H/K.  It works on the centralizer's
 member mask C = C_G(H/K) and never forms G/C: G/C is soluble iff the last
 term of G's derived series lies in C, and its exponent divides p - 1 iff
-every x^(p-1) lies in C.
+every x^(p-1) lies in C.  That last term, the soluble residual, is the
+lattice member where ``derived_index`` stops moving, walked down from the
+top.
 """
 
 from __future__ import annotations
@@ -44,15 +46,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError, naming_group
-from .groups import (
-    GroupTable,
-    Subgroup,
-    _centralizer_mod_mask,
-    commutator_subgroup,
-    derived_series,
-    exponent,
-)
-from .lattice import ChiefFactor, Lattice, all_subgroups, chief_series
+from .groups import GroupTable, Subgroup, _centralizer_mod_mask, exponent
+from .lattice import ChiefFactor, Lattice, all_subgroups, chief_series, derived_index
 from .perms import format_cycles
 from .predicates import (
     _check_lattice,
@@ -136,7 +131,7 @@ def _condition_b_subgroups_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Opti
         h = lat.subgroups[i]
         if is_supersoluble(h, lat):
             continue  # a supersoluble group's derived subgroup is nilpotent
-        derived = commutator_subgroup(lat.parent, h, h)
+        derived = lat.subgroups[derived_index(lat, i)]
         if is_nilpotent(derived):
             return False, (
                 f"subgroup {_describe(h)} has nilpotent derived subgroup "
@@ -165,7 +160,16 @@ def condition_b_law(g: GroupTable) -> bool:
     return _condition_b_law_impl(g)[0]
 
 
-def _condition_lf_impl(g: GroupTable, series: list[ChiefFactor]) -> tuple[bool, Optional[str]]:
+def _soluble_residual(lat: Lattice) -> int:
+    """The index of the last term of the top's derived series: the member
+    where ``derived_index`` stops moving, walked down from the top."""
+    term, nxt = -1, len(lat) - 1
+    while nxt != term:
+        term, nxt = nxt, derived_index(lat, nxt)
+    return term
+
+
+def _condition_lf_impl(g: GroupTable, lat: Lattice, series: list[ChiefFactor]) -> tuple[bool, Optional[str]]:
     every = np.arange(g.order)
     residual = None  # the last term of G's derived series, once needed
     for factor in series:
@@ -173,7 +177,7 @@ def _condition_lf_impl(g: GroupTable, series: list[ChiefFactor]) -> tuple[bool, 
         if cent.all():
             continue  # the quotient is trivial and lies in every f(p)
         if residual is None:
-            residual = derived_series(g)[-1].mask
+            residual = lat.matrix[_soluble_residual(lat)]
         soluble = not (residual & ~cent).any()
         for p in factor.primes:
             if not (soluble and cent[_kernels.powers(g.mul, every, p - 1)].all()):
@@ -188,7 +192,7 @@ def condition_lf_f(g: GroupTable, lat: Lattice) -> bool:
     """For every chief factor H/K and every prime p | |H/K|, the quotient by
     the centralizer of H/K is soluble of exponent dividing p - 1."""
     _check_lattice(g, lat)
-    return _condition_lf_impl(g, chief_series(lat))[0]
+    return _condition_lf_impl(g, lat, chief_series(lat))[0]
 
 
 def _supersoluble_impl(series: list[ChiefFactor]) -> tuple[bool, Optional[str]]:
@@ -270,7 +274,7 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
         run("cond_x", lambda: _condition_x_impl(g, lat))
         run("cond_b_subgroups", lambda: _condition_b_subgroups_impl(g, lat))
         run("cond_b_law", lambda: _condition_b_law_impl(g))
-        run("cond_lf", lambda: _condition_lf_impl(g, series))
+        run("cond_lf", lambda: _condition_lf_impl(g, lat, series))
 
     report = ClassReport(name, g.degree, g.order, predicates, witnesses, times)
     report.status = "ok" if report.theorem_consistent() else "mismatch"

@@ -31,8 +31,6 @@ __all__ = [
     "Subgroup",
     "close_generators",
     "is_normal_mask",
-    "commutator_subgroup",
-    "derived_series",
     "exponent",
     "default_order_bound",
 ]
@@ -237,18 +235,13 @@ class Subgroup:
         return f"Subgroup(order={self.order}, gens=[{gens}])"
 
 
-def _greedy_generators(
-    mul: np.ndarray, seed_arr: np.ndarray, current: np.ndarray | None = None, gens: Sequence[int] = ()
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The subgroup generated by a seed mask together with ``current``, the
-    closed mask that ``gens`` generate (by default the trivial subgroup),
-    with a short generator list: scan the seeds in index order, keeping each
-    one not yet generated and closing once per kept seed.  Returns
-    (closed mask, generators)."""
-    if current is None:
-        current = np.zeros(mul.shape[0], np.bool_)
-        current[0] = True
-    gens = list(gens)
+def _greedy_generators(mul: np.ndarray, seed_arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The subgroup generated by a seed mask, with a short generator list:
+    scan the seeds in index order, keeping each one not yet generated and
+    closing once per kept seed.  Returns (closed mask, generators)."""
+    current = np.zeros(mul.shape[0], np.bool_)
+    current[0] = True
+    gens: list[int] = []
     for i in np.flatnonzero(seed_arr):
         if not current[i]:
             gens.append(int(i))
@@ -397,43 +390,6 @@ def is_normal_mask(g: GroupTable, member_arr: np.ndarray, conj_gen_indices: Sequ
     generators (equivalently, by the group they generate)."""
     conjugators = _kernels.conjugation_maps(g.mul, g.inv, conj_gen_indices)
     return all(member_arr[conj[member_arr]].all() for conj in conjugators)
-
-
-def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
-    """[A, B], the subgroup generated by all [x, y] with x in a, y in b.
-
-    It is the normal closure in <A, B> of the commutators of generator
-    pairs (Robinson, A Course in the Theory of Groups, 5.1.7): close those,
-    then add conjugates of the generators found by the generators of a and
-    b until the set is stable.  Needs each subgroup's generators to
-    generate its mask.
-    """
-    ai = np.array(a.generator_indices, dtype=np.intp)
-    bi = np.array(b.generator_indices, dtype=np.intp)
-    seed = np.zeros(g.order, np.bool_)
-    seed[_kernels.commutators(g.mul, g.inv, ai[:, None], bi[None, :])] = True
-    closed, gens = _greedy_generators(g.mul, seed)
-    conj = np.concatenate([ai, bi])[:, None]
-    while True:
-        seed[:] = False
-        seed[g.mul[g.mul[g.inv[conj], np.array(gens, dtype=np.intp)], conj]] = True
-        if closed[seed].all():
-            return Subgroup(g, closed, gens)
-        closed, gens = _greedy_generators(g.mul, seed, closed, gens)
-
-
-def derived_series(g: Union[GroupTable, Subgroup]) -> list[Subgroup]:
-    """G >= G' >= G'' >= ...; stops at the trivial subgroup, or repeats the
-    stable term exactly once when the series bottoms out above it."""
-    start = as_subgroup(g)
-    table = start.parent
-    series = [start]
-    while series[-1].order > 1:
-        nxt = commutator_subgroup(table, series[-1], series[-1])
-        series.append(nxt)
-        if nxt == series[-2]:
-            break
-    return series
 
 
 def exponent(g: Union[GroupTable, Subgroup]) -> int:

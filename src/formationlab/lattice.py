@@ -1,7 +1,7 @@
 """Complete subgroup lattices and the lattice-level objects the predicates
 consume: conjugacy classes of subgroups, maximal/normal/minimal-normal
-subgroups, the Frattini subgroup, chief series, and prime-step
-subnormality.
+subgroups, the Frattini subgroup, chief series, prime-step subnormality,
+and each member's derived subgroup, looked up among the members.
 
 Enumeration is by cyclic extension over conjugacy classes of subgroups
 (Neubüser's method, as in Cannon, Cox and Holt, "Computing the subgroup
@@ -22,9 +22,9 @@ arrive in, so every downstream choice depends on the group alone.
 Containment between members is stored data, as in Cannon, Cox and Holt:
 one boolean product of the matrix with its complement, computed once per
 lattice, from which prime-step subnormality, maximal subgroups, minimal
-normal subgroups, chief series and Huppert's supersolubility test are
-read.  Normality in the top is read off the class ids: a normal member is
-a class of one.
+normal subgroups, chief series, derived subgroups and Huppert's
+supersolubility test are read.  Normality in the top is read off the class
+ids: a normal member is a class of one.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "minimal_normal_subgroups",
     "frattini",
     "chief_series",
+    "derived_index",
 ]
 
 DEFAULT_SUBGROUP_BOUND = 10**6
@@ -331,3 +332,20 @@ def chief_series(lat: Lattice) -> list[ChiefFactor]:
         current = nxt
     return factors
 
+
+def derived_index(lat: Lattice, i: int) -> int:
+    """The index of [H, H] for member H = ``lat.subgroups[i]``: the first
+    member inside H, in lattice order, that holds the commutators of H's
+    generator pairs and is normalised by those generators.  Such a member K
+    is normal in H, and H/K is abelian, since H's generators commute modulo
+    K; so K contains [H, H], which itself qualifies and is the least of
+    them.  Needs H's generators to generate its mask."""
+    g = lat.parent
+    gens = np.array(lat.subgroups[i].generator_indices, np.intp)
+    values = _kernels.commutators(g.mul, g.inv, gens[:, None], gens[None, :]).ravel()
+    candidates = np.flatnonzero(lat.containment[:, i] & lat.matrix[:, values].all(axis=1))
+    rows = lat.matrix[candidates]
+    normalised = np.ones(len(candidates), np.bool_)
+    for conj in _kernels.conjugation_maps(g.mul, g.inv, gens):
+        normalised &= (rows[:, conj] | ~rows).all(axis=1)
+    return int(candidates[normalised.argmax()])

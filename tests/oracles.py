@@ -19,8 +19,10 @@ sequence is iterated on permutations by ``word_terminates_oracle``, with
 the permutation arithmetic it needs (``compose``, ``inverse``, ``power``,
 ``commutator``), against the package's sweep and trace on the Cayley
 table.  Second algorithms for nilpotency (the lower central series; the
-package counts p-elements) and supersolubility (prime-order chief
-factors) cross-check the package's, and the Sylow tower and
+package counts p-elements), supersolubility (prime-order chief factors)
+and the derived subgroup and derived series (the normal closure [A, B] of
+the commutators of generator pairs; the package looks [H, H] up among a
+lattice's members) cross-check the package's, and the Sylow tower and
 ``cond_lf`` are decided again on quotient group tables (the package
 decides both on masks of the group).  The two exceptions are the package's
 earlier enumerators, kept as differential references fast enough for
@@ -55,8 +57,6 @@ from formationlab.groups import (
     _row_dtype,
     as_subgroup,
     close_generators,
-    commutator_subgroup,
-    derived_series,
     exponent,
     is_normal_mask,
 )
@@ -569,6 +569,41 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
         "chief": chief,
         "supersoluble": supersoluble,
     }
+
+
+def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
+    """[A, B], the subgroup generated by all [x, y] with x in a, y in b.
+
+    It is the normal closure in <A, B> of the commutators of generator
+    pairs (Robinson, A Course in the Theory of Groups, 5.1.7): close those,
+    then add the conjugates of the closure's generators by the generators
+    of a and b until the set is stable.  Needs each subgroup's generators
+    to generate its mask.  The package reads [H, H] off a lattice instead
+    (``lattice.derived_index``).
+    """
+    ai = np.array(a.generator_indices, dtype=np.intp)
+    bi = np.array(b.generator_indices, dtype=np.intp)
+    seed = np.zeros(g.order, np.bool_)
+    seed[_kernels.commutators(g.mul, g.inv, ai[:, None], bi[None, :])] = True
+    conj = np.concatenate([ai, bi])[:, None]
+    while True:
+        closed, gens = _greedy_generators(g.mul, seed)
+        seed[g.mul[g.mul[g.inv[conj], np.array(gens, dtype=np.intp)], conj]] = True
+        if closed[seed].all():
+            return Subgroup(g, closed, gens)
+
+
+def derived_series(g) -> list[Subgroup]:
+    """G >= G' >= G'' >= ...; stops at the trivial subgroup, or repeats the
+    stable term exactly once when the series bottoms out above it."""
+    start = as_subgroup(g)
+    series = [start]
+    while series[-1].order > 1:
+        nxt = commutator_subgroup(start.parent, series[-1], series[-1])
+        series.append(nxt)
+        if nxt == series[-2]:
+            break
+    return series
 
 
 def lower_central_series(g) -> list[Subgroup]:

@@ -408,7 +408,7 @@ class TestQuotientOracles:
     def test_condition_lf(self, quotient_oracle_groups):
         outcomes = set()
         for g, lat in quotient_oracle_groups:
-            got = _condition_lf_impl(g, chief_series(lat))
+            got = _condition_lf_impl(g, lat, chief_series(lat))
             assert got == condition_lf_oracle(g, lat)
             outcomes.add(got[0])
         assert outcomes == {True, False}
@@ -418,8 +418,9 @@ class TestQuotientOracles:
         # dividing p - 1 for a prime p of its chief factor (p >= 31 is
         # needed), so A5's one chief factor is relabelled with the prime 61:
         # A5's exponent 30 divides 60, and only the solubility test fails.
-        (factor,) = chief_series(all_subgroups(a5))
-        assert _condition_lf_impl(a5, [replace(factor, primes=(61,))]) == (False, (
+        lat = all_subgroups(a5)
+        (factor,) = chief_series(lat)
+        assert _condition_lf_impl(a5, lat, [replace(factor, primes=(61,))]) == (False, (
             "chief factor of order 60: the action group of order 60 is not soluble "
             "of exponent dividing 61 - 1"
         ))

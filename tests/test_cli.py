@@ -360,7 +360,21 @@ class TestLattice:
         path = tmp_path / "s4.group"
         write_group(symmetric(4), path)
         assert main(["lattice", str(path)]) == 0
-        assert "subgroups: 30  conjugacy classes: 11" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "group S4  degree 4  order 24\n"
+            "subgroups: 30  conjugacy classes: 11\n"
+            "  order     1: 1\n"
+            "  order     2: 9\n"
+            "  order     3: 4\n"
+            "  order     4: 7\n"
+            "  order     6: 4\n"
+            "  order     8: 3\n"
+            "  order    12: 1\n"
+            "  order    24: 1\n"
+            "normal subgroups: 4\n"
+            "frattini order: 1\n"
+            "minimal normal subgroups: 4\n"
+        )
 
     def test_subgroup_bound_names_the_group(self, a4_file, monkeypatch, capsys):
         import formationlab.lattice as lattice

@@ -11,17 +11,18 @@ from formationlab.groups import (
     Subgroup,
     _centralizer_mod_mask,
     close_generators,
-    commutator_subgroup,
-    derived_series,
     exponent,
 )
+from formationlab.lattice import all_subgroups, derived_index
 from formationlab.perms import parse_cycles
 
 from conftest import group_of, sub_of, subgroup_generated, trivial_subgroup
 from oracles import (
     cayley_oracle,
+    commutator_subgroup,
     commutator_values_oracle,
     cyclic_subgroups_oracle,
+    derived_series,
     identity,
     inverse,
     lower_central_series,
@@ -354,29 +355,36 @@ class TestQuotient:
         assert q.group.order * a4_sub.order == s4.order
 
 
+def _lattice_derived(g: GroupTable) -> Subgroup:
+    """G' read off G's lattice, as the package reads it."""
+    lat = all_subgroups(g)
+    return lat.subgroups[derived_index(lat, len(lat) - 1)]
+
+
 class TestCommutatorSubgroup:
     def test_abelian_derived_trivial(self, c6):
         full = c6.full_subgroup()
         assert commutator_subgroup(c6, full, full).order == 1
+        assert _lattice_derived(c6).order == 1
 
     def test_s3_derived(self, s3):
         full = s3.full_subgroup()
         got = commutator_subgroup(s3, full, full)
         assert got.order == 3
         assert mask_int(got.mask) == commutator_values_oracle(s3, mask_int(full.mask), mask_int(full.mask))
+        assert got == _lattice_derived(s3)
 
     def test_a4_derived_is_klein(self, a4):
         full = a4.full_subgroup()
         got = commutator_subgroup(a4, full, full)
         assert got.order == 4
         assert mask_int(got.mask) == commutator_values_oracle(a4, mask_int(full.mask), mask_int(full.mask))
+        assert got == _lattice_derived(a4)
 
     @pytest.mark.parametrize("name", ["s4", "a5", "q8"])
     def test_lattice_pairs_match_oracle(self, name, request):
         # (H, H) and (H, G), and every pair (H, K) whose join is larger than
         # both, where [H, K] needs conjugates by the generators of H and K
-        from formationlab.lattice import all_subgroups
-
         g = request.getfixturevalue(name)
         subs = all_subgroups(g).subgroups
         pairs = [(h, h) for h in subs] + [(h, g.full_subgroup()) for h in subs]

@@ -3,9 +3,11 @@ from __future__ import annotations
 import pytest
 
 from formationlab.corpus import (
+    alternating,
     build_group,
     cyclic,
     dihedral,
+    direct_product,
     order75_witness,
     order294_candidate,
     quaternion_generalized,
@@ -13,12 +15,18 @@ from formationlab.corpus import (
 )
 import numpy as np
 
-from formationlab.checkers import _condition_b_subgroups_impl, _condition_x_impl, condition_lf_f
+from formationlab.checkers import (
+    _condition_b_subgroups_impl,
+    _condition_x_impl,
+    _soluble_residual,
+    condition_lf_f,
+)
 from formationlab.groups import Subgroup
 from formationlab.lattice import (
     Lattice,
     all_subgroups,
     chief_series,
+    derived_index,
     frattini,
     minimal_normal_subgroups,
     normal_subgroups,
@@ -31,7 +39,9 @@ from formationlab.primes import p_part, prime_divisors
 from conftest import group_of, sub_of, subgroup_generated
 from oracles import (
     all_subgroups_oracle,
+    commutator_subgroup,
     cyclic_extension_oracle,
+    derived_series,
     is_soluble,
     lattice_bookkeeping_oracle,
     mask_int,
@@ -268,6 +278,30 @@ class TestChiefSeries:
         factors = chief_series(all_subgroups(a5))
         assert [f.order for f in factors] == [60]
         assert len(factors[0].primes) == 3
+
+
+class TestDerivedSubgroups:
+    def test_derived_index_is_the_normal_closure(self, s4, s5):
+        # [H, H] looked up among the members against the normal closure of
+        # the commutators of H's generator pairs, for every member H
+        groups = [build_group(spec) for spec in standard_corpus()]
+        groups = [g for g in groups if g.order <= 60]
+        groups += [s4, s5, build_group(direct_product(alternating(5), cyclic(2)))]
+        for g in groups:
+            lat = all_subgroups(g)
+            for i, h in enumerate(lat.subgroups):
+                got = lat.subgroups[derived_index(lat, i)]
+                assert got == commutator_subgroup(g, h, h), (g, i)
+
+    def test_soluble_residual_is_the_last_derived_term(self):
+        outcomes = set()
+        for spec in standard_corpus():
+            g = build_group(spec)
+            lat = all_subgroups(g)
+            residual = lat.subgroups[_soluble_residual(lat)]
+            assert residual == derived_series(g)[-1], spec.name
+            outcomes.add(residual.order == 1)
+        assert outcomes == {True, False}
 
 
 def _lattice_facts(g, lat: Lattice) -> tuple:

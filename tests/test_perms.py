@@ -112,6 +112,24 @@ class TestCycleNotation:
             parse_cycles("(1 9)", 5)
         assert "position" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad, message, position",
+        [
+            ("(1 x)", "unexpected character 'x' in cycle notation", 3),
+            ("((1 2)", "nested '(' in cycle notation", 1),
+            ("(1 2))", "')' without matching '('", 5),
+            ("(1 2) 3", "point outside any cycle", 6),
+            ("(1 12)", "point 12 out of range 1..5", 3),
+            ("(1 2)(3 2)", "point 2 repeated", 8),
+            ("(1 2)(3", "unclosed '(' in cycle notation", 5),
+        ],
+    )
+    def test_each_error_names_its_position(self, bad, message, position):
+        with pytest.raises(InputError) as err:
+            parse_cycles(bad, 5)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
+
     def test_round_trip_all_of_s5(self):
         for p in itertools.permutations(range(1, 6)):
             assert parse_cycles(format_cycles(p), 5) == p
