@@ -2,9 +2,9 @@
 
 A GroupTable carries a deterministic element ordering (identity first), the
 elements in orbit/transversal/base form with a sorted lookup of their base
-images, the full Cayley table as a numpy array in the smallest index dtype,
-and its cyclic subgroups, each walked once, from which the element orders
-and inverses are read.
+images (read from the closure's rows, one buffer grown in place), the full
+Cayley table as a numpy array in the smallest index dtype, and its cyclic
+subgroups, each walked once, giving the element orders and inverses.
 A permutation enters and leaves as the tuple of its images of 1..degree:
 ``close_generators`` checks once that each generator tuple is a bijection,
 and an element's tuple is read back only when asked for (``perm``), for
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_BOUND = 2000
-ROW_BUFFER_BYTES = 1 << 16  # the closure's first row buffer (at least one row); it doubles from there
+ROW_BUFFER_BYTES = 1 << 16  # the closure's first row buffer (at least one row); it doubles in place
 
 
 def default_order_bound() -> int:
@@ -251,10 +251,10 @@ def _greedy_generators(mul: np.ndarray, seed_arr: np.ndarray) -> tuple[np.ndarra
 
 def _close_rows(degree: int, gen_rows: np.ndarray, bound: int) -> np.ndarray:
     """Image rows of the group generated by ``gen_rows`` in insertion order,
-    written into one buffer that doubles as it fills (never past ``bound``)
-    and found through a dict from the hash of a row's bytes to its number.
-    A hit is checked against the stored row, so a hash collision raises
-    rather than merging two elements."""
+    written into one buffer that doubles in place as it fills (a realloc, so
+    no second buffer; never past ``bound``) and found through a dict from
+    the hash of a row's bytes to its number.  A hit is checked against the
+    stored row, so a hash collision raises rather than merging two elements."""
     dtype = _row_dtype(degree)
     rows = np.empty((max(1, min(bound, ROW_BUFFER_BYTES // (degree * np.dtype(dtype).itemsize))), degree), dtype)
     rows[0] = np.arange(degree)
@@ -263,8 +263,7 @@ def _close_rows(degree: int, gen_rows: np.ndarray, bound: int) -> np.ndarray:
     taken: list[np.ndarray] = []
     for grow in gen_rows:
         taken.append(grow)
-        m = n
-        base = rows[:m]  # the closed subgroup so far
+        m = n  # rows[:m] is the closed subgroup so far
         queue: deque[np.ndarray] = deque([grow])
         while queue:
             rep = queue.popleft()
@@ -275,16 +274,14 @@ def _close_rows(degree: int, gen_rows: np.ndarray, bound: int) -> np.ndarray:
                 continue  # else H*rep is disjoint from the cosets already found
             if n + m > bound:
                 raise ResourceLimitError("group order exceeds the order bound", bound)
-            if n + m > len(rows):
-                grown = np.empty((min(2 * len(rows), bound), degree), dtype)  # holds n + m <= 2n rows
-                grown[:n] = rows[:n]
-                rows, base = grown, grown[:m]
+            if n + m > len(rows):  # holds n + m <= 2n rows; refcheck raises while a view of rows lives
+                rows.resize((min(2 * len(rows), bound), degree), refcheck=True)
             if m == 1:  # H*rep = {rep}, whose hash was just missed
                 rows[n] = rep
                 index[hash(key)] = n
-            else:
-                block = rep.take(base, out=rows[n:n + m])  # (h then rep): images rep[h[p]]
-                index.update(zip(map(hash, _row_keys(block)), range(n, n + m)))
+            else:  # (h then rep): images rep[h[p]]; no view of rows is kept
+                rep.take(rows[:m], out=rows[n:n + m])
+                index.update(zip(map(hash, _row_keys(rows[n:n + m])), range(n, n + m)))
                 if len(index) != n + m:
                     raise InvariantError("a coset repeats a row's hash")
             n += m
@@ -329,13 +326,13 @@ def close_generators(
     appending whole right cosets H*rep of the previously closed set H (one
     2-D take per coset), with new coset representatives produced by
     multiplying known representatives by the generators taken so far.  Each
-    row is held once, in one (order, degree) buffer indexed by the hashes of
-    the rows' bytes (``_close_rows``); it is dropped once the store (see
-    GroupTable) and each generator's Cayley row, looked up by base images,
-    are read from it, before a page of the table is touched.  Insertion
-    order (hence the table) is deterministic.  The rest of the table, in the
-    smallest index dtype, is filled by rows: (s then i) is
-    ``mul[s][mul[i]]``; every row must be reached exactly once.
+    row is held once, in one buffer grown in place to (order, degree) and
+    indexed by the hashes of the rows' bytes (``_close_rows``); it is dropped
+    once the store (see GroupTable) and each generator's Cayley row, looked
+    up by base images, are read from it, before a page of the table is
+    touched.  Insertion order (hence the table) is deterministic.  The rest
+    of the table, in the smallest index dtype, is filled by rows: (s then i)
+    is ``mul[s][mul[i]]``; every row must be reached exactly once.
     """
     if degree < 1:
         raise InputError(f"degree must be a positive integer, got {degree}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, InvariantError, ResourceLimitError
-from .groups import GroupTable, Subgroup, _row_keys
+from .groups import GroupTable, Subgroup, _row_keys, _void_rows
 from .primes import prime_divisors
 
 __all__ = [
@@ -110,8 +110,9 @@ class Lattice:
         members = tuple(subgroups)
         matrix = np.array([s.mask for s in members], np.bool_).reshape(len(members), parent.order)
         orders = np.count_nonzero(matrix, axis=1)
-        # byte k of a little-endian packed mask holds elements 8k..8k+7, low bit first
-        rank = np.lexsort([*np.packbits(matrix, axis=1, bitorder="little").T, orders])
+        # one byte key per member: its order in 8 big-endian bytes, then its mask packed highest element first
+        keys = np.hstack([orders.astype(">u8").view(np.uint8).reshape(-1, 8), np.packbits(matrix[:, ::-1], axis=1)])
+        rank = np.argsort(_void_rows(keys))
         self.subgroups = tuple(members[k] for k in rank)
         self.matrix = matrix[rank]
         self.matrix.flags.writeable = False

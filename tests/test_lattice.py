@@ -114,10 +114,30 @@ class TestEnumeration:
             all_subgroups(s4)
 
     def test_sorted_deterministically(self, s5):
-        lat = all_subgroups(s5)
-        keys = [(s.order, mask_int(s.mask)) for s in lat.subgroups]
-        assert keys == sorted(keys)
-        assert len(lat.subgroups) == 156
+        # orders 294, 150 and 1999 are no multiple of 8, and their masks
+        # span several bytes, so a key that packs them wrongly misorders them
+        groups = [s5, build_group(order294_candidate()), build_group(dihedral(75)), build_group(cyclic(1999))]
+        for g, count in zip(groups, [156, 172, 130, 2]):
+            lat = all_subgroups(g)
+            keys = [(s.order, mask_int(s.mask)) for s in lat.subgroups]
+            assert keys == sorted(keys), g
+            assert len(lat.subgroups) == count, g
+
+    def test_c1999_lattice_memory(self):
+        # one byte key per member: the sort of C1999's two members traces
+        # 0.04 MB (0.70 MB when it lexsorted over every packed-mask byte)
+        import tracemalloc
+
+        g = build_group(cyclic(1999))
+        members = all_subgroups(g).subgroups
+        tracemalloc.start()
+        try:
+            lat = Lattice(g, g.full_subgroup(), members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lat) == 2
+        assert peak < 0.1e6, f"Lattice peaked at {peak / 1e6:.2f} MB"
 
     def test_prime_order_counts_frobenius(self, s4, a4, q8):
         # number of subgroups of prime order p is congruent to 1 mod p
@@ -337,8 +357,8 @@ class TestMemberOrder:
 
 class TestConstruction:
     """What building a Lattice checks: a member that is no subgroup is
-    rejected by the Lagrange check on every contained pair; and the lattice
-    of a member."""
+    rejected by the Lagrange check on every contained pair, and an empty or
+    repeated member list is rejected too; and the lattice of a member."""
 
     def test_planted_non_subgroup_mask_is_rejected(self):
         # {e, r} with r of order 3 is not closed; it lies in <r>, and 2 does
@@ -361,6 +381,15 @@ class TestConstruction:
         members = [*all_subgroups(c12).subgroups, Subgroup(c12, planted, (4, 9))]
         with pytest.raises(InvariantError, match="member of order 3 lies in a member of order 4"):
             Lattice(c12, c12.full_subgroup(), members)
+
+    def test_empty_and_duplicate_members_are_rejected(self):
+        # the sort key of an empty member list is a (0, w) byte array; a
+        # repeated member is caught after the sort, by its mask bytes
+        c6 = build_group(cyclic(6))
+        with pytest.raises(InvariantError, match="must contain the trivial subgroup and the top"):
+            Lattice(c6, c6.full_subgroup(), [])
+        with pytest.raises(InvariantError, match="duplicate subgroup masks"):
+            Lattice(c6, c6.full_subgroup(), [*all_subgroups(c6).subgroups, c6.full_subgroup()])
 
     def test_restrict_gives_complete_sublattice(self, s4):
         lat = all_subgroups(s4)
