@@ -1,11 +1,11 @@
 """Hot inner loops over Cayley tables, all vectorized numpy kernels, and
 the package's one home of words in table lookups: subgroup closure,
-conjugation maps, orbit labels (the conjugacy classes of elements and of
-subgroups), commutators and powers of index arrays, the table of negative
-powers, and the pair sweep of the iterated-commutator word.  The sweep
-steps each distinct start state ([x, y], y) once, not each of the n*n
-pairs, and takes those states from the conjugacy classes, not from the n*n
-commutators.
+conjugates and conjugation maps, orbit labels (the conjugacy classes of
+elements and of subgroups), commutators and powers of index arrays, the
+table of negative powers, and the pair sweep of the iterated-commutator
+word.  The sweep steps each distinct start state ([x, y], y) once, not
+each of the n*n pairs, and takes those states from the conjugacy classes,
+not from the n*n commutators.
 
 Conventions: ``mul`` is an (n, n) table with ``mul[i, j]`` the index of
 "element i then element j", int16 while n < 2^15 and int32 beyond; index 0
@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "JIT_ENABLED",
     "close_mask",
+    "conjugates",
     "conjugation_maps",
     "orbit_labels",
     "class_labels",
@@ -80,11 +81,17 @@ def close_mask(mul: np.ndarray, base: np.ndarray, gens) -> np.ndarray:
     return mask
 
 
+def conjugates(mul: np.ndarray, inv: np.ndarray, x, s) -> np.ndarray:
+    """x^s = s^-1 x s, for index arrays (or indices) that broadcast:
+    ``x[None, :], s[:, None]`` gives every x conjugated by every s."""
+    return mul[mul[inv[s], x], s]
+
+
 def conjugation_maps(mul: np.ndarray, inv: np.ndarray, gens) -> list[np.ndarray]:
     """conj[x] = s^-1 x s for each s in ``gens``, one array per generator.
     Reading a mask at conj tests that conjugation by s keeps it; scattering
     a mask through conj conjugates the subgroup by s (no n x n table)."""
-    return [mul[mul[inv[s]], s] for s in gens]
+    return list(conjugates(mul, inv, np.arange(mul.shape[0]), np.asarray(gens, np.intp).reshape(-1, 1)))
 
 
 def orbit_labels(maps: np.ndarray) -> np.ndarray:

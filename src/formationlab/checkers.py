@@ -49,14 +49,7 @@ from .errors import InvariantError, naming_group
 from .groups import GroupTable, Subgroup, _centralizer_mod_mask, exponent
 from .lattice import ChiefFactor, Lattice, all_subgroups, chief_series, derived_index
 from .perms import format_cycles
-from .predicates import (
-    _check_lattice,
-    _sylow_tower_impl,
-    is_cyclic,
-    is_nilpotent,
-    is_primary,
-    is_supersoluble,
-)
+from .predicates import _check_lattice, _huppert, _sylow_tower_impl, is_cyclic, is_nilpotent, is_primary
 from .primes import is_prime
 
 __all__ = [
@@ -128,13 +121,12 @@ def condition_x(g, lat: Lattice) -> bool:
 def _condition_b_subgroups_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
     for i in _class_firsts(lat):
-        h = lat.subgroups[i]
-        if is_supersoluble(h, lat):
+        if _huppert(lat, i):
             continue  # a supersoluble group's derived subgroup is nilpotent
         derived = lat.subgroups[derived_index(lat, i)]
         if is_nilpotent(derived):
             return False, (
-                f"subgroup {_describe(h)} has nilpotent derived subgroup "
+                f"subgroup {_describe(lat.subgroups[i])} has nilpotent derived subgroup "
                 f"(order {derived.order}) but is not supersoluble"
             )
     return True, None

@@ -190,7 +190,7 @@ class Subgroup:
 
     The mask is trusted to be product-closed.  It is made read-only, so
     equality by its bytes stays valid; subgroups are compared, never
-    hashed (a lattice finds a member by its mask bytes).  Lagrange is
+    hashed (a lattice finds a member among the rows of its mask matrix).  Lagrange is
     asserted on every construction.  ``generator_indices`` generate the
     mask and are what the algorithms use; they come from whichever path
     built the subgroup, so output names it by :meth:`generators` instead.

@@ -15,10 +15,12 @@ representatives are extended in waves, and all seeds H | <c> of one wave
 are closed in one ``close_mask`` call, which bounds its own batches.
 Subgroups are deduplicated by element mask, never by isomorphism.
 
-A lattice is one (S, n) bool matrix of element masks, each member a row of
-it.  ``Lattice`` alone decides the member order, (order, mask), and labels
-each conjugacy class by its least member, whatever order the members
-arrive in, so every downstream choice depends on the group alone.
+A lattice is one (S, n) bool matrix of element masks, and that matrix is
+the only copy of them: each member's mask is a read-only view of its row,
+and a member is found by scanning the rows, with no second index of mask
+bytes.  ``Lattice`` alone decides the member order, (order, mask), and
+labels each conjugacy class by its least member, whatever order the
+members arrive in, so every downstream choice depends on the group alone.
 Containment between members is stored data, as in Cannon, Cox and Holt:
 one boolean product of the matrix with its complement, computed once per
 lattice, from which prime-step subnormality, maximal subgroups, minimal
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, InvariantError, ResourceLimitError
-from .groups import GroupTable, Subgroup, _row_keys, _void_rows
+from .groups import GroupTable, Subgroup, _lookup, _void_rows
 from .primes import prime_divisors
 
 __all__ = [
@@ -71,11 +73,12 @@ class Lattice:
     (order, mask) order, the highest element index most significant, so the
     trivial subgroup is member 0, the top is the last member, and every
     choice read off the lattice depends on the members alone.  ``matrix`` is
-    one read-only (S, n) bool array, row i the element mask of
-    ``subgroups[i]``, and ``orders`` its row counts.  ``containment[i, j]``
-    holds when member i lies in member j: one boolean product, since i lies
-    in j iff no element of i is outside j; construction checks that every
-    contained pair obeys Lagrange.  ``p_subnormal[i]`` holds when a chain of
+    one read-only (S, n) bool array, and the mask of ``subgroups[i]`` is a
+    view of row i, so the masks the members were given with are not kept;
+    ``orders`` holds the row counts.  ``containment[i, j]`` holds when
+    member i lies in member j: one boolean product, since i lies in j iff
+    no element of i is outside j; construction checks that every contained
+    pair obeys Lagrange.  ``p_subnormal[i]`` holds when a chain of
     members, each of prime index in the next, leads from member i up to the
     top.  ``class_ids()`` labels each member's conjugacy class under
     ``top`` by the index of its least member; a member is normal in ``top``
@@ -90,7 +93,6 @@ class Lattice:
         "orders",
         "containment",
         "p_subnormal",
-        "_index",
         "_class_ids",
     )
 
@@ -113,13 +115,16 @@ class Lattice:
         # one byte key per member: its order in 8 big-endian bytes, then its mask packed highest element first
         keys = np.hstack([orders.astype(">u8").view(np.uint8).reshape(-1, 8), np.packbits(matrix[:, ::-1], axis=1)])
         rank = np.argsort(_void_rows(keys))
-        self.subgroups = tuple(members[k] for k in rank)
-        self.matrix = matrix[rank]
+        sorted_keys = _void_rows(keys)[rank]
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():  # equal masks sort next to each other
+            raise InvariantError("duplicate subgroup masks in lattice")
+        self.matrix = matrix = matrix[rank]  # the rebinding frees the unsorted copy
         self.matrix.flags.writeable = False
         self.orders = orders[rank]
-        self._index = {key: i for i, key in enumerate(_row_keys(self.matrix))}
-        if len(self._index) != len(members):
-            raise InvariantError("duplicate subgroup masks in lattice")
+        # each member's mask is a read-only view of its row; the given masks are not kept
+        self.subgroups = tuple(
+            Subgroup(parent, row, members[k].generator_indices) for row, k in zip(self.matrix, rank)
+        )
         if not members or self.orders[0] != 1 or not np.array_equal(self.matrix[-1], top.mask):
             raise InvariantError("lattice must contain the trivial subgroup and the top")
         self.containment = ~(self.matrix @ ~self.matrix.T)
@@ -156,10 +161,14 @@ class Lattice:
     # -- indexed access ------------------------------------------------
 
     def index_of(self, s: Subgroup) -> int:
-        try:
-            return self._index[s.mask.tobytes()]
-        except KeyError:
-            raise InputError("subgroup does not belong to this lattice")
+        """The index of the member with s's mask, found among the rows of
+        s's order, which the sort keeps together."""
+        if s.parent is self.parent:
+            lo, hi = np.searchsorted(self.orders, [s.order, s.order + 1])
+            hits = np.flatnonzero((self.matrix[lo:hi] == s.mask).all(axis=1))
+            if hits.size:
+                return int(lo + hits[0])
+        raise InputError("subgroup does not belong to this lattice")
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -181,10 +190,13 @@ class Lattice:
         if self._class_ids is None:
             g = self.parent
             maps = np.empty((len(self.top.generator_indices), len(self.subgroups)), np.intp)
+            order = np.argsort(_void_rows(self.matrix))
             for row, conj in zip(maps, _kernels.conjugation_maps(g.mul, g.inv, self.top.generator_indices)):
                 images = np.empty_like(self.matrix)
                 images[:, conj] = self.matrix  # every member conjugated by one generator
-                row[:] = [self._index[key] for key in _row_keys(images)]
+                row[:] = _lookup(self.matrix, order, images)
+                if (row < 0).any():
+                    raise InvariantError("a conjugate of a member is missing from the lattice")
             self._class_ids = _kernels.orbit_labels(maps)
         self._class_ids.flags.writeable = False  # every caller shares the labels
         return self._class_ids
@@ -266,10 +278,10 @@ def all_subgroups(g: GroupTable) -> Lattice:
             if not outside.size:
                 continue
             # x normalises H when x^-1 h x lies in H for each generator h of H
-            conjugated = mul[mul[inv[:, None], list(h_gens)], elements[:, None]]
+            conjugated = _kernels.conjugates(mul, inv, np.array(h_gens, np.intp), elements[:, None])
             normaliser = np.flatnonzero(h_arr[conjugated].all(axis=1))
             # N_G(H) permutes the outside cyclic subgroups; keep each orbit's least
-            images = cyclic_id[mul[mul[inv[normaliser, None], cyclic_gens[outside]], normaliser[:, None]]]
+            images = cyclic_id[_kernels.conjugates(mul, inv, cyclic_gens[outside], normaliser[:, None])]
             for c in outside[images.min(axis=0) == outside]:
                 cyc_arr, cyc_gen = cyclics[c]
                 seed_arr = h_arr | cyc_arr
@@ -313,8 +325,9 @@ def frattini(lat: Lattice) -> Subgroup:
     maxima = list(lat.maximal_indices())
     if not maxima:
         return lat.top
-    idx = lat._index.get(lat.matrix[maxima].all(axis=0).tobytes())
-    if idx is None:
+    # the intersection, when a member, is the largest member inside every maximal subgroup
+    idx = np.flatnonzero(lat.containment[:, maxima].all(axis=1))[-1]
+    if not np.array_equal(lat.matrix[idx], lat.matrix[maxima].all(axis=0)):
         raise InvariantError("Frattini intersection is missing from the lattice")
     return lat.subgroups[idx]
 

@@ -68,21 +68,27 @@ def _check_lattice(g: GroupLike, lat: Lattice) -> Subgroup:
 
 
 def is_supersoluble(g: GroupLike, lat: Lattice) -> bool:
-    """Huppert's theorem (Math. Z. 60 (1954) 409-434): a finite group is
-    supersoluble iff every maximal subgroup has prime index, i.e. every
-    proper subgroup lies in one of prime index.  ``lat`` may be the lattice
-    of any group containing g; its members inside g are g's subgroups, read
-    off the lattice's containment matrix.
-    """
+    """Huppert's test (``_huppert``) on the member of ``lat`` that is g.
+    ``lat`` may be the lattice of any group containing g."""
     sub = as_subgroup(g)
     if lat.parent is not sub.parent:
         raise InputError("lattice does not contain the given group")
-    h = lat.index_of(sub)
+    return _huppert(lat, lat.index_of(sub))
+
+
+def _huppert(lat: Lattice, h: int) -> bool:
+    """Huppert's theorem (Math. Z. 60 (1954) 409-434): a finite group is
+    supersoluble iff every maximal subgroup has prime index, i.e. every
+    proper subgroup lies in one of prime index.  The group is member h of
+    ``lat``; the members inside it are its subgroups, read off the
+    lattice's containment matrix.
+    """
+    order = int(lat.orders[h])
     contains = lat.containment
-    proper = contains[:, h] & (lat.orders < sub.order)
+    proper = contains[:, h] & (lat.orders < order)
     prime_index = np.zeros_like(proper)
-    for p in prime_divisors(sub.order):
-        prime_index |= lat.orders * p == sub.order
+    for p in prime_divisors(order):
+        prime_index |= lat.orders * p == order
     prime_index &= proper
     return bool((contains[proper] @ prime_index).all())
 

@@ -25,8 +25,10 @@ from formationlab.groups import exponent
 from conftest import group_of
 from oracles import (
     commutator,
+    compose,
     condition_b_law_opposite,
     element_classes_oracle,
+    inverse,
     mask_int,
     power,
     py_close,
@@ -128,6 +130,19 @@ class TestWords:
         assert got.shape == (g.order, g.order)
         want = [[index[commutator(p, q)] for q in perms] for p in perms]
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["s4", "a5"])
+    def test_conjugate_of_every_pair(self, name, request):
+        # row s, column x: x^s = s^-1 x s; row s is also conjugation by s's map
+        g = request.getfixturevalue(name)
+        perms = [g.perm(i) for i in range(g.order)]
+        index = {p: i for i, p in enumerate(perms)}
+        every = np.arange(g.order)
+        got = _kernels.conjugates(g.mul, g.inv, every[None, :], every[:, None])
+        want = [[index[compose(compose(inverse(s), x), s)] for x in perms] for s in perms]
+        assert np.array_equal(got, want)
+        assert np.array_equal(_kernels.conjugation_maps(g.mul, g.inv, every), want)
+        assert _kernels.conjugation_maps(g.mul, g.inv, ()) == []
 
     @pytest.mark.parametrize("name", ["s4", "a5"])
     def test_power_up_to_twice_the_exponent(self, name, request):

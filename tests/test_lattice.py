@@ -12,6 +12,7 @@ from formationlab.corpus import (
     order294_candidate,
     quaternion_generalized,
     standard_corpus,
+    symmetric,
 )
 import numpy as np
 
@@ -19,6 +20,7 @@ from formationlab.checkers import (
     _condition_b_subgroups_impl,
     _condition_x_impl,
     _soluble_residual,
+    classify,
     condition_lf_f,
 )
 from formationlab.groups import Subgroup
@@ -31,7 +33,7 @@ from formationlab.lattice import (
     minimal_normal_subgroups,
     normal_subgroups,
 )
-from formationlab.errors import InvariantError, ResourceLimitError
+from formationlab.errors import InputError, InvariantError, ResourceLimitError, naming_group
 from formationlab.perms import parse_cycles
 from formationlab.predicates import is_supersoluble
 from formationlab.primes import p_part, prime_divisors
@@ -138,6 +140,44 @@ class TestEnumeration:
             tracemalloc.stop()
         assert len(lat) == 2
         assert peak < 0.1e6, f"Lattice peaked at {peak / 1e6:.2f} MB"
+
+    def test_members_are_views_of_the_matrix(self, s5):
+        # each mask is held once: member i's mask is row i of the matrix,
+        # whatever order the members were given in
+        lat = all_subgroups(s5)
+        rebuilt = Lattice(s5, s5.full_subgroup(), lat.subgroups[::-1])
+        for built in (lat, rebuilt):
+            assert all(np.shares_memory(s.mask, built.matrix[i]) for i, s in enumerate(built.subgroups))
+            assert not any(s.mask.flags.writeable for s in built.subgroups)
+
+    def test_s6_lattice_memory_held(self):
+        # what the S6 lattice keeps: about 3.8 MB, of which the matrix is
+        # 1.05 MB and the containment 2.12 MB (7.3 MB when every member kept
+        # its own mask and the enumerator's batches stayed alive beside it)
+        import tracemalloc
+
+        g = build_group(symmetric(6))
+        tracemalloc.start()
+        try:
+            lat = all_subgroups(g)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(lat) == 1455
+        assert held <= 4.5e6, f"the S6 lattice holds {held / 1e6:.2f} MB"
+
+    def test_classify_looks_up_no_member(self, s4, a5, monkeypatch):
+        # the checkers pass members by index, never search the matrix for one
+        groups = [s4, a5, build_group(order294_candidate())]
+        expected = [classify(g, "g").to_dict() for g in groups]
+
+        def refuse(self, s):
+            raise AssertionError("Lattice.index_of was called")
+
+        monkeypatch.setattr(Lattice, "index_of", refuse)
+        for g, want in zip(groups, expected):
+            got = classify(g, "g").to_dict()
+            assert {**got, "times": None} == {**want, "times": None}, g
 
     def test_prime_order_counts_frobenius(self, s4, a4, q8):
         # number of subgroups of prime order p is congruent to 1 mod p
@@ -390,6 +430,21 @@ class TestConstruction:
             Lattice(c6, c6.full_subgroup(), [])
         with pytest.raises(InvariantError, match="duplicate subgroup masks"):
             Lattice(c6, c6.full_subgroup(), [*all_subgroups(c6).subgroups, c6.full_subgroup()])
+
+    def test_index_of_rejects_a_subgroup_of_another_group(self, s4):
+        # C24's top has the mask of S4's top but belongs to another group
+        c24 = build_group(cyclic(24))
+        with pytest.raises(InputError, match="does not belong to this lattice"):
+            all_subgroups(s4).index_of(c24.full_subgroup())
+
+    def test_missing_conjugate_is_an_invariant_error(self, s3):
+        # S3's lattice with one of its three C2s: conjugation by (1 2 3)
+        # carries that C2 to a member the lattice lacks
+        members = [s for s in all_subgroups(s3).subgroups if s.order != 2] + [sub_of(s3, "(1 2)")]
+        lat = Lattice(s3, s3.full_subgroup(), members)
+        with pytest.raises(InvariantError, match="^group S3: a conjugate of a member is missing from the lattice$"):
+            with naming_group("S3"):
+                lat.class_ids()
 
     def test_restrict_gives_complete_sublattice(self, s4):
         lat = all_subgroups(s4)

@@ -8,7 +8,8 @@ imported by name from its module, or read as an attribute of its module
 A bare name counts only inside the defining module, so a local variable
 that happens to share a dead function's name elsewhere does not keep it.
 Code that only tests call belongs in ``tests/oracles.py`` (reference
-algorithms) or ``tests/conftest.py`` (helpers).
+algorithms) or ``tests/conftest.py`` (helpers).  Words in table lookups
+(a product of products, ``mul[mul[``) are written in ``_kernels.py`` only.
 """
 
 from __future__ import annotations
@@ -78,3 +79,8 @@ def test_a_same_named_local_elsewhere_is_not_a_use(tmp_path):
     (package / "cli.py").write_text("from .perms import parse\n")
     (bench / "run.py").write_text("from pkg import kernels as k\n\nk.sweep()\n")
     assert unreferenced_public_names(package, bench) == ["perms.identity"]
+
+
+def test_table_words_live_in_the_kernels():
+    nested = [p.name for p in sorted(PACKAGE.glob("*.py")) if p.name != "_kernels.py" and "mul[mul[" in p.read_text()]
+    assert nested == []
