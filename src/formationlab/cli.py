@@ -14,7 +14,6 @@ byte-identical reports regardless of --jobs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 from .checkers import PREDICATE_KEYS, ClassReport, classify, word_trace
 from .corpus import GroupSpec, build_group, load_group, standard_corpus
 from .errors import InputError, ResourceLimitError, naming_group
-from .groups import exponent
+from .groups import DEFAULT_ORDER_BOUND, exponent
 from .lattice import all_subgroups, frattini, minimal_normal_subgroups, normal_subgroups
 from .perms import format_cycles, parse_cycles
 
@@ -77,18 +76,16 @@ def _skip_report(spec: GroupSpec, message: str) -> ClassReport:
     return report
 
 
-def _classify_spec(payload) -> ClassReport | None:
+def _classify_spec(payload) -> ClassReport:
     spec, max_order = payload
     started = time.perf_counter()
     try:
         with naming_group(spec.name):
-            table = build_group(spec)
+            table = build_group(spec, max_order)
     except ResourceLimitError as exc:
         table, report = None, _skip_report(spec, str(exc))
     build = time.perf_counter() - started
     if table is not None:
-        if max_order is not None and table.order > max_order:
-            return None
         try:
             report = classify(table, spec.name)
         except ResourceLimitError as exc:
@@ -98,7 +95,8 @@ def _classify_spec(payload) -> ClassReport | None:
 
 
 def _classified(payloads: list, jobs: int):
-    """The reports of the payloads, in their order."""
+    """The reports of the payloads, in their order, from one worker per payload at most."""
+    jobs = min(jobs, len(payloads))
     if jobs <= 1:
         yield from map(_classify_spec, payloads)
         return
@@ -108,11 +106,10 @@ def _classified(payloads: list, jobs: int):
         yield from pool.imap(_classify_spec, payloads)
 
 
-def _run_corpus(specs: list[GroupSpec], max_order: int | None, jobs: int) -> list[ClassReport]:
+def _run_corpus(specs: list[GroupSpec], max_order: int, jobs: int) -> list[ClassReport]:
     started, reports = time.perf_counter(), []
     for done, report in enumerate(_classified([(spec, max_order) for spec in specs], jobs), start=1):
-        if report is not None:
-            reports.append(report)
+        reports.append(report)
         if done % PROGRESS_EVERY == 0:
             elapsed = time.perf_counter() - started
             print(f"progress: {done}/{len(specs)} groups, {elapsed:.1f} s", file=sys.stderr)
@@ -137,9 +134,11 @@ def _corpus_from_args(args) -> list[GroupSpec]:
 def cmd_check(args) -> int:
     spec = load_group(args.file)
     with naming_group(spec.name):
-        table = build_group(spec)
+        table = build_group(spec, args.max_order)
     report = classify(table, spec.name)
     if args.json:
+        import json  # here, so that runs without --json skip its import
+
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(f"group {report.name}  degree {report.degree}  order {report.order}")
@@ -155,7 +154,7 @@ def cmd_check(args) -> int:
 def cmd_brandl(args) -> int:
     spec = load_group(args.file)
     with naming_group(spec.name):
-        table = build_group(spec)
+        table = build_group(spec, args.max_order)
     x = parse_cycles(args.x, table.degree)
     y = parse_cycles(args.y, table.degree)
     pair = []
@@ -182,6 +181,8 @@ def cmd_verify(args) -> int:
     reports = _run_corpus(specs, args.max_order, args.jobs)
     elapsed = time.perf_counter() - started
     if args.json:
+        import json
+
         payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     else:
         payload = _tsv_rows(reports)
@@ -206,15 +207,12 @@ def cmd_witness(args) -> int:
     avoid = CLASS_KEYS[args.notin]
     specs = _corpus_from_args(args)
     reports = _run_corpus(specs, args.max_order, args.jobs)
-    candidates = [
-        r
-        for r in reports
-        if r.status != "resource-skip" and r.predicates[want] and not r.predicates[avoid]
-    ]
+    # a resource-skip row has order 0 and no verdicts: it is neither a candidate nor the bound
+    candidates = [r for r in reports if r.predicates[want] and not r.predicates[avoid]]
     candidates.sort(key=lambda r: r.order)
     pair = (getattr(args, "in"), args.notin)
     if not candidates:
-        bound = max((r.order for r in reports if r.status != "resource-skip"), default=0)
+        bound = max(r.order for r in reports)
         print(f"no witness in {pair[0]} but not {pair[1]} found up to order {bound}")
         return 0
     found = candidates[0]
@@ -235,7 +233,7 @@ def cmd_witness(args) -> int:
 def cmd_lattice(args) -> int:
     spec = load_group(args.file)
     with naming_group(spec.name):
-        table = build_group(spec)
+        table = build_group(spec, args.max_order)
         lat = all_subgroups(table)
     counts: dict[int, int] = {}
     for s in lat.subgroups:
@@ -253,6 +251,13 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """A count given in ASCII digits, at least 1 (int() also reads "٣" as 3)."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formationlab",
@@ -260,8 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_max_order(p):
+        p.add_argument("--max-order", type=positive_int, default=DEFAULT_ORDER_BOUND, metavar="M",
+                       help="group-order bound: a larger group is a resource-skip row in verify "
+                            f"and witness, and exit 3 elsewhere (default {DEFAULT_ORDER_BOUND})")
+
     p_check = sub.add_parser("check", help="classify one group file")
     p_check.add_argument("file")
+    add_max_order(p_check)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
@@ -269,14 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_brandl.add_argument("file")
     p_brandl.add_argument("--x", required=True, metavar="CYCLES")
     p_brandl.add_argument("--y", required=True, metavar="CYCLES")
+    add_max_order(p_brandl)
     p_brandl.set_defaults(func=cmd_brandl)
 
     def add_corpus_flags(p):
         p.add_argument("--corpus", default="standard", help="'standard' or a directory of *.group files")
-        p.add_argument("--sn", type=int, choices=range(1, 7), default=None,
+        p.add_argument("--sn", type=positive_int, choices=range(1, 7), default=None,
                        help="replace the S4/S5 subgroup census with the census of S_N")
-        p.add_argument("--max-order", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        add_max_order(p)
+        p.add_argument("--jobs", type=positive_int, default=1)
 
     p_verify = sub.add_parser("verify", help="classify a whole corpus and report")
     add_corpus_flags(p_verify)
@@ -292,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lattice = sub.add_parser("lattice", help="subgroup census of one group file")
     p_lattice.add_argument("file")
+    add_max_order(p_lattice)
     p_lattice.set_defaults(func=cmd_lattice)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # the parser is not kept through the run
     try:
         return args.func(args)
     except InputError as exc:

@@ -16,12 +16,13 @@ and prints it back in canonical cycle form (``GroupSpec.generator_texts``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
-from .groups import GroupTable, close_generators
+from .groups import DEFAULT_ORDER_BOUND, GroupTable, close_generators
 from .lattice import all_subgroups
 from .perms import format_cycles, parse_cycles
 from .primes import is_prime
@@ -59,8 +60,8 @@ class GroupSpec:
         return tuple(format_cycles(g) for g in self.generators)
 
 
-def build_group(spec: GroupSpec) -> GroupTable:
-    return close_generators(spec.degree, spec.generators)
+def build_group(spec: GroupSpec, bound: int = DEFAULT_ORDER_BOUND) -> GroupTable:
+    return close_generators(spec.degree, spec.generators, order_bound=bound)
 
 
 def _rotation(n: int) -> tuple[int, ...]:
@@ -189,7 +190,7 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     """
     if not 1 <= n <= 6:
         raise InputError(f"subgroups_of_symmetric supports 1 <= n <= 6, got {n}")
-    table = build_group(symmetric(n))
+    table = build_group(symmetric(n), math.factorial(n))
     lat = all_subgroups(table)
     return [
         GroupSpec(f"S{n}-sub{i:03d}-o{sub.order}", n, sub.generators())
@@ -216,10 +217,9 @@ def load_group(path) -> GroupSpec:
         if degree is None:
             if keyword != "degree":
                 raise InputError(f"line {lineno}: expected 'degree N' first, got {line!r}")
-            try:
-                degree = int(rest)
-            except ValueError:
+            if not (rest.isascii() and rest.isdigit()):
                 raise InputError(f"line {lineno}: bad degree {rest!r}")
+            degree = int(rest)
             if degree < 1:
                 raise InputError(f"line {lineno}: degree must be positive, got {degree}")
         elif keyword == "name":

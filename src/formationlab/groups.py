@@ -15,7 +15,6 @@ matrix), and all heavy algebra runs through the kernels in ``_kernels``.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Sequence, Union
 
@@ -32,25 +31,10 @@ __all__ = [
     "close_generators",
     "is_normal_mask",
     "exponent",
-    "default_order_bound",
 ]
 
 DEFAULT_ORDER_BOUND = 2000
 ROW_BUFFER_BYTES = 1 << 16  # the closure's first row buffer (at least one row); it doubles in place
-
-
-def default_order_bound() -> int:
-    """Group-order bound: FORMATIONLAB_MAX_ORDER when set, else 2000."""
-    raw = os.environ.get("FORMATIONLAB_MAX_ORDER", "").strip()
-    if not raw:
-        return DEFAULT_ORDER_BOUND
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise InputError(f"FORMATIONLAB_MAX_ORDER must be an integer, got {raw!r}")
-    if bound < 1:
-        raise InputError(f"FORMATIONLAB_MAX_ORDER must be positive, got {bound}")
-    return bound
 
 
 class GroupTable:
@@ -274,8 +258,10 @@ def _close_rows(degree: int, gen_rows: np.ndarray, bound: int) -> np.ndarray:
                 continue  # else H*rep is disjoint from the cosets already found
             if n + m > bound:
                 raise ResourceLimitError("group order exceeds the order bound", bound)
-            if n + m > len(rows):  # holds n + m <= 2n rows; refcheck raises while a view of rows lives
-                rows.resize((min(2 * len(rows), bound), degree), refcheck=True)
+            if n + m > len(rows):  # holds n + m <= 2n rows
+                # every view of rows is a statement temporary, so none outlives the
+                # realloc; unchecked, as a profiler's hold on rows.resize fails refcheck
+                rows.resize((min(2 * len(rows), bound), degree), refcheck=False)
             if m == 1:  # H*rep = {rep}, whose hash was just missed
                 rows[n] = rep
                 index[hash(key)] = n
@@ -316,11 +302,12 @@ def close_generators(
     degree: int,
     gens: Sequence[Sequence[int]],
     *,
-    order_bound: int | None = None,
+    order_bound: int = DEFAULT_ORDER_BOUND,
 ) -> GroupTable:
     """Enumerate the group generated by ``gens`` on {1..degree}, each the
     tuple of its images of 1..degree; one that is not a permutation of
-    1..degree raises InputError.
+    1..degree raises InputError, and a group of more than ``order_bound``
+    elements raises ResourceLimitError before its rows outgrow the bound.
 
     Inductive closure on image rows: extend by one generator at a time,
     appending whole right cosets H*rep of the previously closed set H (one
@@ -336,7 +323,6 @@ def close_generators(
     """
     if degree < 1:
         raise InputError(f"degree must be a positive integer, got {degree}")
-    bound = order_bound if order_bound is not None else default_order_bound()
     for g in gens:
         if len(g) != degree:
             raise InputError(f"generator degree {len(g)} != group degree {degree}")
@@ -348,7 +334,7 @@ def close_generators(
         raise InputError(f"a generator is not a permutation of 1..{degree}")
     gen_rows = gen_rows.astype(_row_dtype(degree))
 
-    rows = _close_rows(degree, gen_rows, bound)
+    rows = _close_rows(degree, gen_rows, order_bound)
     store = _element_store(rows)
     base, keys, key_order = store[3:]
     gen_indices = _lookup(keys, key_order, gen_rows[:, base]).tolist()

@@ -26,9 +26,9 @@ def _tokens(text: str) -> Iterator[tuple[str, int]]:
         elif c in "()":
             yield c, i
             i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":  # not str.isdigit: it takes "²", which int() rejects, and "٣", read as 3
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             yield text[i:j], i
             i = j

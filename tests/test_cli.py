@@ -14,6 +14,7 @@ from formationlab.corpus import (
     order75_witness,
     symmetric,
 )
+from formationlab.groups import DEFAULT_ORDER_BOUND
 
 from conftest import changed_rows, write_group
 
@@ -71,11 +72,10 @@ class TestCheck:
     def test_missing_file_exit_2(self):
         assert main(["check", "/nonexistent/file.group"]) == 2
 
-    def test_resource_bound_exit_3(self, tmp_path, monkeypatch, capsys):
+    def test_resource_bound_exit_3(self, tmp_path, capsys):
         path = tmp_path / "s5.group"
         write_group(symmetric(5), path)
-        monkeypatch.setenv("FORMATIONLAB_MAX_ORDER", "50")
-        assert main(["check", str(path)]) == 3
+        assert main(["check", "--max-order", "50", str(path)]) == 3
         assert capsys.readouterr().err == "resource limit: group S5: group order exceeds the order bound (bound: 50)\n"
 
     def test_broken_closure_names_the_group(self, s3_file, monkeypatch):
@@ -114,6 +114,10 @@ class TestBrandl:
     def test_non_member_rejected(self, a4_file):
         assert main(["brandl", a4_file, "--x", "(1 2)", "--y", "(1 2 3)"]) == 2
 
+    def test_resource_bound_exit_3(self, s3_file, capsys):
+        assert main(["brandl", s3_file, "--max-order", "5", "--x", "(1 2)", "--y", "(1 2 3)"]) == 3
+        assert capsys.readouterr().err == "resource limit: group S3: group order exceeds the order bound (bound: 5)\n"
+
 
 class TestVerify:
     def test_small_corpus_clean(self, small_corpus_dir, tmp_path, capsys):
@@ -130,10 +134,25 @@ class TestVerify:
         assert out.startswith("name\t")
 
     def test_max_order_filters(self, small_corpus_dir, tmp_path):
+        # groups over the bound are not built in full but kept as skip rows
         report = tmp_path / "out.tsv"
         assert main(["verify", "--corpus", small_corpus_dir, "--max-order", "6", "--report", str(report)]) == 0
-        rows = report.read_text().splitlines()[1:]
-        assert all(int(r.split("\t")[2]) <= 6 for r in rows)
+        rows = [r.split("\t") for r in report.read_text().splitlines()[1:]]
+        assert [(r[0], r[2], r[-2]) for r in rows] == [
+            ("A4", "0", "resource-skip"),
+            ("C6", "6", "ok"),
+            ("Dih4", "0", "resource-skip"),
+            ("S3", "6", "ok"),
+            ("S4", "0", "resource-skip"),
+        ]
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--max-order", "--sn"])
+    @pytest.mark.parametrize("value", ["0", "\u0663"])
+    def test_bad_count_exit_2(self, small_corpus_dir, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--corpus", small_corpus_dir, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a whole number of at least 1, got {value!r}" in capsys.readouterr().err
 
     def test_json_report(self, small_corpus_dir, tmp_path):
         report = tmp_path / "out.json"
@@ -141,11 +160,10 @@ class TestVerify:
         data = json.loads(report.read_text())
         assert len(data) == 5 and all("predicates" in row for row in data)
 
-    def test_json_times_include_build(self, small_corpus_dir, tmp_path, monkeypatch):
+    def test_json_times_include_build(self, small_corpus_dir, tmp_path):
         # resource-skipped rows (A4 and S4 over the bound) carry it too
-        monkeypatch.setenv("FORMATIONLAB_MAX_ORDER", "10")
         report = tmp_path / "out.json"
-        assert main(["verify", "--corpus", small_corpus_dir, "--json", "--report", str(report)]) == 0
+        assert main(["verify", "--corpus", small_corpus_dir, "--max-order", "10", "--json", "--report", str(report)]) == 0
         data = json.loads(report.read_text())
         assert sum(row["status"] == "resource-skip" for row in data) == 2
         assert all(row["times"]["build"] >= 0 for row in data)
@@ -171,7 +189,7 @@ class TestVerify:
 
         monkeypatch.setattr(groups, "_close_rows", broken)
         with pytest.raises(InvariantError, match="^group S3: closure broke$"):
-            _classify_spec((symmetric(3), None))
+            _classify_spec((symmetric(3), DEFAULT_ORDER_BOUND))
 
     # every row hashing to 0, the first generator's lookup hits the identity;
     # hashed by the low byte of point 2's image, (1 2 3)'s coset repeats
@@ -208,7 +226,7 @@ class TestVerify:
         kept = len(gc.garbage)
         try:
             for spec in (symmetric(4), cyclic(1000)):
-                _classify_spec((spec, None))
+                _classify_spec((spec, DEFAULT_ORDER_BOUND))
             gc.collect()
             tables = [obj for obj in gc.garbage[kept:] if isinstance(obj, GroupTable)]
         finally:
@@ -262,10 +280,9 @@ class TestVerify:
         assert "MISMATCH" in err and "S4" in err
         assert "mismatch" in report.read_text()
 
-    def test_resource_skip_rows_survive(self, small_corpus_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("FORMATIONLAB_MAX_ORDER", "10")
+    def test_resource_skip_rows_survive(self, small_corpus_dir, tmp_path):
         report = tmp_path / "out.tsv"
-        assert main(["verify", "--corpus", small_corpus_dir, "--report", str(report)]) == 0
+        assert main(["verify", "--corpus", small_corpus_dir, "--max-order", "10", "--report", str(report)]) == 0
         rows = report.read_text().splitlines()[1:]
         skips = [r for r in rows if "resource-skip" in r]
         assert len(skips) == 2  # A4 (12) and S4 (24) exceed the bound
@@ -313,6 +330,12 @@ class TestWitness:
         assert main(["witness", "--in", "D", "--notin", "X", "--corpus", str(directory)]) == 0
         out = capsys.readouterr().out
         assert "order 75" in out
+
+    def test_over_bound_group_is_no_witness(self, tmp_path, capsys):
+        for spec in (symmetric(3), cyclic(10), order75_witness()):
+            write_group(spec, tmp_path / f"{spec.name.replace(':', '_')}.group")
+        assert main(["witness", "--in", "D", "--notin", "X", "--corpus", str(tmp_path), "--max-order", "74"]) == 0
+        assert capsys.readouterr().out == "no witness in D but not X found up to order 10\n"
 
     def test_x_but_not_u_finds_order_294(self, tmp_path, capsys):
         # the one corpus group in X but not U: every cyclic primary
@@ -375,6 +398,10 @@ class TestLattice:
             "frattini order: 1\n"
             "minimal normal subgroups: 4\n"
         )
+
+    def test_resource_bound_exit_3(self, a4_file, capsys):
+        assert main(["lattice", a4_file, "--max-order", "11"]) == 3
+        assert capsys.readouterr().err == "resource limit: group A4: group order exceeds the order bound (bound: 11)\n"
 
     def test_subgroup_bound_names_the_group(self, a4_file, monkeypatch, capsys):
         import formationlab.lattice as lattice

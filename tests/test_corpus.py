@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,13 @@ class TestGroupFiles:
         with pytest.raises(InputError) as err:
             load_group(path)
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("degree", ["\u0663", "1_0", "+3"])
+    def test_degree_is_ascii_digits(self, tmp_path, degree):
+        path = tmp_path / "bad.group"
+        path.write_text(f"degree {degree}\ngen (1 2)\n", encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"line 1: bad degree {degree!r}")):
+            load_group(path)
 
     def test_degree_must_come_first(self, tmp_path):
         path = tmp_path / "bad.group"

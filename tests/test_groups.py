@@ -249,6 +249,30 @@ class TestElementRows:
         assert rows.shape == (1999, 1999)
         assert peak <= 1.05 * rows.nbytes, f"closure peaked at {peak / 1e6:.2f} MB"
 
+    def test_closure_builds_under_a_profiler(self):
+        # a profile hook holds a reference to rows.resize's bound method, so
+        # a resize that checked the buffer's refcount would raise; C300's
+        # 180 KB of rows outgrow the 64 KB first buffer
+        import cProfile
+        import sys
+
+        from formationlab.corpus import build_group, cyclic
+
+        want = build_group(cyclic(300)).mul
+        previous = sys.getprofile()
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            hooked = build_group(cyclic(300)).mul
+        finally:
+            sys.setprofile(previous)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            profiled = build_group(cyclic(300)).mul
+        finally:
+            profiler.disable()
+        assert np.array_equal(hooked, want) and np.array_equal(profiled, want)
+
     def test_lookup_marks_only_non_members(self, a4):
         members = np.array([a4.perm(i) for i in (5, 0, 11)]) - 1
         transposition = np.array([[1, 0, 2, 3]])

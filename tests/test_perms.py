@@ -122,6 +122,8 @@ class TestCycleNotation:
             ("(1 12)", "point 12 out of range 1..5", 3),
             ("(1 2)(3 2)", "point 2 repeated", 8),
             ("(1 2)(3", "unclosed '(' in cycle notation", 5),
+            ("(1 \u00b2)", "unexpected character '\u00b2' in cycle notation", 3),  # superscript two
+            ("(1 \u0663)", "unexpected character '\u0663' in cycle notation", 3),  # Arabic-Indic three
         ],
     )
     def test_each_error_names_its_position(self, bad, message, position):
