@@ -21,9 +21,9 @@ member and its witness are those of a member-by-member scan.
 ``cond_b_subgroups`` first judges H's supersolubility on the given lattice
 (Huppert's test); only for a non-supersoluble H does it read the derived
 subgroup [H, H] off the same lattice (``lattice.derived_index``), not from
-all |H|^2 commutators.  A subgroup named in a witness is named by
-``Subgroup.generators``, the greedy generators of its mask, so the text
-depends on the group alone.
+all |H|^2 commutators.  A subgroup named in a witness is named by its
+greedy generators, read off the lattice (``Lattice.generators``), so the
+text depends on the group alone.
 
 ``classify`` takes one chief series of the lattice and reads two
 predicates off it.  The group is supersoluble iff every chief factor has
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError, naming_group
-from .groups import GroupTable, Subgroup, _centralizer_mod_mask, exponent
+from .groups import GroupTable, _centralizer_mod_mask, exponent
 from .lattice import ChiefFactor, Lattice, all_subgroups, chief_series, derived_index
 from .perms import format_cycles
 from .predicates import _check_lattice, _huppert, _sylow_tower_impl, is_cyclic, is_nilpotent, is_primary
@@ -93,9 +93,9 @@ def word_trace(g: GroupTable, x: int, y: int) -> tuple[list[int], dict[tuple[int
         k += 1
 
 
-def _describe(s: Subgroup) -> str:
-    gens = ", ".join(format_cycles(p) for p in s.generators()) or "()"
-    return f"<{gens}> of order {s.order}"
+def _describe(lat: Lattice, i: int) -> str:
+    gens = ", ".join(format_cycles(lat.parent.perm(x)) for x in lat.generators(i)) or "()"
+    return f"<{gens}> of order {lat.orders[i]}"
 
 
 def _class_firsts(lat: Lattice) -> np.ndarray:
@@ -109,7 +109,7 @@ def _condition_x_impl(g, lat: Lattice) -> tuple[bool, Optional[str]]:
     for i in _class_firsts(lat):
         s = lat.subgroups[i]
         if not lat.p_subnormal[i] and is_primary(s) and is_cyclic(s):
-            return False, f"cyclic primary subgroup {_describe(s)} is not prime-step subnormal"
+            return False, f"cyclic primary subgroup {_describe(lat, i)} is not prime-step subnormal"
     return True, None
 
 
@@ -126,7 +126,7 @@ def _condition_b_subgroups_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Opti
         derived = lat.subgroups[derived_index(lat, i)]
         if is_nilpotent(derived):
             return False, (
-                f"subgroup {_describe(lat.subgroups[i])} has nilpotent derived subgroup "
+                f"subgroup {_describe(lat, i)} has nilpotent derived subgroup "
                 f"(order {derived.order}) but is not supersoluble"
             )
     return True, None
@@ -165,7 +165,7 @@ def _condition_lf_impl(g: GroupTable, lat: Lattice, series: list[ChiefFactor]) -
     every = np.arange(g.order)
     residual = None  # the last term of G's derived series, once needed
     for factor in series:
-        cent = _centralizer_mod_mask(g, factor.upper, factor.lower)
+        cent = _centralizer_mod_mask(g, factor.upper, factor.lower, lat.generators(factor.upper_index))
         if cent.all():
             continue  # the quotient is trivial and lies in every f(p)
         if residual is None:

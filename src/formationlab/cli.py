@@ -176,6 +176,8 @@ def cmd_brandl(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.report and (Path(args.report).is_dir() or not Path(args.report).parent.is_dir()):  # before classifying
+        raise InputError(f"cannot write report {args.report}: not a file in an existing directory")
     specs = _corpus_from_args(args)
     started = time.perf_counter()
     reports = _run_corpus(specs, args.max_order, args.jobs)
@@ -212,8 +214,9 @@ def cmd_witness(args) -> int:
     candidates.sort(key=lambda r: r.order)
     pair = (getattr(args, "in"), args.notin)
     if not candidates:
-        bound = max(r.order for r in reports)
-        print(f"no witness in {pair[0]} but not {pair[1]} found up to order {bound}")
+        bound = max(r.order for r in reports)  # 0 when every group was resource-skipped
+        reach = f"up to order {bound}" if bound else f"(no group classified within --max-order {args.max_order})"
+        print(f"no witness in {pair[0]} but not {pair[1]} found {reach}")
         return 0
     found = candidates[0]
     print(f"witness: {found.name} (degree {found.degree}, order {found.order})")

@@ -182,9 +182,9 @@ def affine_semidirect(p: int, *matrices) -> GroupSpec:
 
 def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     """One spec per subgroup of S_n (mask-distinct, no isomorphism
-    deduplication), named by ``Subgroup.generators`` (the greedy generators
-    of its mask), so the specs do not depend on how the lattice was
-    enumerated.
+    deduplication), named by its greedy generators read off the lattice
+    (``Lattice.generators``), so the specs do not depend on how the lattice
+    was enumerated.
 
     n = 6 gives 1455 subgroups of a 720-element group (a few seconds).
     """
@@ -193,7 +193,7 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     table = build_group(symmetric(n), math.factorial(n))
     lat = all_subgroups(table)
     return [
-        GroupSpec(f"S{n}-sub{i:03d}-o{sub.order}", n, sub.generators())
+        GroupSpec(f"S{n}-sub{i:03d}-o{sub.order}", n, tuple(table.perm(x) for x in lat.generators(i)))
         for i, sub in enumerate(lat.subgroups)
     ]
 

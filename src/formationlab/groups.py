@@ -8,9 +8,9 @@ subgroups, each walked once, giving the element orders and inverses.
 A permutation enters and leaves as the tuple of its images of 1..degree:
 ``close_generators`` checks once that each generator tuple is a bijection,
 and an element's tuple is read back only when asked for (``perm``), for
-witness text, subgroup generators and census specs.  A subgroup is a bool
-mask over element indices (a lattice stacks its members' masks into one
-matrix), and all heavy algebra runs through the kernels in ``_kernels``.
+witness text and census specs.  A subgroup is a bool mask over element
+indices (a lattice stacks its members' masks into one matrix), and all
+heavy algebra runs through the kernels in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class GroupTable:
     def full_subgroup(self) -> "Subgroup":
         """A fresh Subgroup on each call: caching it here would make a
         table <-> subgroup cycle that outlives the group until gc runs."""
-        return Subgroup(self, np.ones(self.order, np.bool_), self.gen_indices)
+        return Subgroup(self, np.ones(self.order, np.bool_))
 
     def perm(self, index: int) -> tuple[int, ...]:
         """Element ``index`` as the tuple of its images of 1..degree."""
@@ -175,14 +175,13 @@ class Subgroup:
     The mask is trusted to be product-closed.  It is made read-only, so
     equality by its bytes stays valid; subgroups are compared, never
     hashed (a lattice finds a member among the rows of its mask matrix).  Lagrange is
-    asserted on every construction.  ``generator_indices`` generate the
-    mask and are what the algorithms use; they come from whichever path
-    built the subgroup, so output names it by :meth:`generators` instead.
+    asserted on every construction.  A subgroup is its mask: its generators
+    are read off a lattice that holds it (``Lattice.generators``).
     """
 
-    __slots__ = ("parent", "mask", "order", "generator_indices")
+    __slots__ = ("parent", "mask", "order")
 
-    def __init__(self, parent: GroupTable, mask: np.ndarray, generator_indices: Sequence[int]):
+    def __init__(self, parent: GroupTable, mask: np.ndarray):
         if mask.dtype != np.bool_ or mask.shape != (parent.order,):
             raise InvariantError("subgroup mask must be a bool array over the group's elements")
         if not mask[0]:
@@ -191,7 +190,6 @@ class Subgroup:
         self.parent = parent
         self.mask = mask
         self.order = int(np.count_nonzero(mask))
-        self.generator_indices = tuple(generator_indices)
         if parent.order % self.order:
             raise InvariantError(
                 f"subgroup order {self.order} does not divide group order {parent.order}"
@@ -199,12 +197,6 @@ class Subgroup:
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
-
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """The subgroup's name in reports and census specs: the greedy
-        generators of its mask, in element-index order, so they depend on
-        the mask alone and not on how the subgroup was found."""
-        return tuple(self.parent.perm(i) for i in _greedy_generators(self.parent.mul, self.mask)[1])
 
     def contains(self, other: "Subgroup") -> bool:
         return not (other.mask > self.mask).any()
@@ -215,22 +207,7 @@ class Subgroup:
         return self.parent is other.parent and self.mask.tobytes() == other.mask.tobytes()
 
     def __repr__(self) -> str:
-        gens = ", ".join(format_cycles(p) for p in self.generators()) or "()"
-        return f"Subgroup(order={self.order}, gens=[{gens}])"
-
-
-def _greedy_generators(mul: np.ndarray, seed_arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The subgroup generated by a seed mask, with a short generator list:
-    scan the seeds in index order, keeping each one not yet generated and
-    closing once per kept seed.  Returns (closed mask, generators)."""
-    current = np.zeros(mul.shape[0], np.bool_)
-    current[0] = True
-    gens: list[int] = []
-    for i in np.flatnonzero(seed_arr):
-        if not current[i]:
-            gens.append(int(i))
-            current = _kernels.close_mask(mul, current, gens)
-    return current, tuple(gens)
+        return f"Subgroup(order={self.order})"
 
 
 def _close_rows(degree: int, gen_rows: np.ndarray, bound: int) -> np.ndarray:
@@ -382,14 +359,14 @@ def exponent(g: Union[GroupTable, Subgroup]) -> int:
     return int(np.lcm.reduce(orders))
 
 
-def _centralizer_mod_mask(g: GroupTable, h: Subgroup, k: Subgroup) -> np.ndarray:
+def _centralizer_mod_mask(g: GroupTable, h: Subgroup, k: Subgroup, h_gens: Sequence[int]) -> np.ndarray:
     """The member mask of C_G(H/K) = {x : [x, h] in K for all h in H};
-    requires K normal in G and K <= H.  It is the x with [x, h] in K for
-    every h generating H, which suffices because K is normal, so the
-    condition extends from generators to all of H."""
+    requires K normal in G and K <= H, and ``h_gens`` to generate H.  It is
+    the x with [x, h] in K for every h in ``h_gens``, which suffices because
+    K is normal, so the condition extends from generators to all of H."""
     if not h.contains(k):
         raise InputError("the centralizer of H/K requires K <= H")
     if not is_normal_mask(g, k.mask, g.gen_indices):
         raise InputError("the centralizer of H/K requires K normal in the group")
-    hi = np.array(h.generator_indices, dtype=np.intp)
+    hi = np.array(h_gens, dtype=np.intp)
     return k.mask[_kernels.commutators(g.mul, g.inv, np.arange(g.order)[:, None], hi[None, :])].all(axis=1)

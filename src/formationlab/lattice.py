@@ -1,7 +1,8 @@
 """Complete subgroup lattices and the lattice-level objects the predicates
 consume: conjugacy classes of subgroups, maximal/normal/minimal-normal
 subgroups, the Frattini subgroup, chief series, prime-step subnormality,
-and each member's derived subgroup, looked up among the members.
+and each member's derived subgroup and generators, looked up among the
+members.
 
 Enumeration is by cyclic extension over conjugacy classes of subgroups
 (Neubüser's method, as in Cannon, Cox and Holt, "Computing the subgroup
@@ -24,9 +25,10 @@ members arrive in, so every downstream choice depends on the group alone.
 Containment between members is stored data, as in Cannon, Cox and Holt:
 one boolean product of the matrix with its complement, computed once per
 lattice, from which prime-step subnormality, maximal subgroups, minimal
-normal subgroups, chief series, derived subgroups and Huppert's
-supersolubility test are read.  Normality in the top is read off the class
-ids: a normal member is a class of one.
+normal subgroups, chief series, derived subgroups, each member's greedy
+generators (by joins) and Huppert's supersolubility test are read.
+Normality in the top is read off the class ids: a normal member is a class
+of one.
 """
 
 from __future__ import annotations
@@ -58,12 +60,13 @@ DEFAULT_SUBGROUP_BOUND = 10**6
 
 @dataclass(frozen=True)
 class ChiefFactor:
-    """A factor H/K of a maximal chain of normal subgroups."""
+    """A factor H/K of a maximal chain of normal subgroups; H is lattice member ``upper_index``."""
 
     lower: Subgroup
     upper: Subgroup
     order: int
     primes: tuple[int, ...]
+    upper_index: int
 
 
 class Lattice:
@@ -122,9 +125,7 @@ class Lattice:
         self.matrix.flags.writeable = False
         self.orders = orders[rank]
         # each member's mask is a read-only view of its row; the given masks are not kept
-        self.subgroups = tuple(
-            Subgroup(parent, row, members[k].generator_indices) for row, k in zip(self.matrix, rank)
-        )
+        self.subgroups = tuple(Subgroup(parent, row) for row in self.matrix)
         if not members or self.orders[0] != 1 or not np.array_equal(self.matrix[-1], top.mask):
             raise InvariantError("lattice must contain the trivial subgroup and the top")
         self.containment = ~(self.matrix @ ~self.matrix.T)
@@ -173,6 +174,25 @@ class Lattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
+    def generators(self, i: int) -> tuple[int, ...]:
+        """The greedy generators of member i, as element indices: its
+        elements in index order, each kept when it is outside the subgroup
+        K generated by those kept before.  The lattice is complete, so the
+        join <K, x> needs no closure: it is the least member holding K and
+        x, the first in lattice order with K inside it, x in it and it
+        inside member i (member i itself qualifies, so each step grows K).
+        When that first one does not lie in every such member, the join is
+        missing and the member list was incomplete."""
+        row, contains, gens, cur = self.matrix[i], self.containment, [], 0
+        while (outside := row > self.matrix[cur]).any():  # K is member i once it holds its row
+            x = int(outside.argmax())
+            gens.append(x)
+            joins = np.flatnonzero(contains[cur] & self.matrix[:, x] & contains[:, i])
+            cur = int(joins[0])
+            if not contains[cur, joins].all():
+                raise InvariantError("a join is missing from the lattice")
+        return tuple(gens)
+
     # -- normality (relative to top) ------------------------------------
 
     def normal_flags(self) -> np.ndarray:
@@ -184,14 +204,15 @@ class Lattice:
     def class_ids(self) -> np.ndarray:
         """Conjugacy class of each member under ``top``, labelled by the
         index of the class's least member.  For a lattice built without
-        them, conjugation by each generator of ``top`` permutes the members
+        them, conjugation by each of ``top``'s generators (``generators``)
+        permutes the members
         (one scatter of the matrix, each image row looked up), and the
         classes are the orbits of those permutations."""
         if self._class_ids is None:
-            g = self.parent
-            maps = np.empty((len(self.top.generator_indices), len(self.subgroups)), np.intp)
+            g, gens = self.parent, self.generators(-1)
+            maps = np.empty((len(gens), len(self.subgroups)), np.intp)
             order = np.argsort(_void_rows(self.matrix))
-            for row, conj in zip(maps, _kernels.conjugation_maps(g.mul, g.inv, self.top.generator_indices)):
+            for row, conj in zip(maps, _kernels.conjugation_maps(g.mul, g.inv, gens)):
                 images = np.empty_like(self.matrix)
                 images[:, conj] = self.matrix  # every member conjugated by one generator
                 row[:] = _lookup(self.matrix, order, images)
@@ -209,22 +230,20 @@ class Lattice:
         return tuple(np.flatnonzero(over == 0).tolist())
 
 
-def _class_of(
-    arr: np.ndarray, gens: tuple[int, ...], conjugators: list[np.ndarray]
-) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The conjugacy class of the subgroup with mask ``arr`` and generators
-    ``gens``, as (mask, generators) pairs in breadth-first order from it
-    under the conjugation maps (the orbit algorithm)."""
-    orbit = [(arr, gens)]
+def _class_of(arr: np.ndarray, conjugators: list[np.ndarray]) -> list[np.ndarray]:
+    """The conjugacy class of the subgroup with mask ``arr``, as masks in
+    breadth-first order from it under the conjugation maps (the orbit
+    algorithm)."""
+    orbit = [arr]
     seen = {arr.tobytes()}
-    for member, member_gens in orbit:
+    for member in orbit:
         for conj in conjugators:
             image = np.empty_like(member)
             image[conj] = member
             key = image.tobytes()
             if key not in seen:
                 seen.add(key)
-                orbit.append((image, tuple(conj[list(member_gens)].tolist())))
+                orbit.append(image)
     return orbit
 
 
@@ -251,10 +270,10 @@ def all_subgroups(g: GroupTable) -> Lattice:
     are closed in one ``close_mask`` call, each from its mask H | <c>
     rather than from H, so a long cyclic subgroup is not walked one power
     per round, and each seed whose closure is new becomes a representative.
-    A member's generators generate its mask and serve the algorithms;
-    reports name it by ``Subgroup.generators``, from the mask alone.  The
-    members go to ``Lattice`` in discovery order, each with the number of
-    its class's representative, and ``Lattice`` orders and labels them.
+    Only the representatives keep generators, the seed generators H's and
+    c's that they are extended by; a member's class brings its mask alone.
+    The members go to ``Lattice`` in discovery order, each with the number
+    of its class's representative, and ``Lattice`` orders and labels them.
     """
     n = g.order
     mul, inv = g.mul, g.inv
@@ -265,8 +284,8 @@ def all_subgroups(g: GroupTable) -> Lattice:
 
     trivial = np.zeros(n, np.bool_)
     trivial[0] = True
-    # mask bytes -> (mask, generators, number of its class's representative)
-    found: dict[bytes, tuple[np.ndarray, tuple[int, ...], int]] = {trivial.tobytes(): (trivial, (), 0)}
+    # mask bytes -> (mask, number of its class's representative)
+    found: dict[bytes, tuple[np.ndarray, int]] = {trivial.tobytes(): (trivial, 0)}
     seeds_done: set[bytes] = set()
     reps = [(trivial, ())]
     done = 0
@@ -298,13 +317,13 @@ def all_subgroups(g: GroupTable) -> Lattice:
             if closed.tobytes() in found:
                 continue
             reps.append((closed, gens))
-            for member, member_gens in _class_of(closed, gens, conjugators):
-                found[member.tobytes()] = (member, member_gens, len(reps) - 1)
+            for member in _class_of(closed, conjugators):
+                found[member.tobytes()] = (member, len(reps) - 1)
             if len(found) > DEFAULT_SUBGROUP_BOUND:
                 raise ResourceLimitError("subgroup count exceeds the enumeration bound", DEFAULT_SUBGROUP_BOUND)
 
-    subgroups = [Subgroup(g, arr, gens) for arr, gens, _ in found.values()]
-    return Lattice(g, g.full_subgroup(), subgroups, _class_ids=[rep for _, _, rep in found.values()])
+    subgroups = [Subgroup(g, arr) for arr, _ in found.values()]
+    return Lattice(g, g.full_subgroup(), subgroups, _class_ids=[rep for _, rep in found.values()])
 
 
 def normal_subgroups(lat: Lattice) -> list[Subgroup]:
@@ -342,20 +361,20 @@ def chief_series(lat: Lattice) -> list[ChiefFactor]:
     while current != top:
         nxt = int(np.flatnonzero(flags & contains[current] & (orders > orders[current]))[0])
         ratio = int(orders[nxt] // orders[current])
-        factors.append(ChiefFactor(lat.subgroups[current], lat.subgroups[nxt], ratio, prime_divisors(ratio)))
+        factors.append(ChiefFactor(lat.subgroups[current], lat.subgroups[nxt], ratio, prime_divisors(ratio), nxt))
         current = nxt
     return factors
 
 
 def derived_index(lat: Lattice, i: int) -> int:
     """The index of [H, H] for member H = ``lat.subgroups[i]``: the first
-    member inside H, in lattice order, that holds the commutators of H's
-    generator pairs and is normalised by those generators.  Such a member K
-    is normal in H, and H/K is abelian, since H's generators commute modulo
-    K; so K contains [H, H], which itself qualifies and is the least of
-    them.  Needs H's generators to generate its mask."""
+    member inside H, in lattice order, that holds the commutators of the
+    pairs of H's generators (``Lattice.generators``) and is normalised by
+    them.  Such a member K is normal in H, and H/K is abelian, since H's
+    generators commute modulo K; so K contains [H, H], which itself
+    qualifies and is the least of them."""
     g = lat.parent
-    gens = np.array(lat.subgroups[i].generator_indices, np.intp)
+    gens = np.array(lat.generators(i), np.intp)
     values = _kernels.commutators(g.mul, g.inv, gens[:, None], gens[None, :]).ravel()
     candidates = np.flatnonzero(lat.containment[:, i] & lat.matrix[:, values].all(axis=1))
     rows = lat.matrix[candidates]

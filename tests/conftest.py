@@ -7,8 +7,10 @@ import pytest
 
 from formationlab.checkers import PREDICATE_KEYS
 from formationlab.corpus import GroupSpec, build_group
-from formationlab.groups import GroupTable, Subgroup, _greedy_generators, close_generators
+from formationlab.groups import GroupTable, Subgroup, close_generators
 from formationlab.perms import parse_cycles
+
+from oracles import _greedy_generators
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -21,14 +23,13 @@ def subgroup_generated(g: GroupTable, seed) -> Subgroup:
     """Least subgroup containing the given element indices."""
     seed_arr = np.zeros(g.order, np.bool_)
     seed_arr[list(seed)] = True
-    closed, gens = _greedy_generators(g.mul, seed_arr)
-    return Subgroup(g, closed, gens)
+    return Subgroup(g, _greedy_generators(g.mul, seed_arr)[0])
 
 
 def trivial_subgroup(g: GroupTable) -> Subgroup:
     mask = np.zeros(g.order, np.bool_)
     mask[0] = True
-    return Subgroup(g, mask, ())
+    return Subgroup(g, mask)
 
 
 def sub_of(g: GroupTable, *cycle_texts: str) -> Subgroup:

@@ -28,14 +28,16 @@ decides both on masks of the group).  The two exceptions are the package's
 earlier enumerators, kept as differential references fast enough for
 whole-corpus comparisons: ``cyclic_extension_oracle`` (every subgroup
 extended by every cyclic subgroup, closed by frontier x members products),
-whose members' generators come from their masks alone, and
-``sequential_extension_oracle`` (one ``close_mask`` call per seed, before
-seeds were closed a wave per call), which pins masks, class ids and edges.
+and ``sequential_extension_oracle`` (one ``close_mask`` call per seed,
+before seeds were closed a wave per call), which pins masks, class ids and
+edges.  ``_greedy_generators`` closes once per kept generator, the
+reference for the generators the package reads off a lattice by joins
+(``Lattice.generators``).
 
 Reference code that no command needs lives here too, on the package's
 tables: ``quotient_by`` (the quotient group table on right cosets, with its
 projection), ``subgroup_from_mask`` (an untrusted mask checked for closure),
-``centralizer_mod`` (C_G(H/K) with generators, from the package's mask),
+``centralizer_mod`` (C_G(H/K) as a subgroup, from the package's mask),
 ``is_soluble`` and ``in_f_p`` (the class f(p) of soluble groups of exponent
 dividing p - 1), and ``order_of`` (a permutation's order from its cycles).
 """
@@ -53,7 +55,6 @@ from formationlab.groups import (
     GroupTable,
     Subgroup,
     _centralizer_mod_mask,
-    _greedy_generators,
     _row_dtype,
     as_subgroup,
     close_generators,
@@ -138,9 +139,22 @@ def word_terminates_oracle(x: Perm, y: Perm, e: int) -> tuple[list[Perm], int | 
         k += 1
 
 
+def _greedy_generators(mul: np.ndarray, seed_arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The subgroup generated by a seed mask, with a short generator list:
+    scan the seeds in index order, keeping each one not yet generated and
+    closing once per kept seed.  Returns (closed mask, generators)."""
+    current = np.zeros(mul.shape[0], np.bool_)
+    current[0] = True
+    gens: list[int] = []
+    for i in np.flatnonzero(seed_arr):
+        if not current[i]:
+            gens.append(int(i))
+            current = _kernels.close_mask(mul, current, gens)
+    return current, tuple(gens)
+
+
 def subgroup_from_mask(parent: GroupTable, mask) -> Subgroup:
-    """The subgroup with an untrusted mask: verifies closure, derives
-    generators."""
+    """The subgroup with an untrusted mask: verifies closure."""
     arr = np.array(mask, dtype=np.bool_)
     if arr.shape != (parent.order,):
         raise InputError("subgroup mask must have one entry per group element")
@@ -150,14 +164,13 @@ def subgroup_from_mask(parent: GroupTable, mask) -> Subgroup:
     prods = parent.mul[np.ix_(members, members)]
     if not arr[prods].all():
         raise InputError("element set is not closed under multiplication")
-    return Subgroup(parent, arr, _greedy_generators(parent.mul, arr)[1])
+    return Subgroup(parent, arr)
 
 
 def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
-    """C_G(H/K) = {x : [x, h] in K for all h in H}, with generators;
-    requires K normal in G and K <= H."""
-    mask = _centralizer_mod_mask(g, h, k)
-    return Subgroup(g, mask, _greedy_generators(g.mul, mask)[1])
+    """C_G(H/K) = {x : [x, h] in K for all h in H}; requires K normal in G
+    and K <= H."""
+    return Subgroup(g, _centralizer_mod_mask(g, h, k, _greedy_generators(g.mul, h.mask)[1]))
 
 
 class QuotientMap(NamedTuple):
@@ -394,8 +407,7 @@ def cyclic_extension_oracle(g: GroupTable) -> Lattice:
 
 def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
     """The class-representative cyclic extension of ``all_subgroups``, one
-    seed closed at a time from H by ``close_mask``; each member's
-    generators are those of the path that found it.  Returns the lattice,
+    seed closed at a time from H by ``close_mask``.  Returns the lattice,
     with its class ids, and the number of waves: a
     representative's wave is one more than the wave of the one it extends,
     and the trivial subgroup is wave 0."""
@@ -408,7 +420,7 @@ def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
 
     trivial = np.zeros(n, np.bool_)
     trivial[0] = True
-    found = {trivial.tobytes(): (trivial, (), 0)}
+    found = {trivial.tobytes(): (trivial, 0)}
     seeds_done: set[bytes] = set()
     reps = [(trivial, (), 0)]
     for h_arr, h_gens, wave in reps:  # grows while iterating
@@ -429,14 +441,14 @@ def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
             if closed.tobytes() in found:
                 continue
             reps.append((closed, gens, wave + 1))
-            for member, member_gens in _class_of(closed, gens, conjugators):
-                found[member.tobytes()] = (member, member_gens, len(reps) - 1)
+            for member in _class_of(closed, conjugators):
+                found[member.tobytes()] = (member, len(reps) - 1)
 
     lat = Lattice(
         g,
         g.full_subgroup(),
-        [Subgroup(g, arr, gens) for arr, gens, _ in found.values()],
-        _class_ids=[rep for _, _, rep in found.values()],
+        [Subgroup(g, arr) for arr, _ in found.values()],
+        _class_ids=[rep for _, rep in found.values()],
     )
     return lat, reps[-1][2] + 1
 
@@ -542,8 +554,9 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
     )
     mul_rows = g.mul.tolist()
     inv = g.inv.tolist()
+    top_gens = _greedy_generators(g.mul, lat.top.mask)[1]
     normal = [
-        all(masks[i] >> mul_rows[mul_rows[inv[c]][x]][c] & 1 for c in lat.top.generator_indices
+        all(masks[i] >> mul_rows[mul_rows[inv[c]][x]][c] & 1 for c in top_gens
             for x in range(g.order) if masks[i] >> x & 1)
         for i in range(count)
     ]
@@ -577,12 +590,11 @@ def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
     It is the normal closure in <A, B> of the commutators of generator
     pairs (Robinson, A Course in the Theory of Groups, 5.1.7): close those,
     then add the conjugates of the closure's generators by the generators
-    of a and b until the set is stable.  Needs each subgroup's generators
-    to generate its mask.  The package reads [H, H] off a lattice instead
-    (``lattice.derived_index``).
+    of a and b (their greedy generators) until the set is stable.  The
+    package reads [H, H] off a lattice instead (``lattice.derived_index``).
     """
-    ai = np.array(a.generator_indices, dtype=np.intp)
-    bi = np.array(b.generator_indices, dtype=np.intp)
+    ai = np.array(_greedy_generators(g.mul, a.mask)[1], dtype=np.intp)
+    bi = np.array(_greedy_generators(g.mul, b.mask)[1], dtype=np.intp)
     seed = np.zeros(g.order, np.bool_)
     seed[_kernels.commutators(g.mul, g.inv, ai[:, None], bi[None, :])] = True
     conj = np.concatenate([ai, bi])[:, None]
@@ -590,7 +602,7 @@ def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
         closed, gens = _greedy_generators(g.mul, seed)
         seed[g.mul[g.mul[g.inv[conj], np.array(gens, dtype=np.intp)], conj]] = True
         if closed[seed].all():
-            return Subgroup(g, closed, gens)
+            return Subgroup(g, closed)
 
 
 def derived_series(g) -> list[Subgroup]:

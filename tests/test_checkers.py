@@ -347,8 +347,8 @@ class TestClassify:
             classify(s3, "S3")
 
     def test_witnesses_do_not_depend_on_enumeration_path(self, s5, monkeypatch):
-        # the oracle finds the same members by other paths, so their
-        # generator_indices differ; a witness names a subgroup by its mask
+        # the oracle finds the same members by other paths; a witness names
+        # a subgroup by generators read off the lattice, from its mask alone
         import formationlab.checkers as checkers
 
         groups = [(spec.name, build_group(spec)) for spec in standard_corpus()]

@@ -292,6 +292,22 @@ class TestVerify:
     def test_bad_corpus_dir_exit_2(self):
         assert main(["verify", "--corpus", "/nonexistent"]) == 2
 
+    @pytest.mark.parametrize("where", ["missing/r.tsv", "corpus"])
+    def test_report_into_missing_directory_exit_2(self, small_corpus_dir, tmp_path, monkeypatch, capsys, where):
+        # the report path, in a missing directory or a directory itself, is
+        # checked before any group is classified
+        import formationlab.cli as cli
+
+        def refuse(specs, max_order, jobs):
+            raise AssertionError("the corpus was classified")
+
+        monkeypatch.setattr(cli, "_run_corpus", refuse)
+        report = tmp_path / where
+        assert main(["verify", "--corpus", small_corpus_dir, "--report", str(report)]) == 2
+        message = f"input error: cannot write report {report}: not a file in an existing directory\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "missing").exists()
+
     def test_abelian_corpus_all_true(self, tmp_path):
         directory = tmp_path / "abelian"
         directory.mkdir()
@@ -336,6 +352,14 @@ class TestWitness:
             write_group(spec, tmp_path / f"{spec.name.replace(':', '_')}.group")
         assert main(["witness", "--in", "D", "--notin", "X", "--corpus", str(tmp_path), "--max-order", "74"]) == 0
         assert capsys.readouterr().out == "no witness in D but not X found up to order 10\n"
+
+    def test_every_group_over_bound_is_no_witness(self, tmp_path, capsys):
+        # every group is a resource-skip row, so no order was reached
+        write_group(symmetric(3), tmp_path / "s3.group")
+        assert main(["witness", "--in", "U", "--notin", "X", "--corpus", str(tmp_path), "--max-order", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "no witness in U but not X found (no group classified within --max-order 2)\n"
+        )
 
     def test_x_but_not_u_finds_order_294(self, tmp_path, capsys):
         # the one corpus group in X but not U: every cyclic primary

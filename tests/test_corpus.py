@@ -128,16 +128,17 @@ class TestSymmetricCensus:
         lat = all_subgroups(s4)
         by_order_shape: dict = {}
         picked = []
-        for sub in lat.subgroups:
+        for i, sub in enumerate(lat.subgroups):
             if sub.order in (2, 3, 4, 6, 8):
-                by_order_shape.setdefault(sub.order, []).append(sub)
+                by_order_shape.setdefault(sub.order, []).append(i)
         for order, subs in by_order_shape.items():
             if len(subs) >= 2:
                 picked.append((subs[0], subs[1]))
         assert picked
-        for a, b in picked:
-            ga = build_group(GroupSpec("a", 4, a.generators()))
-            gb = build_group(GroupSpec("b", 4, b.generators()))
+        for i, j in picked:
+            a, b = lat.subgroups[i], lat.subgroups[j]
+            ga = build_group(GroupSpec("a", 4, tuple(s4.perm(x) for x in lat.generators(i))))
+            gb = build_group(GroupSpec("b", 4, tuple(s4.perm(x) for x in lat.generators(j))))
             if not conjugate_in(s4, a, b):
                 continue
             ra, rb = classify(ga, "a"), classify(gb, "b")

@@ -40,6 +40,7 @@ from formationlab.primes import p_part, prime_divisors
 
 from conftest import group_of, sub_of, subgroup_generated
 from oracles import (
+    _greedy_generators,
     all_subgroups_oracle,
     commutator_subgroup,
     cyclic_extension_oracle,
@@ -78,7 +79,7 @@ class TestEnumeration:
 
     def test_matches_cyclic_extension_oracle(self):
         # every subgroup extended, not one per conjugacy class: same masks,
-        # and each member's generators regenerate its mask
+        # and each member's generators read off the lattice regenerate its mask
         checked = 0
         for spec in standard_corpus():
             g = build_group(spec)
@@ -88,8 +89,8 @@ class TestEnumeration:
             lat = all_subgroups(g)
             ref = cyclic_extension_oracle(g)
             assert [mask_int(s.mask) for s in lat.subgroups] == [mask_int(s.mask) for s in ref.subgroups], spec.name
-            for s in lat.subgroups:
-                assert mask_int(subgroup_generated(g, s.generator_indices).mask) == mask_int(s.mask), spec.name
+            for i, s in enumerate(lat.subgroups):
+                assert mask_int(subgroup_generated(g, lat.generators(i)).mask) == mask_int(s.mask), spec.name
         assert checked > 300
 
     def test_matches_sequential_oracle(self, s5):
@@ -104,8 +105,8 @@ class TestEnumeration:
             lat = all_subgroups(g)
             ref, _ = sequential_extension_oracle(g)
             assert [mask_int(s.mask) for s in lat.subgroups] == [mask_int(s.mask) for s in ref.subgroups], g
-            for s in lat.subgroups:
-                assert subgroup_generated(g, s.generator_indices) == s, g
+            for i, s in enumerate(lat.subgroups):
+                assert subgroup_generated(g, lat.generators(i)) == s, g
             assert np.array_equal(lat.class_ids(), ref.class_ids()), g
 
     def test_subgroup_count_bound(self, s4, monkeypatch):
@@ -186,6 +187,22 @@ class TestEnumeration:
             for p in prime_divisors(g.order):
                 count = sum(1 for s in lat.subgroups if s.order == p)
                 assert count % p == 1
+
+
+class TestGenerators:
+    def test_joins_give_the_greedy_generators(self, s4, s5):
+        # read off the lattice by joins, with no closure, each member's
+        # generators are those the closing oracle keeps, and generate it
+        groups = [build_group(spec) for spec in standard_corpus()]
+        groups = [g for g in groups if g.order <= 60]
+        assert len(groups) == 306
+        groups += [s4, s5, build_group(symmetric(6)), build_group(order75_witness()), build_group(order294_candidate())]
+        for g in groups:
+            lat = all_subgroups(g)
+            for i, s in enumerate(lat.subgroups):
+                gens = lat.generators(i)
+                assert gens == _greedy_generators(g.mul, s.mask)[1], (g, i)
+                assert subgroup_generated(g, gens) == s, (g, i)
 
 
 class TestConjugacyClasses:
@@ -370,6 +387,7 @@ def _lattice_facts(g, lat: Lattice) -> tuple:
     return (
         lat.matrix.tobytes(),
         lat.class_ids().tolist(),
+        [lat.generators(i) for i in range(len(lat))],
         lat.p_subnormal.tolist(),
         lat.normal_flags().tolist(),
         chief_series(lat),
@@ -407,7 +425,7 @@ class TestConstruction:
         r = c6.index_of(parse_cycles("(1 3 5)(2 4 6)", 6))
         planted = np.zeros(c6.order, np.bool_)
         planted[[0, r]] = True
-        members = [*all_subgroups(c6).subgroups, Subgroup(c6, planted, (r,))]
+        members = [*all_subgroups(c6).subgroups, Subgroup(c6, planted)]
         with pytest.raises(InvariantError, match="member of order 2 lies in a member of order 3"):
             Lattice(c6, c6.full_subgroup(), members)
 
@@ -418,7 +436,7 @@ class TestConstruction:
         planted = np.zeros(c12.order, np.bool_)
         planted[[0, 4, 8, 9]] = True
         assert subgroup_generated(c12, [4]).indices().tolist() == [0, 4, 8]
-        members = [*all_subgroups(c12).subgroups, Subgroup(c12, planted, (4, 9))]
+        members = [*all_subgroups(c12).subgroups, Subgroup(c12, planted)]
         with pytest.raises(InvariantError, match="member of order 3 lies in a member of order 4"):
             Lattice(c12, c12.full_subgroup(), members)
 
@@ -445,6 +463,17 @@ class TestConstruction:
         with pytest.raises(InvariantError, match="^group S3: a conjugate of a member is missing from the lattice$"):
             with naming_group("S3"):
                 lat.class_ids()
+
+    def test_missing_join_is_an_invariant_error(self):
+        # C2^3's lattice without <x>, x its least element but the identity:
+        # the members holding x are the three Klein groups through x and the
+        # top, and the first of them does not lie in the other two
+        g = group_of(6, "(1 2)", "(3 4)", "(5 6)")
+        members = [s for s in all_subgroups(g).subgroups if not (s.order == 2 and s.mask[1])]
+        lat = Lattice(g, g.full_subgroup(), members)
+        assert len(lat) == 15
+        with pytest.raises(InvariantError, match="^a join is missing from the lattice$"):
+            lat.generators(len(lat) - 1)
 
     def test_restrict_gives_complete_sublattice(self, s4):
         lat = all_subgroups(s4)
