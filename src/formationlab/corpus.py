@@ -199,10 +199,10 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
 
 
 def load_group(path) -> GroupSpec:
-    """Parse a group file; errors carry 1-based line numbers."""
+    """Parse a UTF-8 group file (a byte-order mark allowed); errors name the file and line."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     degree: int | None = None
@@ -216,29 +216,31 @@ def load_group(path) -> GroupSpec:
         rest = rest.strip()
         if degree is None:
             if keyword != "degree":
-                raise InputError(f"line {lineno}: expected 'degree N' first, got {line!r}")
+                raise InputError(f"{path}: line {lineno}: expected 'degree N' first, got {line!r}")
             if not (rest.isascii() and rest.isdigit()):
-                raise InputError(f"line {lineno}: bad degree {rest!r}")
+                raise InputError(f"{path}: line {lineno}: bad degree {rest!r}")
             degree = int(rest)
             if degree < 1:
-                raise InputError(f"line {lineno}: degree must be positive, got {degree}")
+                raise InputError(f"{path}: line {lineno}: degree must be positive, got {degree}")
         elif keyword == "name":
             if not rest:
-                raise InputError(f"line {lineno}: empty name")
+                raise InputError(f"{path}: line {lineno}: empty name")
             if "\t" in rest:
-                raise InputError(f"line {lineno}: name {rest!r} contains a tab, the report's field separator")
+                raise InputError(
+                    f"{path}: line {lineno}: name {rest!r} contains a tab, the report's field separator"
+                )
             name = rest
         elif keyword == "gen":
             try:
                 gens.append(parse_cycles(rest, degree))
             except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}")
+                raise InputError(f"{path}: line {lineno}: {exc}")
         else:
-            raise InputError(f"line {lineno}: unknown keyword {keyword!r}")
+            raise InputError(f"{path}: line {lineno}: unknown keyword {keyword!r}")
     if degree is None:
-        raise InputError("file contains no 'degree' line")
+        raise InputError(f"{path}: file contains no 'degree' line")
     if "\t" in name:  # a name line with one has raised already
-        raise InputError(f"file name {path.name!r} contains a tab, the report's field separator")
+        raise InputError(f"{path}: file name {path.name!r} contains a tab, the report's field separator")
     return GroupSpec(name, degree, tuple(gens))
 
 

@@ -160,12 +160,14 @@ def _void_rows(block: np.ndarray) -> np.ndarray:
     return block.view(np.dtype((np.void, block.shape[1] * block.itemsize))).ravel()
 
 
-def _lookup(keys: np.ndarray, order: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _lookup(keys: np.ndarray, order: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     """The index in ``keys`` of each row of ``block`` (same dtype and
     width), or -1 where the row is absent.  ``order`` is the argsort of
-    ``_void_rows(keys)``: one binary search per row, then an equality check."""
+    ``_void_rows(keys)``, or None when the keys are sorted already: one
+    binary search per row, then an equality check."""
     void_keys, probes = _void_rows(keys), _void_rows(block)
-    found = order[np.minimum(np.searchsorted(void_keys, probes, sorter=order), len(order) - 1)]
+    found = np.minimum(np.searchsorted(void_keys, probes, sorter=order), len(keys) - 1)
+    found = found if order is None else order[found]
     return np.where(void_keys[found] == probes, found, -1)
 
 
@@ -174,7 +176,7 @@ class Subgroup:
 
     The mask is trusted to be product-closed.  It is made read-only, so
     equality by its bytes stays valid; subgroups are compared, never
-    hashed (a lattice finds a member among the rows of its mask matrix).  Lagrange is
+    hashed (a lattice finds a member by its packed key, ``Lattice.find``).  Lagrange is
     asserted on every construction.  A subgroup is its mask: its generators
     are read off a lattice that holds it (``Lattice.generators``).
     """

@@ -18,10 +18,10 @@ Subgroups are deduplicated by element mask, never by isomorphism.
 
 A lattice is one (S, n) bool matrix of element masks, and that matrix is
 the only copy of them: each member's mask is a read-only view of its row,
-and a member is found by scanning the rows, with no second index of mask
-bytes.  ``Lattice`` alone decides the member order, (order, mask), and
-labels each conjugacy class by its least member, whatever order the
-members arrive in, so every downstream choice depends on the group alone.
+and a mask is found by one binary search over the packed keys the members
+are sorted by (``Lattice.find``).  ``Lattice`` alone decides that order,
+(order, mask), and labels each conjugacy class by its least member, so
+every downstream choice depends on the group alone.
 Containment between members is stored data, as in Cannon, Cox and Holt:
 one boolean product of the matrix with its complement, computed once per
 lattice, from which prime-step subnormality, maximal subgroups, minimal
@@ -78,14 +78,15 @@ class Lattice:
     choice read off the lattice depends on the members alone.  ``matrix`` is
     one read-only (S, n) bool array, and the mask of ``subgroups[i]`` is a
     view of row i, so the masks the members were given with are not kept;
-    ``orders`` holds the row counts.  ``containment[i, j]`` holds when
-    member i lies in member j: one boolean product, since i lies in j iff
-    no element of i is outside j; construction checks that every contained
-    pair obeys Lagrange.  ``p_subnormal[i]`` holds when a chain of
-    members, each of prime index in the next, leads from member i up to the
-    top.  ``class_ids()`` labels each member's conjugacy class under
-    ``top`` by the index of its least member; a member is normal in ``top``
-    when its class has no other member.
+    ``orders`` holds the row counts, ``_keys`` the sorted byte keys that
+    ``find`` searches.  ``containment[i, j]`` holds when member i lies in
+    member j: one boolean product, since i lies in j iff no element of i is
+    outside j; construction checks that every contained pair obeys Lagrange.
+    ``p_subnormal[i]`` holds when a chain of members, each of prime index in
+    the next, leads from member i up to the top.  ``class_ids()`` labels
+    each member's conjugacy class under ``top`` by the index of its least
+    member; a member is normal in ``top`` when its class has no other
+    member.
     """
 
     __slots__ = (
@@ -96,6 +97,7 @@ class Lattice:
         "orders",
         "containment",
         "p_subnormal",
+        "_keys",
         "_class_ids",
     )
 
@@ -114,16 +116,15 @@ class Lattice:
         self.top = top
         members = tuple(subgroups)
         matrix = np.array([s.mask for s in members], np.bool_).reshape(len(members), parent.order)
-        orders = np.count_nonzero(matrix, axis=1)
-        # one byte key per member: its order in 8 big-endian bytes, then its mask packed highest element first
-        keys = np.hstack([orders.astype(">u8").view(np.uint8).reshape(-1, 8), np.packbits(matrix[:, ::-1], axis=1)])
+        keys = _mask_keys(matrix)
         rank = np.argsort(_void_rows(keys))
-        sorted_keys = _void_rows(keys)[rank]
+        self._keys = keys = keys[rank]  # the rebinding frees the unsorted keys
+        sorted_keys = _void_rows(keys)
         if (sorted_keys[1:] == sorted_keys[:-1]).any():  # equal masks sort next to each other
             raise InvariantError("duplicate subgroup masks in lattice")
         self.matrix = matrix = matrix[rank]  # the rebinding frees the unsorted copy
         self.matrix.flags.writeable = False
-        self.orders = orders[rank]
+        self.orders = np.count_nonzero(matrix, axis=1)
         # each member's mask is a read-only view of its row; the given masks are not kept
         self.subgroups = tuple(Subgroup(parent, row) for row in self.matrix)
         if not members or self.orders[0] != 1 or not np.array_equal(self.matrix[-1], top.mask):
@@ -161,14 +162,14 @@ class Lattice:
 
     # -- indexed access ------------------------------------------------
 
+    def find(self, masks: np.ndarray) -> np.ndarray:
+        """The member index of each row of a (k, n) bool mask matrix, or -1."""
+        return _lookup(self._keys, None, _mask_keys(masks))
+
     def index_of(self, s: Subgroup) -> int:
-        """The index of the member with s's mask, found among the rows of
-        s's order, which the sort keeps together."""
-        if s.parent is self.parent:
-            lo, hi = np.searchsorted(self.orders, [s.order, s.order + 1])
-            hits = np.flatnonzero((self.matrix[lo:hi] == s.mask).all(axis=1))
-            if hits.size:
-                return int(lo + hits[0])
+        """The index of the member with s's mask."""
+        if s.parent is self.parent and (i := int(self.find(s.mask[None])[0])) >= 0:
+            return i
         raise InputError("subgroup does not belong to this lattice")
 
     def __len__(self) -> int:
@@ -205,17 +206,16 @@ class Lattice:
         """Conjugacy class of each member under ``top``, labelled by the
         index of the class's least member.  For a lattice built without
         them, conjugation by each of ``top``'s generators (``generators``)
-        permutes the members
-        (one scatter of the matrix, each image row looked up), and the
-        classes are the orbits of those permutations."""
+        permutes the members (one scatter of the matrix, the image rows
+        looked up by ``find``), and the classes are the orbits of those
+        permutations."""
         if self._class_ids is None:
             g, gens = self.parent, self.generators(-1)
             maps = np.empty((len(gens), len(self.subgroups)), np.intp)
-            order = np.argsort(_void_rows(self.matrix))
             for row, conj in zip(maps, _kernels.conjugation_maps(g.mul, g.inv, gens)):
                 images = np.empty_like(self.matrix)
                 images[:, conj] = self.matrix  # every member conjugated by one generator
-                row[:] = _lookup(self.matrix, order, images)
+                row[:] = self.find(images)
                 if (row < 0).any():
                     raise InvariantError("a conjugate of a member is missing from the lattice")
             self._class_ids = _kernels.orbit_labels(maps)
@@ -228,6 +228,13 @@ class Lattice:
         # the members other than i and the top that i lies in; -1 for the top
         over = self.containment.sum(axis=1) - 1 - self.containment[:, -1]
         return tuple(np.flatnonzero(over == 0).tolist())
+
+
+def _mask_keys(masks: np.ndarray) -> np.ndarray:
+    """Each row's byte key, which sorts as (order, mask): the row's count in
+    8 big-endian bytes, then the row packed highest element first."""
+    counts = np.count_nonzero(masks, axis=1).astype(">u8").view(np.uint8).reshape(-1, 8)
+    return np.hstack([counts, np.packbits(masks[:, ::-1], axis=1)])
 
 
 def _class_of(arr: np.ndarray, conjugators: list[np.ndarray]) -> list[np.ndarray]:
@@ -344,9 +351,8 @@ def frattini(lat: Lattice) -> Subgroup:
     maxima = list(lat.maximal_indices())
     if not maxima:
         return lat.top
-    # the intersection, when a member, is the largest member inside every maximal subgroup
-    idx = np.flatnonzero(lat.containment[:, maxima].all(axis=1))[-1]
-    if not np.array_equal(lat.matrix[idx], lat.matrix[maxima].all(axis=0)):
+    idx = int(lat.find(lat.matrix[maxima].all(axis=0)[None])[0])
+    if idx < 0:
         raise InvariantError("Frattini intersection is missing from the lattice")
     return lat.subgroups[idx]
 

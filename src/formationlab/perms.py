@@ -10,30 +10,15 @@ b(a(i)).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import re
+from typing import Sequence
 
 from .errors import InputError
 
 __all__ = ["parse_cycles", "format_cycles"]
 
-
-def _tokens(text: str) -> Iterator[tuple[str, int]]:
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            yield c, i
-            i += 1
-        elif "0" <= c <= "9":  # not str.isdigit: it takes "²", which int() rejects, and "٣", read as 3
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            yield text[i:j], i
-            i = j
-        else:
-            raise InputError(f"unexpected character {c!r} in cycle notation", i)
+# [0-9], not \d, which takes "٣", read by int() as 3
+_TOKEN = re.compile(r"[0-9]+|[()]|\S")
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
@@ -47,7 +32,8 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     used = [False] * degree
     cycle: list[int] | None = None
     open_pos = 0
-    for tok, pos in _tokens(text):
+    for match in _TOKEN.finditer(text):
+        tok, pos = match.group(), match.start()
         if tok == "(":
             if cycle is not None:
                 raise InputError("nested '(' in cycle notation", pos)
@@ -59,6 +45,8 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
             for k, p in enumerate(cycle):
                 images[p - 1] = cycle[(k + 1) % len(cycle)]
             cycle = None
+        elif not (tok.isascii() and tok.isdigit()):  # str.isdigit alone takes "²", which int() rejects
+            raise InputError(f"unexpected character {tok!r} in cycle notation", pos)
         else:
             if cycle is None:
                 raise InputError("point outside any cycle", pos)

@@ -13,8 +13,11 @@ states from the commutators of all n*n pairs (``_kernels.commutators``,
 itself checked against ``commutator``; the sweep's earlier first pass),
 and the order of a group of 2x2 matrices mod p by breadth-first
 search over the matrices (the package closes their permutations of the
-vectors), and each element's cyclic subgroup by composing its powers as
-permutations (the package walks the Cayley table).  The word law's
+vectors), the U and X verdicts of an affine group F_p^2 : H as theory
+predicts them from H's matrices and H's own verdicts
+(``affine_verdicts_oracle``), and each element's cyclic subgroup by
+composing its powers as permutations (the package walks the Cayley
+table).  The word law's
 sequence is iterated on permutations by ``word_terminates_oracle``, with
 the permutation arithmetic it needs (``compose``, ``inverse``, ``power``,
 ``commutator``), against the package's sweep and trace on the Cayley
@@ -232,15 +235,15 @@ def restrict(lat: Lattice, h: Subgroup) -> Lattice:
     return Lattice(lat.parent, h, [lat.subgroups[i] for i in inside])
 
 
-def linear_group_order_oracle(matrices, p: int) -> int:
-    """Order of the group generated by 2x2 matrices mod p, by breadth-first
-    search over products of the matrices as tuples."""
+def _mat_mul(m1, m2, p: int):
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
 
-    def mat_mul(m1, m2):
-        (a, b), (c, d) = m1
-        (e, f), (g, h) = m2
-        return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
 
+def _linear_group(matrices, p: int) -> set:
+    """The group generated by 2x2 matrices mod p, as tuples, by
+    breadth-first search over products of the matrices."""
     ident = ((1, 0), (0, 1))
     seen = {ident}
     frontier = [ident]
@@ -248,12 +251,43 @@ def linear_group_order_oracle(matrices, p: int) -> int:
         nxt = []
         for m in frontier:
             for gen in matrices:
-                prod = mat_mul(m, gen)
+                prod = _mat_mul(m, gen, p)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def linear_group_order_oracle(matrices, p: int) -> int:
+    """Order of the group generated by 2x2 matrices mod p."""
+    return len(_linear_group(matrices, p))
+
+
+def affine_verdicts_oracle(p: int, matrices, h_in_u: bool, h_in_x: bool) -> tuple[bool, bool]:
+    """(G in U, G in X) as theory predicts them for G = F_p^2 : H, where H is
+    generated by the 2x2 matrices mod p, acting on column vectors, and p does
+    not divide |H|, from H's own verdicts: G is in U iff H is in U and fixes
+    a line of F_p^2, and G is in X iff H is in X and H fixes a line or exp(H)
+    divides p - 1 (cond_lf's local definition on the chief factors of
+    F_p^2).  A fixed line is found by scanning the p + 1 lines, and exp(H)
+    is the lcm of the orders of H's matrices."""
+    group = _linear_group(matrices, p)
+    if len(group) % p == 0:
+        raise ValueError(f"|H| = {len(group)} is divisible by p = {p}")
+
+    def fixes(v) -> bool:  # every matrix of H maps v into the line it spans
+        x, y = v
+        return all((x * (c * x + d * y) - y * (a * x + b * y)) % p == 0 for (a, b), (c, d) in group)
+
+    fixes_line = any(fixes(v) for v in [(0, 1), *((1, t) for t in range(p))])
+    ident, exp = ((1, 0), (0, 1)), 1
+    for m in group:
+        power, k = m, 1
+        while power != ident:
+            power, k = _mat_mul(power, m, p), k + 1
+        exp = lcm(exp, k)
+    return h_in_u and fixes_line, h_in_x and (fixes_line or (p - 1) % exp == 0)
 
 
 def condition_b_law_opposite(g: GroupTable) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from formationlab.checkers import (
     PREDICATE_KEYS,
+    THEOREM_KEYS,
     _condition_lf_impl,
     classify,
     condition_b_law,
@@ -16,6 +17,10 @@ from formationlab.checkers import (
     word_trace,
 )
 from formationlab.corpus import (
+    ROTATION_MATRIX,
+    SWAP_MATRIX,
+    GroupSpec,
+    affine_semidirect,
     alternating,
     build_group,
     cyclic,
@@ -40,6 +45,7 @@ from formationlab.predicates import _sylow_tower_impl, has_sylow_tower_sst, is_s
 
 from conftest import golden_verdicts, group_of, sub_of
 from oracles import (
+    affine_verdicts_oracle,
     condition_b_law_opposite,
     condition_lf_oracle,
     cyclic_extension_oracle,
@@ -238,6 +244,33 @@ class TestFormationClosure:
         # in X but not U, and in D but not X
         assert products["C7^2:S3xC2"]["cond_x"] and not products["C7^2:S3xC2"]["supersoluble"]
         assert products["C5^2:L3xC2"]["sylow_tower"] and not products["C5^2:L3xC2"]["cond_x"]
+
+    def test_affine_verdicts_match_the_theory(self):
+        # F_p^2 : H with H irreducible of order prime to p, where B = X is
+        # hardest to meet: theory predicts U and X from H's matrices and H's
+        # own verdicts (affine_verdicts_oracle).  The first six are in X but
+        # not U; the control C5^2:S3 is in D but not X, as exp(S3) = 6 does
+        # not divide 4.  p is the largest prime dividing |G| and H has a
+        # Sylow tower, so G has one.
+        d8 = (((1, 0), (0, -1)), SWAP_MATRIX)
+        families = [
+            ("C5^2:D8", 5, d8),
+            ("C5^2:Q8", 5, (((0, -1), (1, 0)), ((2, 0), (0, 3)))),
+            ("C11^2:D10", 11, (((3, 0), (0, 4)), SWAP_MATRIX)),
+            ("C13^2:S3", 13, (ROTATION_MATRIX, SWAP_MATRIX)),
+            ("C13^2:D8", 13, d8),
+            ("C13^2:Q8", 13, (((0, -1), (1, 0)), ((0, 5), (5, 0)))),
+            ("C5^2:S3", 5, (ROTATION_MATRIX, SWAP_MATRIX)),
+        ]
+        for name, p, matrices in families:
+            spec = affine_semidirect(p, *matrices)
+            linear = GroupSpec(f"{name} linear part", spec.degree, spec.generators[2:])
+            h = classify(build_group(linear), linear.name).predicates
+            in_u, in_x = affine_verdicts_oracle(p, matrices, h["supersoluble"], h["cond_x"])
+            assert (in_u, in_x) == (False, name != "C5^2:S3"), name
+            got = classify(build_group(spec), name).predicates
+            want = {"supersoluble": in_u, "sylow_tower": True, **dict.fromkeys(THEOREM_KEYS, in_x)}
+            assert got == want, (name, {k: got[k] for k in want if got[k] != want[k]})
 
     @pytest.mark.parametrize("n, report", CENSUS_REPORTS)
     def test_census_reports_are_subgroup_closed(self, n, report):

@@ -237,6 +237,23 @@ class TestGroupFiles:
             load_group(path)
         assert "line 2" in str(err.value)
 
+    def test_errors_name_the_file(self, tmp_path):
+        # a corpus directory holds many files, so each error says which one
+        path = tmp_path / "bad.group"
+        path.write_text("degree 3\ngen (1 2)\ngen (1 4)\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}: line 3: point 4 out of range 1..3")):
+            load_group(path)
+        path.write_text("# nothing\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}: file contains no 'degree' line")):
+            load_group(path)
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "s3.group"
+        path.write_text("degree 3\nname S3\ngen (1 2)\ngen (1 2 3)\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        spec = load_group(path)
+        assert (spec.name, spec.degree, spec.generator_texts) == ("S3", 3, ("(1 2)", "(1 2 3)"))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "bad.group"
         path.write_text("# nothing\n")

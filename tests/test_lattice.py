@@ -205,6 +205,34 @@ class TestGenerators:
                 assert subgroup_generated(g, gens) == s, (g, i)
 
 
+class TestFind:
+    def test_every_member_is_found_at_its_index(self, s4, s5):
+        groups = [build_group(spec) for spec in standard_corpus()]
+        groups = [g for g in groups if g.order <= 60] + [s4, s5, build_group(symmetric(6))]
+        for g in groups:
+            lat = all_subgroups(g)
+            assert np.array_equal(lat.find(lat.matrix), np.arange(len(lat))), g
+
+    def test_agrees_with_a_row_scan(self, s4, a5, q8):
+        # random masks, members, and members with one element moved, which
+        # keep the member's order and so share its key's first 8 bytes
+        rng = np.random.default_rng(30)
+        for g in (s4, a5, q8):
+            lat = all_subgroups(g)
+            n = g.order
+            masks = rng.random((300, n)) < rng.random((300, 1))
+            moved = lat.matrix[rng.integers(len(lat), size=300)]
+            for row in moved:
+                if 1 < row.sum() < n:
+                    row[rng.choice(np.flatnonzero(row[1:])) + 1] = False
+                    row[rng.choice(np.flatnonzero(~row))] = True
+            masks = np.vstack([masks, lat.matrix[rng.integers(len(lat), size=300)], moved])
+            masks[:, 0] = True
+            scan = [next((i for i, row in enumerate(lat.matrix) if np.array_equal(row, m)), -1) for m in masks]
+            assert lat.find(masks).tolist() == scan, g
+            assert min(scan) == -1 and max(scan) == len(lat) - 1, g
+
+
 class TestConjugacyClasses:
     def test_class_ids_match_lazy_and_oracle(self, s5):
         # the enumerator's ids, ids recomputed for the same members, and
@@ -298,6 +326,17 @@ class TestFrattini:
 
     def test_q8_center(self, q8):
         assert frattini(all_subgroups(q8)).order == 2
+
+    def test_missing_intersection_is_an_invariant_error(self):
+        # C2 x C4 = <(1 2), (3 4 5 6)> without <(3 5)(4 6)>, the intersection
+        # of its three maximal subgroups, which all stay in the lattice
+        g = group_of(6, "(1 2)", "(3 4 5 6)")
+        phi = sub_of(g, "(3 5)(4 6)")
+        assert frattini(all_subgroups(g)) == phi
+        lat = Lattice(g, g.full_subgroup(), [s for s in all_subgroups(g).subgroups if s != phi])
+        assert len(lat.maximal_indices()) == 3
+        with pytest.raises(InvariantError, match="^Frattini intersection is missing from the lattice$"):
+            frattini(lat)
 
     def test_frattini_is_normal(self, a4, s4):
         for g in (a4, s4):
