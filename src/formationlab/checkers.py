@@ -104,37 +104,40 @@ def _class_firsts(lat: Lattice) -> np.ndarray:
     return np.flatnonzero(lat.class_ids() == np.arange(len(lat)))
 
 
-def _condition_x_impl(g, lat: Lattice) -> tuple[bool, Optional[str]]:
-    _check_lattice(g, lat)
+def _condition_x_impl(lat: Lattice) -> tuple[bool, Optional[str]]:
+    """``cond_x`` for the top of ``lat``, any subgroup of its parent."""
     for i in _class_firsts(lat):
-        s = lat.subgroups[i]
-        if not lat.p_subnormal[i] and is_primary(s) and is_cyclic(s):
+        if lat.p_subnormal[i] or not is_primary(int(lat.orders[i])):
+            continue
+        if is_cyclic(lat.parent.elem_orders[lat.matrix[i]]):
             return False, f"cyclic primary subgroup {_describe(lat, i)} is not prime-step subnormal"
     return True, None
 
 
-def condition_x(g, lat: Lattice) -> bool:
+def condition_x(g: GroupTable, lat: Lattice) -> bool:
     """Every cyclic primary subgroup is prime-step subnormal in the top."""
-    return _condition_x_impl(g, lat)[0]
-
-
-def _condition_b_subgroups_impl(g: GroupTable, lat: Lattice) -> tuple[bool, Optional[str]]:
     _check_lattice(g, lat)
+    return _condition_x_impl(lat)[0]
+
+
+def _condition_b_subgroups_impl(lat: Lattice) -> tuple[bool, Optional[str]]:
+    """``cond_b_subgroups`` for the top of ``lat``, any subgroup of its parent."""
     for i in _class_firsts(lat):
         if _huppert(lat, i):
             continue  # a supersoluble group's derived subgroup is nilpotent
-        derived = lat.subgroups[derived_index(lat, i)]
-        if is_nilpotent(derived):
+        derived = derived_index(lat, i)
+        if is_nilpotent(lat.parent.elem_orders[lat.matrix[derived]]):
             return False, (
                 f"subgroup {_describe(lat, i)} has nilpotent derived subgroup "
-                f"(order {derived.order}) but is not supersoluble"
+                f"(order {lat.orders[derived]}) but is not supersoluble"
             )
     return True, None
 
 
 def condition_b_subgroups(g: GroupTable, lat: Lattice) -> bool:
     """Every subgroup with nilpotent derived subgroup is supersoluble."""
-    return _condition_b_subgroups_impl(g, lat)[0]
+    _check_lattice(g, lat)
+    return _condition_b_subgroups_impl(lat)[0]
 
 
 def _condition_b_law_impl(g: GroupTable) -> tuple[bool, Optional[str]]:
@@ -165,7 +168,8 @@ def _condition_lf_impl(g: GroupTable, lat: Lattice, series: list[ChiefFactor]) -
     every = np.arange(g.order)
     residual = None  # the last term of G's derived series, once needed
     for factor in series:
-        cent = _centralizer_mod_mask(g, factor.upper, factor.lower, lat.generators(factor.upper_index))
+        upper, lower = lat.matrix[factor.upper], lat.matrix[factor.lower]
+        cent = _centralizer_mod_mask(g, upper, lower, lat.generators(factor.upper))
         if cent.all():
             continue  # the quotient is trivial and lies in every f(p)
         if residual is None:
@@ -263,8 +267,8 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
 
         run("supersoluble", lambda: _supersoluble_impl(series))
         run("sylow_tower", lambda: _sylow_tower_impl(g))
-        run("cond_x", lambda: _condition_x_impl(g, lat))
-        run("cond_b_subgroups", lambda: _condition_b_subgroups_impl(g, lat))
+        run("cond_x", lambda: _condition_x_impl(lat))
+        run("cond_b_subgroups", lambda: _condition_b_subgroups_impl(lat))
         run("cond_b_law", lambda: _condition_b_law_impl(g))
         run("cond_lf", lambda: _condition_lf_impl(g, lat, series))
 

@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .checkers import PREDICATE_KEYS, ClassReport, classify, word_trace
 from .corpus import GroupSpec, build_group, load_group, standard_corpus
 from .errors import InputError, ResourceLimitError, naming_group
@@ -238,19 +240,14 @@ def cmd_lattice(args) -> int:
     with naming_group(spec.name):
         table = build_group(spec, args.max_order)
         lat = all_subgroups(table)
-    counts: dict[int, int] = {}
-    for s in lat.subgroups:
-        counts[s.order] = counts.get(s.order, 0) + 1
     print(f"group {spec.name}  degree {table.degree}  order {table.order}")
-    print(f"subgroups: {len(lat.subgroups)}  conjugacy classes: {len(set(lat.class_ids()))}")
-    for order in sorted(counts):
-        print(f"  order {order:>5}: {counts[order]}")
-    normals = normal_subgroups(lat)
-    print(f"normal subgroups: {len(normals)}")
-    phi = frattini(lat)
-    print(f"frattini order: {phi.order}")
-    minimals = minimal_normal_subgroups(lat)
-    print(f"minimal normal subgroups: {', '.join(str(s.order) for s in minimals) or 'none'}")
+    print(f"subgroups: {len(lat)}  conjugacy classes: {len(np.unique(lat.class_ids()))}")
+    for order, count in zip(*np.unique(lat.orders, return_counts=True)):
+        print(f"  order {order:>5}: {count}")
+    print(f"normal subgroups: {len(normal_subgroups(lat))}")
+    print(f"frattini order: {lat.orders[frattini(lat)]}")
+    minimals = lat.orders[minimal_normal_subgroups(lat)].tolist()
+    print(f"minimal normal subgroups: {', '.join(map(str, minimals)) or 'none'}")
     return 0
 
 

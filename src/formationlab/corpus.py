@@ -193,8 +193,8 @@ def subgroups_of_symmetric(n: int) -> list[GroupSpec]:
     table = build_group(symmetric(n), math.factorial(n))
     lat = all_subgroups(table)
     return [
-        GroupSpec(f"S{n}-sub{i:03d}-o{sub.order}", n, tuple(table.perm(x) for x in lat.generators(i)))
-        for i, sub in enumerate(lat.subgroups)
+        GroupSpec(f"S{n}-sub{i:03d}-o{order}", n, tuple(table.perm(x) for x in lat.generators(i)))
+        for i, order in enumerate(lat.orders.tolist())
     ]
 
 
@@ -206,7 +206,7 @@ def load_group(path) -> GroupSpec:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     degree: int | None = None
-    name = path.stem
+    name: str | None = None
     gens: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -222,6 +222,8 @@ def load_group(path) -> GroupSpec:
             degree = int(rest)
             if degree < 1:
                 raise InputError(f"{path}: line {lineno}: degree must be positive, got {degree}")
+        elif keyword == "degree" or (keyword == "name" and name is not None):
+            raise InputError(f"{path}: line {lineno}: repeated {keyword!r} line")
         elif keyword == "name":
             if not rest:
                 raise InputError(f"{path}: line {lineno}: empty name")
@@ -239,6 +241,7 @@ def load_group(path) -> GroupSpec:
             raise InputError(f"{path}: line {lineno}: unknown keyword {keyword!r}")
     if degree is None:
         raise InputError(f"{path}: file contains no 'degree' line")
+    name = path.stem if name is None else name
     if "\t" in name:  # a name line with one has raised already
         raise InputError(f"{path}: file name {path.name!r} contains a tab, the report's field separator")
     return GroupSpec(name, degree, tuple(gens))

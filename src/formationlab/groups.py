@@ -9,14 +9,14 @@ A permutation enters and leaves as the tuple of its images of 1..degree:
 ``close_generators`` checks once that each generator tuple is a bijection,
 and an element's tuple is read back only when asked for (``perm``), for
 witness text and census specs.  A subgroup is a bool mask over element
-indices (a lattice stacks its members' masks into one matrix), and all
-heavy algebra runs through the kernels in ``_kernels``.
+indices (a lattice member is a row of one matrix), and all heavy algebra
+runs through the kernels in ``_kernels``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .perms import format_cycles
 __all__ = [
     "DEFAULT_ORDER_BOUND",
     "GroupTable",
-    "Subgroup",
     "close_generators",
     "is_normal_mask",
     "exponent",
@@ -111,10 +110,11 @@ class GroupTable:
             raise InvariantError("an element times its computed inverse is not the identity")
         self.gen_indices = tuple(gen_indices)
 
-    def full_subgroup(self) -> "Subgroup":
-        """A fresh Subgroup on each call: caching it here would make a
-        table <-> subgroup cycle that outlives the group until gc runs."""
-        return Subgroup(self, np.ones(self.order, np.bool_))
+    def full_subgroup(self) -> np.ndarray:
+        """The whole group as a subgroup: its read-only all-True mask."""
+        full = np.ones(self.order, np.bool_)
+        full.flags.writeable = False
+        return full
 
     def perm(self, index: int) -> tuple[int, ...]:
         """Element ``index`` as the tuple of its images of 1..degree."""
@@ -169,47 +169,6 @@ def _lookup(keys: np.ndarray, order: np.ndarray | None, block: np.ndarray) -> np
     found = np.minimum(np.searchsorted(void_keys, probes, sorter=order), len(keys) - 1)
     found = found if order is None else order[found]
     return np.where(void_keys[found] == probes, found, -1)
-
-
-class Subgroup:
-    """A bool mask over the element indices of a parent GroupTable.
-
-    The mask is trusted to be product-closed.  It is made read-only, so
-    equality by its bytes stays valid; subgroups are compared, never
-    hashed (a lattice finds a member by its packed key, ``Lattice.find``).  Lagrange is
-    asserted on every construction.  A subgroup is its mask: its generators
-    are read off a lattice that holds it (``Lattice.generators``).
-    """
-
-    __slots__ = ("parent", "mask", "order")
-
-    def __init__(self, parent: GroupTable, mask: np.ndarray):
-        if mask.dtype != np.bool_ or mask.shape != (parent.order,):
-            raise InvariantError("subgroup mask must be a bool array over the group's elements")
-        if not mask[0]:
-            raise InvariantError("subgroup mask must contain the identity (index 0)")
-        mask.flags.writeable = False
-        self.parent = parent
-        self.mask = mask
-        self.order = int(np.count_nonzero(mask))
-        if parent.order % self.order:
-            raise InvariantError(
-                f"subgroup order {self.order} does not divide group order {parent.order}"
-            )
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    def contains(self, other: "Subgroup") -> bool:
-        return not (other.mask > self.mask).any()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.parent is other.parent and self.mask.tobytes() == other.mask.tobytes()
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order})"
 
 
 def _close_rows(degree: int, gen_rows: np.ndarray, bound: int) -> np.ndarray:
@@ -343,10 +302,6 @@ def close_generators(
     return GroupTable(store, mul, gen_indices)
 
 
-def as_subgroup(g: Union[GroupTable, Subgroup]) -> Subgroup:
-    return g.full_subgroup() if isinstance(g, GroupTable) else g
-
-
 def is_normal_mask(g: GroupTable, member_arr: np.ndarray, conj_gen_indices: Sequence[int]) -> bool:
     """True when the member set is stable under conjugation by the given
     generators (equivalently, by the group they generate)."""
@@ -354,21 +309,19 @@ def is_normal_mask(g: GroupTable, member_arr: np.ndarray, conj_gen_indices: Sequ
     return all(member_arr[conj[member_arr]].all() for conj in conjugators)
 
 
-def exponent(g: Union[GroupTable, Subgroup]) -> int:
+def exponent(g: GroupTable) -> int:
     """lcm of the element orders; divides the group order."""
-    sub = as_subgroup(g)
-    orders = sub.parent.elem_orders[sub.indices()]
-    return int(np.lcm.reduce(orders))
+    return int(np.lcm.reduce(g.elem_orders))
 
 
-def _centralizer_mod_mask(g: GroupTable, h: Subgroup, k: Subgroup, h_gens: Sequence[int]) -> np.ndarray:
-    """The member mask of C_G(H/K) = {x : [x, h] in K for all h in H};
-    requires K normal in G and K <= H, and ``h_gens`` to generate H.  It is
-    the x with [x, h] in K for every h in ``h_gens``, which suffices because
+def _centralizer_mod_mask(g: GroupTable, h: np.ndarray, k: np.ndarray, h_gens: Sequence[int]) -> np.ndarray:
+    """The mask of C_G(H/K) = {x : [x, h] in K for all h in H}, for masks h
+    and k; requires K normal in G, K <= H, and ``h_gens`` to generate H.  It
+    is the x with [x, h] in K for every h in ``h_gens``, which suffices as
     K is normal, so the condition extends from generators to all of H."""
-    if not h.contains(k):
+    if (k > h).any():
         raise InputError("the centralizer of H/K requires K <= H")
-    if not is_normal_mask(g, k.mask, g.gen_indices):
+    if not is_normal_mask(g, k, g.gen_indices):
         raise InputError("the centralizer of H/K requires K normal in the group")
     hi = np.array(h_gens, dtype=np.intp)
-    return k.mask[_kernels.commutators(g.mul, g.inv, np.arange(g.order)[:, None], hi[None, :])].all(axis=1)
+    return k[_kernels.commutators(g.mul, g.inv, np.arange(g.order)[:, None], hi[None, :])].all(axis=1)

@@ -17,9 +17,9 @@ are closed in one ``close_mask`` call, which bounds its own batches.
 Subgroups are deduplicated by element mask, never by isomorphism.
 
 A lattice is one (S, n) bool matrix of element masks, and that matrix is
-the only copy of them: each member's mask is a read-only view of its row,
-and a mask is found by one binary search over the packed keys the members
-are sorted by (``Lattice.find``).  ``Lattice`` alone decides that order,
+the only copy of them: a member is named by its index, its mask is its
+row, and a mask is found by one binary search over the packed keys the
+members are sorted by (``Lattice.find``).  ``Lattice`` alone decides that order,
 (order, mask), and labels each conjugacy class by its least member, so
 every downstream choice depends on the group alone.
 Containment between members is stored data, as in Cannon, Cox and Holt:
@@ -39,8 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, InvariantError, ResourceLimitError
-from .groups import GroupTable, Subgroup, _lookup, _void_rows
+from .errors import InvariantError, ResourceLimitError
+from .groups import GroupTable, _lookup, _void_rows
 from .primes import prime_divisors
 
 __all__ = [
@@ -60,28 +60,32 @@ DEFAULT_SUBGROUP_BOUND = 10**6
 
 @dataclass(frozen=True)
 class ChiefFactor:
-    """A factor H/K of a maximal chain of normal subgroups; H is lattice member ``upper_index``."""
+    """A factor H/K of a maximal chain of normal subgroups, K and H by member index."""
 
-    lower: Subgroup
-    upper: Subgroup
+    lower: int
+    upper: int
     order: int
     primes: tuple[int, ...]
-    upper_index: int
 
 
 class Lattice:
     """All subgroups of ``top`` inside a parent GroupTable.
 
+    ``top`` and the members are bool masks (any sequence of n-vectors, or
+    one (S, n) array).  The member list must be complete, every join of two
+    members a member: ``generators`` reads joins and does not always notice
+    a missing one.  ``all_subgroups`` meets this; a hand-built list must too.
     The lattice sorts its members, whatever order they are given in, into
     (order, mask) order, the highest element index most significant, so the
     trivial subgroup is member 0, the top is the last member, and every
-    choice read off the lattice depends on the members alone.  ``matrix`` is
-    one read-only (S, n) bool array, and the mask of ``subgroups[i]`` is a
-    view of row i, so the masks the members were given with are not kept;
-    ``orders`` holds the row counts, ``_keys`` the sorted byte keys that
-    ``find`` searches.  ``containment[i, j]`` holds when member i lies in
-    member j: one boolean product, since i lies in j iff no element of i is
-    outside j; construction checks that every contained pair obeys Lagrange.
+    choice read off the lattice depends on the members alone.  Member i is
+    row i of ``matrix``, one read-only (S, n) bool array (also ``subgroups``;
+    ``top`` views its last row), so the given masks are not kept; ``orders``
+    holds the row counts, ``_keys`` the sorted byte keys that ``find``
+    searches.  ``containment[i, j]`` holds when member i lies in member j:
+    one boolean product, since i lies in j iff no element of i is outside
+    j; construction checks that every member holds the identity and that
+    every contained pair obeys Lagrange.
     ``p_subnormal[i]`` holds when a chain of members, each of prime index in
     the next, leads from member i up to the top.  ``class_ids()`` labels
     each member's conjugacy class under ``top`` by the index of its least
@@ -92,7 +96,6 @@ class Lattice:
     __slots__ = (
         "parent",
         "top",
-        "subgroups",
         "matrix",
         "orders",
         "containment",
@@ -104,8 +107,8 @@ class Lattice:
     def __init__(
         self,
         parent: GroupTable,
-        top: Subgroup,
-        subgroups: Sequence[Subgroup],
+        top: np.ndarray,
+        subgroups: Sequence[np.ndarray] | np.ndarray,
         *,
         _class_ids: Sequence[int] | None = None,
     ):
@@ -113,9 +116,7 @@ class Lattice:
         under ``top`` (any numbers, equal within a class), in the order the
         members are given."""
         self.parent = parent
-        self.top = top
-        members = tuple(subgroups)
-        matrix = np.array([s.mask for s in members], np.bool_).reshape(len(members), parent.order)
+        matrix = np.asarray(subgroups, np.bool_).reshape(len(subgroups), parent.order)
         keys = _mask_keys(matrix)
         rank = np.argsort(_void_rows(keys))
         self._keys = keys = keys[rank]  # the rebinding frees the unsorted keys
@@ -125,10 +126,11 @@ class Lattice:
         self.matrix = matrix = matrix[rank]  # the rebinding frees the unsorted copy
         self.matrix.flags.writeable = False
         self.orders = np.count_nonzero(matrix, axis=1)
-        # each member's mask is a read-only view of its row; the given masks are not kept
-        self.subgroups = tuple(Subgroup(parent, row) for row in self.matrix)
-        if not members or self.orders[0] != 1 or not np.array_equal(self.matrix[-1], top.mask):
+        if not len(matrix) or self.orders[0] != 1 or not np.array_equal(matrix[-1], top):
             raise InvariantError("lattice must contain the trivial subgroup and the top")
+        if not matrix[:, 0].all():
+            raise InvariantError("every subgroup mask must contain the identity (index 0)")
+        self.top = matrix[-1]
         self.containment = ~(self.matrix @ ~self.matrix.T)
         self.containment.flags.writeable = False
         self._class_ids = None
@@ -166,14 +168,13 @@ class Lattice:
         """The member index of each row of a (k, n) bool mask matrix, or -1."""
         return _lookup(self._keys, None, _mask_keys(masks))
 
-    def index_of(self, s: Subgroup) -> int:
-        """The index of the member with s's mask."""
-        if s.parent is self.parent and (i := int(self.find(s.mask[None])[0])) >= 0:
-            return i
-        raise InputError("subgroup does not belong to this lattice")
+    @property
+    def subgroups(self) -> np.ndarray:
+        """The member masks: ``matrix`` itself, not a copy."""
+        return self.matrix
 
     def __len__(self) -> int:
-        return len(self.subgroups)
+        return len(self.matrix)
 
     def generators(self, i: int) -> tuple[int, ...]:
         """The greedy generators of member i, as element indices: its
@@ -211,7 +212,7 @@ class Lattice:
         permutations."""
         if self._class_ids is None:
             g, gens = self.parent, self.generators(-1)
-            maps = np.empty((len(gens), len(self.subgroups)), np.intp)
+            maps = np.empty((len(gens), len(self)), np.intp)
             for row, conj in zip(maps, _kernels.conjugation_maps(g.mul, g.inv, gens)):
                 images = np.empty_like(self.matrix)
                 images[:, conj] = self.matrix  # every member conjugated by one generator
@@ -329,32 +330,31 @@ def all_subgroups(g: GroupTable) -> Lattice:
             if len(found) > DEFAULT_SUBGROUP_BOUND:
                 raise ResourceLimitError("subgroup count exceeds the enumeration bound", DEFAULT_SUBGROUP_BOUND)
 
-    subgroups = [Subgroup(g, arr) for arr, _ in found.values()]
-    return Lattice(g, g.full_subgroup(), subgroups, _class_ids=[rep for _, rep in found.values()])
+    masks = [arr for arr, _ in found.values()]
+    return Lattice(g, g.full_subgroup(), masks, _class_ids=[rep for _, rep in found.values()])
 
 
-def normal_subgroups(lat: Lattice) -> list[Subgroup]:
-    flags = lat.normal_flags()
-    return [s for i, s in enumerate(lat.subgroups) if flags[i]]
+def normal_subgroups(lat: Lattice) -> np.ndarray:
+    """The indices of the members normal in the top."""
+    return np.flatnonzero(lat.normal_flags())
 
 
-def minimal_normal_subgroups(lat: Lattice) -> list[Subgroup]:
-    """The non-trivial normal members containing no other non-trivial
-    normal member."""
+def minimal_normal_subgroups(lat: Lattice) -> np.ndarray:
+    """The indices of the non-trivial normal members holding no other one."""
     normals = np.flatnonzero(lat.normal_flags() & (lat.orders > 1))
     inside = lat.containment[np.ix_(normals, normals)].sum(axis=0)
-    return [lat.subgroups[i] for i in normals[inside == 1]]
+    return normals[inside == 1]
 
 
-def frattini(lat: Lattice) -> Subgroup:
-    """Intersection of all maximal subgroups (the top itself when none)."""
+def frattini(lat: Lattice) -> int:
+    """The index of the intersection of all maximal subgroups (the top when none)."""
     maxima = list(lat.maximal_indices())
     if not maxima:
-        return lat.top
+        return len(lat) - 1
     idx = int(lat.find(lat.matrix[maxima].all(axis=0)[None])[0])
     if idx < 0:
         raise InvariantError("Frattini intersection is missing from the lattice")
-    return lat.subgroups[idx]
+    return idx
 
 
 def chief_series(lat: Lattice) -> list[ChiefFactor]:
@@ -367,13 +367,13 @@ def chief_series(lat: Lattice) -> list[ChiefFactor]:
     while current != top:
         nxt = int(np.flatnonzero(flags & contains[current] & (orders > orders[current]))[0])
         ratio = int(orders[nxt] // orders[current])
-        factors.append(ChiefFactor(lat.subgroups[current], lat.subgroups[nxt], ratio, prime_divisors(ratio), nxt))
+        factors.append(ChiefFactor(current, nxt, ratio, prime_divisors(ratio)))
         current = nxt
     return factors
 
 
 def derived_index(lat: Lattice, i: int) -> int:
-    """The index of [H, H] for member H = ``lat.subgroups[i]``: the first
+    """The index of [H, H] for member H = i of ``lat``: the first
     member inside H, in lattice order, that holds the commutators of the
     pairs of H's generators (``Lattice.generators``) and is normalised by
     them.  Such a member K is normal in H, and H/K is abelian, since H's

@@ -1,24 +1,25 @@
 """Class-membership tests for the auxiliary group classes: cyclic, primary,
 nilpotent, supersoluble, and Sylow tower of supersoluble type.
 
-Nilpotency is read off the element orders (one count of p-elements per
-prime), supersolubility is judged by Huppert's theorem on the members of a
-subgroup lattice, and the Sylow-tower test works on masks of the group
-(the preimages of its quotients' subgroups), so none of them builds a
-group table or a lattice.  The independent second algorithms for
+Cyclicity and nilpotency are read off element orders (one count of
+p-elements per prime), supersolubility is judged by Huppert's theorem on
+the members of a subgroup lattice, and the Sylow-tower test works on masks
+of the group (the preimages of its quotients' subgroups), so none of them
+builds a group table or a lattice.  A subgroup's element orders are
+``g.elem_orders[mask]``.  The independent second algorithms for
 nilpotency (the lower central series), supersolubility and the Sylow tower
 live with the test suite's oracles.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .groups import GroupTable, Subgroup, as_subgroup
+from .groups import GroupTable
 from .lattice import Lattice
 from .primes import p_part, prime_divisors
 
@@ -30,50 +31,38 @@ __all__ = [
     "has_sylow_tower_sst",
 ]
 
-GroupLike = Union[GroupTable, Subgroup]
+
+def is_cyclic(orders: np.ndarray) -> bool:
+    """True when some element order equals the group order; ``orders`` holds every element's."""
+    return bool(orders.max() == len(orders))
 
 
-def is_cyclic(g: GroupLike) -> bool:
-    """True when some element order equals the group order."""
-    sub = as_subgroup(g)
-    if sub.order == 1:
-        return True
-    return bool((sub.parent.elem_orders[sub.indices()] == sub.order).max())
-
-
-def is_primary(g: GroupLike) -> bool:
+def is_primary(order: int) -> bool:
     """Order is a power of a single prime; the trivial group does not count."""
-    order = as_subgroup(g).order
     return order > 1 and len(prime_divisors(order)) == 1
 
 
-def is_nilpotent(g: GroupLike) -> bool:
+def is_nilpotent(orders: np.ndarray) -> bool:
     """Nilpotent iff every Sylow subgroup is normal, i.e. for each prime p
     the elements of p-power order number exactly the p-part of the order
-    (then they are the one Sylow p-subgroup)."""
-    sub = as_subgroup(g)
-    orders = sub.parent.elem_orders[sub.indices()]
-    for p in prime_divisors(sub.order):
-        part = p_part(sub.order, p)
+    (then they are the one Sylow p-subgroup); ``orders`` holds every element's."""
+    for p in prime_divisors(len(orders)):
+        part = p_part(len(orders), p)
         if int((part % orders == 0).sum()) != part:
             return False
     return True
 
 
-def _check_lattice(g: GroupLike, lat: Lattice) -> Subgroup:
-    sub = as_subgroup(g)
-    if lat.top != sub:
+def _check_lattice(g: GroupTable, lat: Lattice) -> None:
+    """``lat`` must be g's own lattice: g's table, with all of g on top."""
+    if lat.parent is not g or not lat.top.all():
         raise InputError("lattice does not belong to the given group")
-    return sub
 
 
-def is_supersoluble(g: GroupLike, lat: Lattice) -> bool:
-    """Huppert's test (``_huppert``) on the member of ``lat`` that is g.
-    ``lat`` may be the lattice of any group containing g."""
-    sub = as_subgroup(g)
-    if lat.parent is not sub.parent:
-        raise InputError("lattice does not contain the given group")
-    return _huppert(lat, lat.index_of(sub))
+def is_supersoluble(g: GroupTable, lat: Lattice) -> bool:
+    """Huppert's test (``_huppert``) on the top of g's own lattice."""
+    _check_lattice(g, lat)
+    return _huppert(lat, len(lat) - 1)
 
 
 def _huppert(lat: Lattice, h: int) -> bool:

@@ -7,7 +7,7 @@ import pytest
 
 from formationlab.checkers import PREDICATE_KEYS
 from formationlab.corpus import GroupSpec, build_group
-from formationlab.groups import GroupTable, Subgroup, close_generators
+from formationlab.groups import GroupTable, close_generators
 from formationlab.perms import parse_cycles
 
 from oracles import _greedy_generators
@@ -19,21 +19,21 @@ def group_of(degree: int, *cycle_texts: str):
     return close_generators(degree, [parse_cycles(t, degree) for t in cycle_texts])
 
 
-def subgroup_generated(g: GroupTable, seed) -> Subgroup:
-    """Least subgroup containing the given element indices."""
+def subgroup_generated(g: GroupTable, seed) -> np.ndarray:
+    """The mask of the least subgroup containing the given element indices."""
     seed_arr = np.zeros(g.order, np.bool_)
     seed_arr[list(seed)] = True
-    return Subgroup(g, _greedy_generators(g.mul, seed_arr)[0])
+    return _greedy_generators(g.mul, seed_arr)[0]
 
 
-def trivial_subgroup(g: GroupTable) -> Subgroup:
+def trivial_subgroup(g: GroupTable) -> np.ndarray:
     mask = np.zeros(g.order, np.bool_)
     mask[0] = True
-    return Subgroup(g, mask)
+    return mask
 
 
-def sub_of(g: GroupTable, *cycle_texts: str) -> Subgroup:
-    """The subgroup of g generated by permutations in cycle notation."""
+def sub_of(g: GroupTable, *cycle_texts: str) -> np.ndarray:
+    """The mask of the subgroup of g generated by permutations in cycle notation."""
     return subgroup_generated(g, [g.index_of(parse_cycles(t, g.degree)) for t in cycle_texts])
 
 

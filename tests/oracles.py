@@ -40,9 +40,12 @@ reference for the generators the package reads off a lattice by joins
 Reference code that no command needs lives here too, on the package's
 tables: ``quotient_by`` (the quotient group table on right cosets, with its
 projection), ``subgroup_from_mask`` (an untrusted mask checked for closure),
-``centralizer_mod`` (C_G(H/K) as a subgroup, from the package's mask),
+``centralizer_mod`` (C_G(H/K) from the package's mask, generators
+found by closing), ``restrict`` (the lattice of a member),
 ``is_soluble`` and ``in_f_p`` (the class f(p) of soluble groups of exponent
-dividing p - 1), and ``order_of`` (a permutation's order from its cycles).
+dividing p - 1), ``order_of`` (a permutation's order from its cycles), and
+``extraspecial_semidirect`` (p^(1+2) : H on p^3 points, a group with
+Phi(G) > 1 whose quotient G/Phi(G) is affine).
 """
 
 from __future__ import annotations
@@ -53,20 +56,18 @@ from typing import NamedTuple
 import numpy as np
 
 from formationlab import _kernels
+from formationlab.corpus import GroupSpec
 from formationlab.errors import InputError, InvariantError
 from formationlab.groups import (
     GroupTable,
-    Subgroup,
     _centralizer_mod_mask,
     _row_dtype,
-    as_subgroup,
     close_generators,
     exponent,
     is_normal_mask,
 )
 from formationlab.lattice import Lattice, _class_of, chief_series
 from formationlab.perms import _cycles
-from formationlab.predicates import _check_lattice
 from formationlab.primes import is_prime, p_part, prime_divisors
 
 
@@ -156,8 +157,8 @@ def _greedy_generators(mul: np.ndarray, seed_arr: np.ndarray) -> tuple[np.ndarra
     return current, tuple(gens)
 
 
-def subgroup_from_mask(parent: GroupTable, mask) -> Subgroup:
-    """The subgroup with an untrusted mask: verifies closure."""
+def subgroup_from_mask(parent: GroupTable, mask) -> np.ndarray:
+    """An untrusted subgroup mask as a bool array, its closure verified."""
     arr = np.array(mask, dtype=np.bool_)
     if arr.shape != (parent.order,):
         raise InputError("subgroup mask must have one entry per group element")
@@ -167,13 +168,13 @@ def subgroup_from_mask(parent: GroupTable, mask) -> Subgroup:
     prods = parent.mul[np.ix_(members, members)]
     if not arr[prods].all():
         raise InputError("element set is not closed under multiplication")
-    return Subgroup(parent, arr)
+    return arr
 
 
-def centralizer_mod(g: GroupTable, h: Subgroup, k: Subgroup) -> Subgroup:
-    """C_G(H/K) = {x : [x, h] in K for all h in H}; requires K normal in G
-    and K <= H."""
-    return Subgroup(g, _centralizer_mod_mask(g, h, k, _greedy_generators(g.mul, h.mask)[1]))
+def centralizer_mod(g: GroupTable, h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The mask of C_G(H/K) = {x : [x, h] in K for all h in H}, for the
+    masks h and k; requires K normal in G and K <= H."""
+    return _centralizer_mod_mask(g, h, k, _greedy_generators(g.mul, h)[1])
 
 
 class QuotientMap(NamedTuple):
@@ -181,17 +182,15 @@ class QuotientMap(NamedTuple):
     projection: np.ndarray  # element index -> quotient element index
 
 
-def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
+def quotient_by(g: GroupTable, arr: np.ndarray) -> QuotientMap:
     """Quotient acting on right cosets by right multiplication.
 
     Coset representatives are the least element index in each coset; each
     element's image is found by looking up its coset row among the
     quotient's elements (``GroupTable.indices_of``), and the projection is
-    verified to be a homomorphism with kernel exactly ``n_sub``.
+    verified to be a homomorphism with kernel exactly the subgroup with
+    mask ``arr``.
     """
-    if n_sub.parent is not g:
-        raise InputError("subgroup belongs to a different group")
-    arr = n_sub.mask
     if not is_normal_mask(g, arr, g.gen_indices):
         raise InputError("cannot form the quotient: subgroup is not normal")
     members = np.flatnonzero(arr)
@@ -218,8 +217,8 @@ def quotient_by(g: GroupTable, n_sub: Subgroup) -> QuotientMap:
     return QuotientMap(quotient, projection)
 
 
-def is_soluble(g) -> bool:
-    return derived_series(g)[-1].order == 1
+def is_soluble(g: GroupTable) -> bool:
+    return derived_series(g)[-1].sum() == 1
 
 
 def in_f_p(g: GroupTable, p: int) -> bool:
@@ -229,10 +228,10 @@ def in_f_p(g: GroupTable, p: int) -> bool:
     return is_soluble(g) and (p - 1) % exponent(g) == 0
 
 
-def restrict(lat: Lattice, h: Subgroup) -> Lattice:
-    """The complete lattice of h, from the members of ``lat`` inside h."""
-    inside = np.flatnonzero(lat.containment[:, lat.index_of(h)])
-    return Lattice(lat.parent, h, [lat.subgroups[i] for i in inside])
+def restrict(lat: Lattice, h: np.ndarray) -> Lattice:
+    """The complete lattice of the member with mask h, from the members of
+    ``lat`` inside h."""
+    return Lattice(lat.parent, h, lat.matrix[~(lat.matrix > h).any(axis=1)])
 
 
 def _mat_mul(m1, m2, p: int):
@@ -288,6 +287,32 @@ def affine_verdicts_oracle(p: int, matrices, h_in_u: bool, h_in_x: bool) -> tupl
             power, k = _mat_mul(power, m, p), k + 1
         exp = lcm(exp, k)
     return h_in_u and fixes_line, h_in_x and (fixes_line or (p - 1) % exp == 0)
+
+
+def extraspecial_semidirect(p: int, *matrices) -> GroupSpec:
+    """P : H on the p^3 points of P = p^(1+2), the Heisenberg group on F_p^3
+    with (x, y, z)(u, v, w) = (x + u, y + v, z + w + (xv - yu)/2), for p
+    odd.  P acts by right multiplication, and each 2x2 matrix A mod p by
+    (v, z) -> (Av, det(A) z), an automorphism since xv - yu scales by
+    det(A); the matrices act on column vectors (x, y) as in
+    ``affine_semidirect``, so G/Z(P) is ``affine_semidirect(p, *matrices)``.
+    Point numbering: (x, y, z) -> 1 + x + p*y + p^2*z."""
+    half = pow(2, -1, p)
+    points = [(x, y, z) for z in range(p) for y in range(p) for x in range(p)]
+
+    def perm(image) -> tuple[int, ...]:
+        return tuple(1 + x + p * y + p * p * z for x, y, z in map(image, points))
+
+    def times(s):  # right multiplication by s
+        u, v, w = s
+        return perm(lambda q: ((q[0] + u) % p, (q[1] + v) % p, (q[2] + w + (q[0] * v - q[1] * u) * half) % p))
+
+    def acting(m):
+        (a, b), (c, d) = m
+        det = a * d - b * c
+        return perm(lambda q: ((a * q[0] + b * q[1]) % p, (c * q[0] + d * q[1]) % p, det * q[2] % p))
+
+    return GroupSpec(f"{p}^(1+2):{matrices}", p**3, (times((1, 0, 0)), times((0, 1, 0)), *map(acting, matrices)))
 
 
 def condition_b_law_opposite(g: GroupTable) -> bool:
@@ -481,30 +506,32 @@ def sequential_extension_oracle(g: GroupTable) -> tuple[Lattice, int]:
     lat = Lattice(
         g,
         g.full_subgroup(),
-        [Subgroup(g, arr) for arr, _ in found.values()],
+        [arr for arr, _ in found.values()],
         _class_ids=[rep for _, rep in found.values()],
     )
     return lat, reps[-1][2] + 1
 
 
-def p_subnormal_oracle(lat: Lattice, h: Subgroup, _memo=None) -> bool:
-    """H is the top, or some prime-index subgroup of the top contains H and
-    has the property within its own restricted lattice."""
+def p_subnormal_oracle(lat: Lattice, h: np.ndarray, _memo=None) -> bool:
+    """H (a mask) is the top, or some prime-index subgroup of the top
+    contains H and has the property within its own restricted lattice."""
     if _memo is None:
         _memo = {}
-    key = (mask_int(lat.top.mask), mask_int(h.mask))
+    key = (mask_int(lat.top), mask_int(h))
     if key in _memo:
         return _memo[key]
-    if h == lat.top:
+    top_order = int(lat.top.sum())
+    if np.array_equal(h, lat.top):
         result = True
     else:
         result = False
         for m in lat.subgroups:
+            m_order = int(m.sum())
             if (
-                m.order < lat.top.order
-                and lat.top.order % m.order == 0
-                and is_prime(lat.top.order // m.order)
-                and m.contains(h)
+                m_order < top_order
+                and top_order % m_order == 0
+                and is_prime(top_order // m_order)
+                and not (h > m).any()
                 and p_subnormal_oracle(restrict(lat, m), h, _memo)
             ):
                 result = True
@@ -558,10 +585,10 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
     chief series as (lower, upper) index pairs, and Huppert's test on each
     member against the members inside it."""
     g = lat.parent
-    masks = [mask_int(s.mask) for s in lat.subgroups]
-    orders = [s.order for s in lat.subgroups]
+    masks = [mask_int(s) for s in lat.subgroups]
+    orders = [int(s.sum()) for s in lat.subgroups]
     count = len(masks)
-    top = masks.index(mask_int(lat.top.mask))
+    top = masks.index(mask_int(lat.top))
 
     def inside(a: int, b: int) -> bool:
         return masks[a] & ~masks[b] == 0
@@ -588,7 +615,7 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
     )
     mul_rows = g.mul.tolist()
     inv = g.inv.tolist()
-    top_gens = _greedy_generators(g.mul, lat.top.mask)[1]
+    top_gens = _greedy_generators(g.mul, lat.top)[1]
     normal = [
         all(masks[i] >> mul_rows[mul_rows[inv[c]][x]][c] & 1 for c in top_gens
             for x in range(g.order) if masks[i] >> x & 1)
@@ -618,8 +645,9 @@ def lattice_bookkeeping_oracle(lat: Lattice) -> dict:
     }
 
 
-def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
-    """[A, B], the subgroup generated by all [x, y] with x in a, y in b.
+def commutator_subgroup(g: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The mask of [A, B], the subgroup generated by all [x, y] with x in
+    the mask a and y in the mask b.
 
     It is the normal closure in <A, B> of the commutators of generator
     pairs (Robinson, A Course in the Theory of Groups, 5.1.7): close those,
@@ -627,8 +655,8 @@ def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
     of a and b (their greedy generators) until the set is stable.  The
     package reads [H, H] off a lattice instead (``lattice.derived_index``).
     """
-    ai = np.array(_greedy_generators(g.mul, a.mask)[1], dtype=np.intp)
-    bi = np.array(_greedy_generators(g.mul, b.mask)[1], dtype=np.intp)
+    ai = np.array(_greedy_generators(g.mul, a)[1], dtype=np.intp)
+    bi = np.array(_greedy_generators(g.mul, b)[1], dtype=np.intp)
     seed = np.zeros(g.order, np.bool_)
     seed[_kernels.commutators(g.mul, g.inv, ai[:, None], bi[None, :])] = True
     conj = np.concatenate([ai, bi])[:, None]
@@ -636,39 +664,36 @@ def commutator_subgroup(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
         closed, gens = _greedy_generators(g.mul, seed)
         seed[g.mul[g.mul[g.inv[conj], np.array(gens, dtype=np.intp)], conj]] = True
         if closed[seed].all():
-            return Subgroup(g, closed)
+            return closed
 
 
-def derived_series(g) -> list[Subgroup]:
-    """G >= G' >= G'' >= ...; stops at the trivial subgroup, or repeats the
-    stable term exactly once when the series bottoms out above it."""
-    start = as_subgroup(g)
-    series = [start]
-    while series[-1].order > 1:
-        nxt = commutator_subgroup(start.parent, series[-1], series[-1])
+def _series(g: GroupTable, start: np.ndarray | None, lower_central: bool) -> list[np.ndarray]:
+    """Masks of H = H_1 >= H_2 >= ..., H_{i+1} = [H_i, H_i] (derived) or
+    [H_i, H] (lower central), H the mask ``start`` or all of g; stops at
+    the trivial subgroup, or repeats the stable term exactly once when the
+    series bottoms out above it."""
+    series = [g.full_subgroup() if start is None else start]
+    while series[-1].sum() > 1:
+        nxt = commutator_subgroup(g, series[-1], series[0] if lower_central else series[-1])
         series.append(nxt)
-        if nxt == series[-2]:
+        if np.array_equal(nxt, series[-2]):
             break
     return series
 
 
-def lower_central_series(g) -> list[Subgroup]:
-    """G_1 = G, G_{i+1} = [G_i, G]; stops at the trivial subgroup, or
-    repeats the stable term exactly once when the series bottoms out above
-    it.  G is nilpotent iff the last term is trivial."""
-    start = as_subgroup(g)
-    series = [start]
-    while series[-1].order > 1:
-        nxt = commutator_subgroup(start.parent, series[-1], start)
-        series.append(nxt)
-        if nxt == series[-2]:
-            break
-    return series
+def derived_series(g: GroupTable, start: np.ndarray | None = None) -> list[np.ndarray]:
+    """H >= H' >= H'' >= ..., for the mask ``start`` or all of g."""
+    return _series(g, start, lower_central=False)
 
 
-def is_supersoluble_chief(g, lat: Lattice) -> bool:
-    """Supersolubility as: every chief factor has prime order."""
-    _check_lattice(g, lat)
+def lower_central_series(g: GroupTable, start: np.ndarray | None = None) -> list[np.ndarray]:
+    """H_1 = H, H_{i+1} = [H_i, H], for the mask ``start`` or all of g; H is
+    nilpotent iff the last term is trivial."""
+    return _series(g, start, lower_central=True)
+
+
+def is_supersoluble_chief(lat: Lattice) -> bool:
+    """Supersolubility of the top as: every chief factor has prime order."""
     return all(is_prime(f.order) for f in chief_series(lat))
 
 
@@ -692,7 +717,7 @@ def condition_lf_oracle(g: GroupTable, lat: Lattice) -> tuple[bool, str | None]:
     """cond_lf with the classify witness, every action group G / C_G(H/K)
     built as a quotient group table and tested by ``in_f_p``."""
     for factor in chief_series(lat):
-        quotient = quotient_by(g, centralizer_mod(g, factor.upper, factor.lower)).group
+        quotient = quotient_by(g, centralizer_mod(g, lat.matrix[factor.upper], lat.matrix[factor.lower])).group
         for p in factor.primes:
             if not in_f_p(quotient, p):
                 return False, (
@@ -707,8 +732,8 @@ def subgroup_classes_oracle(lat: Lattice) -> list[int]:
     conjugating its mask by every element of the group; each class is
     labelled by the index of its first member."""
     g = lat.parent
-    members = [s.indices().tolist() for s in lat.subgroups]
-    index = {mask_int(s.mask): i for i, s in enumerate(lat.subgroups)}
+    members = [np.flatnonzero(s).tolist() for s in lat.subgroups]
+    index = {mask_int(s): i for i, s in enumerate(lat.subgroups)}
     ids = [-1] * len(members)
     for i, xs in enumerate(members):
         if ids[i] >= 0:

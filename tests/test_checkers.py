@@ -49,6 +49,7 @@ from oracles import (
     condition_b_law_opposite,
     condition_lf_oracle,
     cyclic_extension_oracle,
+    extraspecial_semidirect,
     p_subnormal_oracle,
     quotient_by,
     sylow_tower_oracle,
@@ -133,7 +134,7 @@ class TestPSubnormal:
 
     def test_order_two_in_a4_via_klein(self, a4):
         lat = all_subgroups(a4)
-        assert lat.p_subnormal[lat.index_of(sub_of(a4, "(1 2)(3 4)"))]
+        assert lat.p_subnormal[lat.find(sub_of(a4, "(1 2)(3 4)")[None])[0]]
 
     @pytest.mark.parametrize("maker", [
         lambda: group_of(3, "(1 2)", "(1 2 3)"),
@@ -198,7 +199,7 @@ def _census_verdicts(n: int, report: str):
     is member i) and the (members, six) table of their golden verdicts."""
     verdicts = golden_verdicts(report)
     lat = all_subgroups(build_group(symmetric(n)))
-    names = [f"S{n}-sub{i:03d}-o{s.order}" for i, s in enumerate(lat.subgroups)]
+    names = [f"S{n}-sub{i:03d}-o{order}" for i, order in enumerate(lat.orders.tolist())]
     return lat, names, np.array([[verdicts[name][key] for key in PREDICATE_KEYS] for name in names])
 
 
@@ -217,9 +218,9 @@ class TestFormationClosure:
             g = maker()
             lat = all_subgroups(g)
             minimals = minimal_normal_subgroups(lat)
-            for i, n1 in enumerate(minimals):
-                for n2 in minimals[i + 1 :]:
-                    if (n1.mask & n2.mask).sum() != 1:
+            for i, n1 in enumerate(lat.matrix[minimals]):
+                for n2 in lat.matrix[minimals[i + 1 :]]:
+                    if (n1 & n2).sum() != 1:
                         continue
                     q1 = quotient_by(g, n1).group
                     q2 = quotient_by(g, n2).group
@@ -272,6 +273,39 @@ class TestFormationClosure:
             want = {"supersoluble": in_u, "sylow_tower": True, **dict.fromkeys(THEOREM_KEYS, in_x)}
             assert got == want, (name, {k: got[k] for k in want if got[k] != want[k]})
 
+    def test_extraspecial_groups_are_saturated(self):
+        # G = 5^(1+2) : H has Phi(G) = Z(P) of order 5, and U, X, B and D
+        # are saturated: G takes the verdicts of G/Phi(G) = C5^2 : H, which
+        # theory predicts from H's matrices.  Q8 and D8 give groups in X but
+        # not U, C8 and S3 in D but not X, and C4 one in U.
+        families = {
+            "Q8": ((((0, 4), (1, 0)), ((2, 0), (0, 3))), (False, True)),
+            "D8": ((((1, 0), (0, 4)), SWAP_MATRIX), (False, True)),
+            "C8": ((((0, 2), (1, 0)),), (False, False)),
+            "S3": ((((0, 4), (1, 4)), SWAP_MATRIX), (False, False)),
+            "C4": ((((2, 0), (0, 1)),), (True, True)),
+        }
+        for name, (matrices, expected) in families.items():
+            g = build_group(extraspecial_semidirect(5, *matrices))
+            lat = all_subgroups(g)
+            assert lat.orders[frattini(lat)] == 5, name
+            got = {
+                "supersoluble": is_supersoluble(g, lat),
+                "cond_x": condition_x(g, lat),
+                "cond_b_subgroups": condition_b_subgroups(g, lat),
+                "cond_b_law": condition_b_law(g),
+                "cond_lf": condition_lf_f(g, lat),
+                "sylow_tower": has_sylow_tower_sst(g),
+            }
+            quotient = affine_semidirect(5, *matrices)
+            assert got == classify(build_group(quotient), quotient.name).predicates, name
+            linear = GroupSpec(f"{name} linear part", quotient.degree, quotient.generators[2:])
+            h = classify(build_group(linear), linear.name).predicates
+            in_u, in_x = affine_verdicts_oracle(5, matrices, h["supersoluble"], h["cond_x"])
+            assert (in_u, in_x) == expected, name
+            want = {"supersoluble": in_u, "sylow_tower": True, **dict.fromkeys(THEOREM_KEYS, in_x)}
+            assert got == want, (name, {k: got[k] for k in want if got[k] != want[k]})
+
     @pytest.mark.parametrize("n, report", CENSUS_REPORTS)
     def test_census_reports_are_subgroup_closed(self, n, report):
         # every verdict column names a subgroup-closed class, so K true and
@@ -316,19 +350,19 @@ class TestFormationClosure:
             lat = all_subgroups(g)
             verdicts = golden[spec.name]
             phi = frattini(lat)
-            if phi.order > 1:
-                for key, held in verdicts_of(quotient_by(g, phi).group).items():
+            if lat.orders[phi] > 1:
+                for key, held in verdicts_of(quotient_by(g, lat.matrix[phi]).group).items():
                     saturation_checks += 1
                     if held != verdicts[key]:
                         violations.append(f"{spec.name}: {key} of G/Phi(G) is {held}")
             for n in minimal_normal_subgroups(lat):
-                if n.order == g.order:
+                if lat.orders[n] == g.order:
                     continue  # G/G is trivial and in every class
-                for key, held in verdicts_of(quotient_by(g, n).group).items():
+                for key, held in verdicts_of(quotient_by(g, lat.matrix[n]).group).items():
                     if verdicts[key]:
                         quotient_checks += 1
                         if not held:
-                            violations.append(f"{spec.name}: {key} fails on G/N, |N| = {n.order}")
+                            violations.append(f"{spec.name}: {key} fails on G/N, |N| = {lat.orders[n]}")
         assert not violations, violations[:5]
         assert (saturation_checks, quotient_checks) == (548, 1_872)
 

@@ -267,9 +267,9 @@ class TestVerify:
         # test hook: force one theorem predicate wrong on S4 only
         original = checkers._condition_x_impl
 
-        def corrupted(g, lat):
-            ok, witness = original(g, lat)
-            if g.order == 24:
+        def corrupted(lat):
+            ok, witness = original(lat)
+            if lat.parent.order == 24:
                 return (not ok), "corrupted"
             return ok, witness
 
@@ -377,9 +377,9 @@ class TestWitness:
 
         original = checkers._condition_x_impl
 
-        def corrupted(g, lat):
-            ok, witness = original(g, lat)
-            if g.order == 6:
+        def corrupted(lat):
+            ok, witness = original(lat)
+            if lat.parent.order == 6:
                 return False, "corrupted"
             return ok, witness
 

@@ -57,7 +57,7 @@ class TestBuilders:
         from formationlab.predicates import is_nilpotent
 
         q8 = build_group(quaternion_generalized(2))
-        assert q8.order == 8 and (q8.mul != q8.mul.T).any() and is_nilpotent(q8)
+        assert q8.order == 8 and (q8.mul != q8.mul.T).any() and is_nilpotent(q8.elem_orders)
         assert exponent(q8) == 4
         assert sorted(int(o) for o in q8.elem_orders) == [1, 2, 4, 4, 4, 4, 4, 4]
 
@@ -128,9 +128,9 @@ class TestSymmetricCensus:
         lat = all_subgroups(s4)
         by_order_shape: dict = {}
         picked = []
-        for i, sub in enumerate(lat.subgroups):
-            if sub.order in (2, 3, 4, 6, 8):
-                by_order_shape.setdefault(sub.order, []).append(i)
+        for i, order in enumerate(lat.orders.tolist()):
+            if order in (2, 3, 4, 6, 8):
+                by_order_shape.setdefault(order, []).append(i)
         for order, subs in by_order_shape.items():
             if len(subs) >= 2:
                 picked.append((subs[0], subs[1]))
@@ -146,12 +146,13 @@ class TestSymmetricCensus:
 
 
 def conjugate_in(g, a, b) -> bool:
-    if a.order != b.order:
+    """Whether the subgroups with masks a and b are conjugate in g."""
+    if a.sum() != b.sum():
         return False
     for c in range(g.order):
         image = np.zeros(g.order, np.bool_)
-        image[g.mul[g.mul[g.inv[c], a.indices()], c]] = True
-        if (image == b.mask).all():
+        image[g.mul[g.mul[g.inv[c], np.flatnonzero(a)], c]] = True
+        if (image == b).all():
             return True
     return False
 
@@ -236,6 +237,19 @@ class TestGroupFiles:
         with pytest.raises(InputError) as err:
             load_group(path)
         assert "line 2" in str(err.value)
+
+    def test_repeated_degree_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.group"
+        path.write_text("degree 3\ngen (1 2)\ndegree 4\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}: line 3: repeated 'degree' line")):
+            load_group(path)
+
+    def test_repeated_name_line_names_file_and_line(self, tmp_path):
+        # the second name would otherwise replace the first without a word
+        path = tmp_path / "bad.group"
+        path.write_text("degree 3\nname S3\n\nname C3\ngen (1 2 3)\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}: line 4: repeated 'name' line")):
+            load_group(path)
 
     def test_errors_name_the_file(self, tmp_path):
         # a corpus directory holds many files, so each error says which one

@@ -8,12 +8,11 @@ import pytest
 from formationlab.errors import InputError, InvariantError, ResourceLimitError
 from formationlab.groups import (
     GroupTable,
-    Subgroup,
     _centralizer_mod_mask,
     close_generators,
     exponent,
 )
-from formationlab.lattice import all_subgroups, derived_index
+from formationlab.lattice import Lattice, all_subgroups, derived_index
 from formationlab.perms import parse_cycles
 
 from conftest import group_of, sub_of, subgroup_generated, trivial_subgroup
@@ -330,19 +329,19 @@ class TestCyclicWalk:
 
 class TestSubgroupGenerated:
     def test_trivial_seed(self, s4):
-        assert subgroup_generated(s4, [0]).order == 1
+        assert subgroup_generated(s4, [0]).sum() == 1
 
     def test_cyclic_in_s3(self, s3):
-        assert sub_of(s3, "(1 2 3)").order == 3
+        assert sub_of(s3, "(1 2 3)").sum() == 3
 
     def test_klein_in_a4(self, a4):
         sub = sub_of(a4, "(1 2)(3 4)", "(1 3)(2 4)")
-        assert sub.order == 4
+        assert sub.sum() == 4
 
     def test_generators_regenerate(self, a4):
         sub = sub_of(a4, "(1 2)(3 4)", "(1 3)(2 4)")
-        again = subgroup_generated(a4, _greedy_generators(a4.mul, sub.mask)[1])
-        assert again == sub
+        again = subgroup_generated(a4, _greedy_generators(a4.mul, sub)[1])
+        assert np.array_equal(again, sub)
 
     def test_from_mask_rejects_non_closed(self, s3):
         bad = np.zeros(s3.order, np.bool_)
@@ -360,7 +359,7 @@ class TestSubgroupGenerated:
         def check(seed):
             sub = subgroup_generated(s4, seed)
             expected = py_close(mul_rows, sum(1 << i for i in seed))
-            assert mask_int(sub.mask) == expected
+            assert mask_int(sub) == expected
 
         check()
 
@@ -373,7 +372,7 @@ class TestQuotient:
     def test_a4_by_klein_matches_coset_oracle(self, a4):
         klein = sub_of(a4, "(1 2)(3 4)", "(1 3)(2 4)")
         q = quotient_by(a4, klein)
-        count, cosets = quotient_oracle(a4, mask_int(klein.mask))
+        count, cosets = quotient_oracle(a4, mask_int(klein))
         assert q.group.order == count == 3
         # the projection respects the oracle's coset partition
         for coset in cosets:
@@ -397,34 +396,34 @@ class TestQuotient:
     def test_index_times_order(self, s4):
         a4_sub = sub_of(s4, "(1 2 3)", "(2 3 4)")
         q = quotient_by(s4, a4_sub)
-        assert q.group.order * a4_sub.order == s4.order
+        assert q.group.order * a4_sub.sum() == s4.order
 
 
-def _lattice_derived(g: GroupTable) -> Subgroup:
-    """G' read off G's lattice, as the package reads it."""
+def _lattice_derived(g: GroupTable) -> np.ndarray:
+    """The mask of G' read off G's lattice, as the package reads it."""
     lat = all_subgroups(g)
-    return lat.subgroups[derived_index(lat, len(lat) - 1)]
+    return lat.matrix[derived_index(lat, len(lat) - 1)]
 
 
 class TestCommutatorSubgroup:
     def test_abelian_derived_trivial(self, c6):
         full = c6.full_subgroup()
-        assert commutator_subgroup(c6, full, full).order == 1
-        assert _lattice_derived(c6).order == 1
+        assert commutator_subgroup(c6, full, full).sum() == 1
+        assert _lattice_derived(c6).sum() == 1
 
     def test_s3_derived(self, s3):
         full = s3.full_subgroup()
         got = commutator_subgroup(s3, full, full)
-        assert got.order == 3
-        assert mask_int(got.mask) == commutator_values_oracle(s3, mask_int(full.mask), mask_int(full.mask))
-        assert got == _lattice_derived(s3)
+        assert got.sum() == 3
+        assert mask_int(got) == commutator_values_oracle(s3, mask_int(full), mask_int(full))
+        assert np.array_equal(got, _lattice_derived(s3))
 
     def test_a4_derived_is_klein(self, a4):
         full = a4.full_subgroup()
         got = commutator_subgroup(a4, full, full)
-        assert got.order == 4
-        assert mask_int(got.mask) == commutator_values_oracle(a4, mask_int(full.mask), mask_int(full.mask))
-        assert got == _lattice_derived(a4)
+        assert got.sum() == 4
+        assert mask_int(got) == commutator_values_oracle(a4, mask_int(full), mask_int(full))
+        assert np.array_equal(got, _lattice_derived(a4))
 
     @pytest.mark.parametrize("name", ["s4", "a5", "q8"])
     def test_lattice_pairs_match_oracle(self, name, request):
@@ -435,13 +434,11 @@ class TestCommutatorSubgroup:
         pairs = [(h, h) for h in subs] + [(h, g.full_subgroup()) for h in subs]
         for i, h in enumerate(subs):
             for k in subs[i + 1:]:
-                join = subgroup_generated(g, np.flatnonzero(h.mask | k.mask))
-                if join.order > max(h.order, k.order):
+                join = subgroup_generated(g, np.flatnonzero(h | k))
+                if join.sum() > max(h.sum(), k.sum()):
                     pairs.append((h, k))
         for a, b in pairs:
-            assert mask_int(commutator_subgroup(g, a, b).mask) == commutator_values_oracle(
-                g, mask_int(a.mask), mask_int(b.mask)
-            )
+            assert mask_int(commutator_subgroup(g, a, b)) == commutator_values_oracle(g, mask_int(a), mask_int(b))
 
     def test_random_generators_match_oracle(self):
         from hypothesis import given, settings, strategies as st
@@ -463,26 +460,24 @@ class TestCommutatorSubgroup:
                 subgroup_generated(g, [g.index_of(p) for p in gens])
                 for gens in (a_gens, b_gens)
             )
-            assert mask_int(commutator_subgroup(g, a, b).mask) == commutator_values_oracle(
-                g, mask_int(a.mask), mask_int(b.mask)
-            )
+            assert mask_int(commutator_subgroup(g, a, b)) == commutator_values_oracle(g, mask_int(a), mask_int(b))
 
         check()
 
     def test_derived_series_s4(self, s4):
-        assert [s.order for s in derived_series(s4)] == [24, 12, 4, 1]
+        assert [s.sum() for s in derived_series(s4)] == [24, 12, 4, 1]
 
     def test_derived_series_c6(self, c6):
-        assert [s.order for s in derived_series(c6)] == [6, 1]
+        assert [s.sum() for s in derived_series(c6)] == [6, 1]
 
     def test_lower_central_series_s3(self, s3):
-        assert [s.order for s in lower_central_series(s3)] == [6, 3, 3]
+        assert [s.sum() for s in lower_central_series(s3)] == [6, 3, 3]
 
     def test_series_terms_normal_in_group(self, s4):
         from formationlab.groups import is_normal_mask
 
         for term in derived_series(s4):
-            assert is_normal_mask(s4, term.mask, s4.gen_indices)
+            assert is_normal_mask(s4, term, s4.gen_indices)
 
 
 class TestExponentCentralizer:
@@ -504,26 +499,26 @@ class TestExponentCentralizer:
 
     def test_centralizer_of_klein_in_a4(self, a4):
         klein = sub_of(a4, "(1 2)(3 4)", "(1 3)(2 4)")
-        got = _centralizer_mod_mask(a4, klein, trivial_subgroup(a4), _greedy_generators(a4.mul, klein.mask)[1])
-        assert (got == klein.mask).all()
+        got = _centralizer_mod_mask(a4, klein, trivial_subgroup(a4), _greedy_generators(a4.mul, klein)[1])
+        assert (got == klein).all()
 
     def test_centralizer_mod_trivial_is_plain_centralizer(self, s3):
         c3 = sub_of(s3, "(1 2 3)")
-        got = _centralizer_mod_mask(s3, c3, trivial_subgroup(s3), _greedy_generators(s3.mul, c3.mask)[1])
-        assert (got == c3.mask).all()
+        got = _centralizer_mod_mask(s3, c3, trivial_subgroup(s3), _greedy_generators(s3.mul, c3)[1])
+        assert (got == c3).all()
 
     def test_centralizer_mod_precondition(self, s3):
         c2 = sub_of(s3, "(1 2)")
         c3 = sub_of(s3, "(1 2 3)")
         with pytest.raises(InputError):
-            _centralizer_mod_mask(s3, c2, c3, _greedy_generators(s3.mul, c2.mask)[1])  # K not inside H
+            _centralizer_mod_mask(s3, c2, c3, _greedy_generators(s3.mul, c2)[1])  # K not inside H
         with pytest.raises(InputError):
             _centralizer_mod_mask(s3, s3.full_subgroup(), c2, s3.gen_indices)  # K not normal
 
     def test_centralizer_brute_force(self, s4):
         c4 = sub_of(s4, "(1 2 3 4)")
-        got = _centralizer_mod_mask(s4, c4, trivial_subgroup(s4), _greedy_generators(s4.mul, c4.mask)[1])
-        members = c4.indices()
+        got = _centralizer_mod_mask(s4, c4, trivial_subgroup(s4), _greedy_generators(s4.mul, c4)[1])
+        members = np.flatnonzero(c4)
         expected = 0
         for x in range(s4.order):
             if all(s4.mul[x, m] == s4.mul[m, x] for m in members):
@@ -532,14 +527,26 @@ class TestExponentCentralizer:
 
 
 class TestSubgroupMaskInvariants:
-    def test_lagrange_enforced(self, s3):
-        from formationlab.errors import InvariantError
+    """A subgroup is a bool mask with no wrapper; a Lattice checks the masks
+    of its members once, when it is built."""
 
-        with pytest.raises(InvariantError):
-            Subgroup(s3, np.arange(s3.order) < 4)  # order 4 does not divide 6
+    def test_member_without_the_identity_is_rejected(self, s3):
+        no_identity = np.arange(s3.order) == 1
+        members = [*all_subgroups(s3).subgroups, no_identity]
+        with pytest.raises(InvariantError, match="must contain the identity"):
+            Lattice(s3, s3.full_subgroup(), members)
+
+    def test_lagrange_enforced(self, s3):
+        # order 4 does not divide 6: the member lies in the top, a contained
+        # pair that breaks Lagrange
+        members = [*all_subgroups(s3).subgroups, np.arange(s3.order) < 4]
+        with pytest.raises(InvariantError, match="member of order 4 lies in a member of order 6"):
+            Lattice(s3, s3.full_subgroup(), members)
 
     def test_mask_array_round_trip(self, s4):
         sub = sub_of(s4, "(1 2 3)", "(2 3 4)")
-        assert subgroup_from_mask(s4, sub.mask) == sub
-        assert (np.flatnonzero(sub.mask) == sub.indices()).all()
-        assert not sub.mask.flags.writeable
+        assert np.array_equal(subgroup_from_mask(s4, sub), sub)
+        lat = all_subgroups(s4)
+        i = lat.find(sub[None])[0]
+        assert np.array_equal(lat.matrix[i], sub)
+        assert not lat.matrix[i].flags.writeable and not s4.full_subgroup().flags.writeable
