@@ -130,7 +130,14 @@ def _corpus_from_args(args) -> list[GroupSpec]:
     files = sorted(directory.glob("*.group"))
     if not files:
         raise InputError(f"no *.group files in {directory}")
-    return [load_group(f) for f in files]
+    specs = [load_group(f) for f in files]
+    first: dict[str, Path] = {}
+    for f, spec in zip(files, specs):
+        if first.setdefault(spec.name, f) != f:  # report rows are told apart by name alone
+            raise InputError(
+                f"two files in {directory} name the group {spec.name}: {first[spec.name].name} and {f.name}"
+            )
+    return specs
 
 
 def cmd_check(args) -> int:

@@ -278,10 +278,14 @@ def all_subgroups(g: GroupTable) -> Lattice:
     are closed in one ``close_mask`` call, each from its mask H | <c>
     rather than from H, so a long cyclic subgroup is not walked one power
     per round, and each seed whose closure is new becomes a representative.
-    Only the representatives keep generators, the seed generators H's and
-    c's that they are extended by; a member's class brings its mask alone.
-    The members go to ``Lattice`` in discovery order, each with the number
-    of its class's representative, and ``Lattice`` orders and labels them.
+    No seed is closed twice, so no memo of past waves is kept: were
+    H | <c> = H' | <c'> for representatives H != H', then H' lies in H or
+    <c> and H in H' or <c'>, no group being a union of two proper
+    subgroups, so the seed is <c> or <c'>, known before its wave, or H and
+    H' are cyclic, both in the first wave, whose seeds one dict merges.
+    Seeds and members are held as mask bytes alone, keyed to a seed's
+    generators, H's and c's, and to a member's class representative; the
+    members reach ``Lattice`` as one matrix over their joined bytes.
     """
     n = g.order
     mul, inv = g.mul, g.inv
@@ -290,17 +294,14 @@ def all_subgroups(g: GroupTable) -> Lattice:
     cyclic_gens = np.array([gen for _, gen in cyclics], np.intp)
     conjugators = _kernels.conjugation_maps(mul, inv, g.gen_indices)
 
-    trivial = np.zeros(n, np.bool_)
-    trivial[0] = True
-    # mask bytes -> (mask, number of its class's representative)
-    found: dict[bytes, tuple[np.ndarray, int]] = {trivial.tobytes(): (trivial, 0)}
-    seeds_done: set[bytes] = set()
-    reps = [(trivial, ())]
+    reps = [(b"\1" + bytes(n - 1), ())]  # (mask bytes, generators): the identity alone
+    found = {reps[0][0]: 0}  # mask bytes -> number of its class's representative
     done = 0
     while done < len(reps):  # one wave: the representatives queued so far
         wave, done = reps[done:], len(reps)
-        seeds: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}  # distinct seeds, first found first
-        for h_arr, h_gens in wave:
+        seeds: dict[bytes, tuple[int, ...]] = {}  # distinct seed masks -> generators, first found first
+        for h_key, h_gens in wave:
+            h_arr = np.frombuffer(h_key, np.bool_)
             outside = np.flatnonzero(~h_arr[cyclic_gens])  # cyclic subgroups not inside H
             if not outside.size:
                 continue
@@ -311,27 +312,25 @@ def all_subgroups(g: GroupTable) -> Lattice:
             images = cyclic_id[_kernels.conjugates(mul, inv, cyclic_gens[outside], normaliser[:, None])]
             for c in outside[images.min(axis=0) == outside]:
                 cyc_arr, cyc_gen = cyclics[c]
-                seed_arr = h_arr | cyc_arr
-                seed_key = seed_arr.tobytes()
-                if seed_key not in found and seed_key not in seeds_done:  # else known or closed before
-                    seeds.setdefault(seed_key, (seed_arr, h_gens + (cyc_gen,)))
+                if (seed_key := (h_arr | cyc_arr).tobytes()) not in found:  # else a subgroup known before
+                    seeds.setdefault(seed_key, h_gens + (cyc_gen,))
         if not seeds:
             continue
-        seeds_done.update(seeds)
-        # a representative found in wave w has w generators, so the rows need no padding
-        bases = np.array([arr for arr, _ in seeds.values()])
-        gen_rows = np.array([gens for _, gens in seeds.values()], np.intp)
-        for (_, gens), closed in zip(seeds.values(), _kernels.close_mask(mul, bases, gen_rows)):
+        # close_mask copies this read-only base; a wave's seeds have equally many generators
+        bases = np.frombuffer(b"".join(seeds), np.bool_).reshape(len(seeds), n)
+        for gens, closed in zip(seeds.values(), _kernels.close_mask(mul, bases, np.array(list(seeds.values())))):
             if closed.tobytes() in found:
                 continue
-            reps.append((closed, gens))
-            for member in _class_of(closed, conjugators):
-                found[member.tobytes()] = (member, len(reps) - 1)
+            keys = [member.tobytes() for member in _class_of(closed, conjugators)]
+            reps.append((keys[0], gens))
+            found.update(dict.fromkeys(keys, len(reps) - 1))
             if len(found) > DEFAULT_SUBGROUP_BOUND:
                 raise ResourceLimitError("subgroup count exceeds the enumeration bound", DEFAULT_SUBGROUP_BOUND)
 
-    masks = [arr for arr, _ in found.values()]
-    return Lattice(g, g.full_subgroup(), masks, _class_ids=[rep for _, rep in found.values()])
+    masks = np.frombuffer(b"".join(found), np.bool_).reshape(len(found), n)
+    class_ids = list(found.values())
+    del found  # its keys are freed before Lattice sorts the joined masks
+    return Lattice(g, g.full_subgroup(), masks, _class_ids=class_ids)
 
 
 def normal_subgroups(lat: Lattice) -> np.ndarray:

@@ -308,6 +308,22 @@ class TestVerify:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("command", [["verify"], ["witness", "--in", "X", "--notin", "U"]])
+    def test_duplicate_group_name_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        # two files naming one group would give two report rows that cannot
+        # be told apart; the corpus is refused before any group is classified
+        import formationlab.cli as cli
+
+        def refuse(specs, max_order, jobs):
+            raise AssertionError("the corpus was classified")
+
+        monkeypatch.setattr(cli, "_run_corpus", refuse)
+        (tmp_path / "a.group").write_text("degree 3\nname G\ngen (1 2 3)\n")
+        (tmp_path / "b.group").write_text("degree 2\nname G\ngen (1 2)\n")
+        assert main([*command, "--corpus", str(tmp_path)]) == 2
+        message = f"input error: two files in {tmp_path} name the group G: a.group and b.group\n"
+        assert capsys.readouterr().err == message
+
     def test_abelian_corpus_all_true(self, tmp_path):
         directory = tmp_path / "abelian"
         directory.mkdir()

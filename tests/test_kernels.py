@@ -5,11 +5,14 @@ permutation-level word iteration."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from formationlab import _kernels, lattice
 from formationlab.corpus import (
+    affine_semidirect,
     alternating,
     build_group,
     cyclic,
@@ -114,6 +117,28 @@ class TestClosure:
         lattice.all_subgroups(g)
         assert 0 < len(calls) <= waves
         assert sum(calls) > waves  # more seeds than calls
+
+    @pytest.mark.parametrize("name", ["s4", "s5", "a5", "C2^5", "C5^2:Q8"])
+    def test_enumeration_closes_no_seed_twice(self, name, request, monkeypatch):
+        # all_subgroups keeps no memo of the seeds of past waves: a seed
+        # H | <c> met in two waves would be a subgroup known before, or
+        # would come from two cyclic representatives of one wave
+        built = {
+            "C2^5": lambda: build_group(functools.reduce(direct_product, [cyclic(2)] * 5)),
+            "C5^2:Q8": lambda: build_group(affine_semidirect(5, ((0, 4), (1, 0)), ((2, 0), (0, 3)))),
+        }
+        g = built[name]() if name in built else request.getfixturevalue(name)
+        seeds = []
+        close_mask = _kernels.close_mask
+
+        def recorded(mul, base, gens):
+            seeds.extend(row.tobytes() for row in np.atleast_2d(base))
+            return close_mask(mul, base, gens)
+
+        monkeypatch.setattr(_kernels, "close_mask", recorded)
+        lat = lattice.all_subgroups(g)
+        assert len(seeds) == len(set(seeds))
+        assert name != "C2^5" or len(lat) == 374
 
 
 class TestWords:

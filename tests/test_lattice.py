@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from formationlab.corpus import (
@@ -107,6 +109,37 @@ class TestEnumeration:
             for i, s in enumerate(lat.subgroups):
                 assert np.array_equal(subgroup_generated(g, lat.generators(i)), s), g
             assert np.array_equal(lat.class_ids(), ref.class_ids()), g
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM, which Linux keeps")
+    def test_c2_6_enumeration_memory(self):
+        # resident memory, read in a fresh process as in the C1999 build
+        # test: each seed and member is held once, as its mask bytes (67.2
+        # MB when seeds and members were held as arrays beside their keys,
+        # with every closed seed kept in a set)
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import formationlab
+
+        code = (
+            "import functools\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+            "from formationlab.corpus import build_group, cyclic, direct_product\n"
+            "from formationlab.lattice import all_subgroups\n"
+            "g = build_group(functools.reduce(direct_product, [cyclic(2)] * 6))\n"
+            "before = peak()\n"
+            "lat = all_subgroups(g)\n"
+            "print(peak() - before, len(lat))\n"
+        )
+        src = str(Path(formationlab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout.split()
+        rise = int(out[0]) * 1024  # VmHWM is in KiB
+        assert rise <= 50e6, f"peak RSS rose {rise / 1e6:.1f} MB"
+        assert out[1] == "2825"
 
     def test_subgroup_count_bound(self, s4, monkeypatch):
         import formationlab.lattice as lattice
