@@ -25,10 +25,12 @@ all |H|^2 commutators.  A subgroup named in a witness is named by its
 greedy generators, read off the lattice (``Lattice.generators``), so the
 text depends on the group alone.
 
-``classify`` takes one chief series of the lattice and reads two
-predicates off it.  The group is supersoluble iff every chief factor has
-prime order, and the first factor that does not is the witness.
-``cond_lf`` walks the same factors H/K.  It works on the centralizer's
+``classify`` takes one chief series of the lattice, a chain of member
+indices, and reads two predicates off it.  Each consecutive pair (K, H) is
+a chief factor H/K of order ``lat.orders[H] // lat.orders[K]``.  The group
+is supersoluble iff every chief factor has prime order, and the first
+factor that does not is the witness.  ``cond_lf`` walks the same factors,
+factorising each order for its primes.  It works on the centralizer's
 member mask C = C_G(H/K) and never forms G/C: G/C is soluble iff the last
 term of G's derived series lies in C, and its exponent divides p - 1 iff
 every x^(p-1) lies in C.  That last term, the soluble residual, is the
@@ -47,10 +49,10 @@ import numpy as np
 from . import _kernels
 from .errors import InvariantError, naming_group
 from .groups import GroupTable, _centralizer_mod_mask, exponent
-from .lattice import ChiefFactor, Lattice, all_subgroups, chief_series, derived_index
+from .lattice import Lattice, all_subgroups, chief_series, derived_index
 from .perms import format_cycles
 from .predicates import _check_lattice, _huppert, _sylow_tower_impl, is_cyclic, is_nilpotent, is_primary
-from .primes import is_prime
+from .primes import is_prime, prime_divisors
 
 __all__ = [
     "word_trace",
@@ -164,21 +166,21 @@ def _soluble_residual(lat: Lattice) -> int:
     return term
 
 
-def _condition_lf_impl(g: GroupTable, lat: Lattice, series: list[ChiefFactor]) -> tuple[bool, Optional[str]]:
+def _condition_lf_impl(g: GroupTable, lat: Lattice, chain: np.ndarray) -> tuple[bool, Optional[str]]:
     every = np.arange(g.order)
     residual = None  # the last term of G's derived series, once needed
-    for factor in series:
-        upper, lower = lat.matrix[factor.upper], lat.matrix[factor.lower]
-        cent = _centralizer_mod_mask(g, upper, lower, lat.generators(factor.upper))
+    for lower, upper in zip(chain.tolist(), chain[1:].tolist()):
+        cent = _centralizer_mod_mask(g, lat.matrix[upper], lat.matrix[lower], lat.generators(upper))
         if cent.all():
             continue  # the quotient is trivial and lies in every f(p)
         if residual is None:
             residual = lat.matrix[_soluble_residual(lat)]
         soluble = not (residual & ~cent).any()
-        for p in factor.primes:
+        order = int(lat.orders[upper] // lat.orders[lower])
+        for p in prime_divisors(order):
             if not (soluble and cent[_kernels.powers(g.mul, every, p - 1)].all()):
                 return False, (
-                    f"chief factor of order {factor.order}: the action group of order "
+                    f"chief factor of order {order}: the action group of order "
                     f"{g.order // int(cent.sum())} is not soluble of exponent dividing {p} - 1"
                 )
     return True, None
@@ -191,11 +193,11 @@ def condition_lf_f(g: GroupTable, lat: Lattice) -> bool:
     return _condition_lf_impl(g, lat, chief_series(lat))[0]
 
 
-def _supersoluble_impl(series: list[ChiefFactor]) -> tuple[bool, Optional[str]]:
+def _supersoluble_impl(lat: Lattice, chain: np.ndarray) -> tuple[bool, Optional[str]]:
     """Supersoluble iff every chief factor has prime order."""
-    for factor in series:
-        if not is_prime(factor.order):
-            return False, f"chief factor of non-prime order {factor.order}"
+    for order in (lat.orders[chain[1:]] // lat.orders[chain[:-1]]).tolist():
+        if not is_prime(order):
+            return False, f"chief factor of non-prime order {order}"
     return True, None
 
 
@@ -254,7 +256,7 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
     with naming_group(name or "?"):
         start = time.perf_counter()
         lat = all_subgroups(g)
-        series = chief_series(lat)
+        chain = chief_series(lat)
         times["lattice"] = time.perf_counter() - start
 
         def run(key: str, func) -> None:
@@ -265,12 +267,12 @@ def classify(g: GroupTable, name: str = "") -> ClassReport:
             if witness is not None:
                 witnesses[key] = witness
 
-        run("supersoluble", lambda: _supersoluble_impl(series))
+        run("supersoluble", lambda: _supersoluble_impl(lat, chain))
         run("sylow_tower", lambda: _sylow_tower_impl(g))
         run("cond_x", lambda: _condition_x_impl(lat))
         run("cond_b_subgroups", lambda: _condition_b_subgroups_impl(lat))
         run("cond_b_law", lambda: _condition_b_law_impl(g))
-        run("cond_lf", lambda: _condition_lf_impl(g, lat, series))
+        run("cond_lf", lambda: _condition_lf_impl(g, lat, chain))
 
     report = ClassReport(name, g.degree, g.order, predicates, witnesses, times)
     report.status = "ok" if report.theorem_consistent() else "mismatch"

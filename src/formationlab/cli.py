@@ -24,7 +24,7 @@ from .checkers import PREDICATE_KEYS, ClassReport, classify, word_trace
 from .corpus import GroupSpec, build_group, load_group, standard_corpus
 from .errors import InputError, ResourceLimitError, naming_group
 from .groups import DEFAULT_ORDER_BOUND, exponent
-from .lattice import all_subgroups, frattini, minimal_normal_subgroups, normal_subgroups
+from .lattice import all_subgroups, frattini, minimal_normal_subgroups
 from .perms import format_cycles, parse_cycles
 
 TSV_COLUMNS = ("name", "degree", "order", *PREDICATE_KEYS, "status", "witnesses")
@@ -251,7 +251,7 @@ def cmd_lattice(args) -> int:
     print(f"subgroups: {len(lat)}  conjugacy classes: {len(np.unique(lat.class_ids()))}")
     for order, count in zip(*np.unique(lat.orders, return_counts=True)):
         print(f"  order {order:>5}: {count}")
-    print(f"normal subgroups: {len(normal_subgroups(lat))}")
+    print(f"normal subgroups: {np.count_nonzero(lat.normal_flags())}")
     print(f"frattini order: {lat.orders[frattini(lat)]}")
     minimals = lat.orders[minimal_normal_subgroups(lat)].tolist()
     print(f"minimal normal subgroups: {', '.join(map(str, minimals)) or 'none'}")

@@ -33,7 +33,6 @@ of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +45,7 @@ from .primes import prime_divisors
 __all__ = [
     "DEFAULT_SUBGROUP_BOUND",
     "Lattice",
-    "ChiefFactor",
     "all_subgroups",
-    "normal_subgroups",
     "minimal_normal_subgroups",
     "frattini",
     "chief_series",
@@ -56,16 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_SUBGROUP_BOUND = 10**6
-
-
-@dataclass(frozen=True)
-class ChiefFactor:
-    """A factor H/K of a maximal chain of normal subgroups, K and H by member index."""
-
-    lower: int
-    upper: int
-    order: int
-    primes: tuple[int, ...]
 
 
 class Lattice:
@@ -333,11 +320,6 @@ def all_subgroups(g: GroupTable) -> Lattice:
     return Lattice(g, g.full_subgroup(), masks, _class_ids=class_ids)
 
 
-def normal_subgroups(lat: Lattice) -> np.ndarray:
-    """The indices of the members normal in the top."""
-    return np.flatnonzero(lat.normal_flags())
-
-
 def minimal_normal_subgroups(lat: Lattice) -> np.ndarray:
     """The indices of the non-trivial normal members holding no other one."""
     normals = np.flatnonzero(lat.normal_flags() & (lat.orders > 1))
@@ -356,19 +338,17 @@ def frattini(lat: Lattice) -> int:
     return idx
 
 
-def chief_series(lat: Lattice) -> list[ChiefFactor]:
-    """One maximal chain of normal-in-top subgroups: from each term, the
-    normal member of least order above it (the first such in lattice order),
-    so no normal subgroup lies strictly between two terms."""
+def chief_series(lat: Lattice) -> np.ndarray:
+    """One maximal chain of normal-in-top subgroups, as member indices from
+    the trivial subgroup (0) to the top (S-1): after each term, the normal
+    member of least order above it (the first such in lattice order), so no
+    normal subgroup lies strictly between two terms, and each consecutive
+    pair (K, H) is a chief factor H/K."""
     flags, contains, orders = lat.normal_flags(), lat.containment, lat.orders
-    current, top = 0, len(lat) - 1
-    factors: list[ChiefFactor] = []
-    while current != top:
-        nxt = int(np.flatnonzero(flags & contains[current] & (orders > orders[current]))[0])
-        ratio = int(orders[nxt] // orders[current])
-        factors.append(ChiefFactor(current, nxt, ratio, prime_divisors(ratio)))
-        current = nxt
-    return factors
+    chain, top = [0], len(lat) - 1
+    while chain[-1] != top:
+        chain.append(int(np.flatnonzero(flags & contains[chain[-1]] & (orders > orders[chain[-1]]))[0]))
+    return np.array(chain)
 
 
 def derived_index(lat: Lattice, i: int) -> int:

@@ -40,9 +40,10 @@ reference for the generators the package reads off a lattice by joins
 Reference code that no command needs lives here too, on the package's
 tables: ``quotient_by`` (the quotient group table on right cosets, with its
 projection), ``subgroup_from_mask`` (an untrusted mask checked for closure),
+``is_normal_mask`` (a mask stable under conjugation by given generators),
 ``centralizer_mod`` (C_G(H/K) from the package's mask, generators
-found by closing), ``restrict`` (the lattice of a member),
-``is_soluble`` and ``in_f_p`` (the class f(p) of soluble groups of exponent
+found by closing, K <= H and K normal checked), ``restrict`` (the lattice
+of a member), ``is_soluble`` and ``in_f_p`` (the class f(p) of soluble groups of exponent
 dividing p - 1), ``order_of`` (a permutation's order from its cycles), and
 ``extraspecial_semidirect`` (p^(1+2) : H on p^3 points, a group with
 Phi(G) > 1 whose quotient G/Phi(G) is affine).
@@ -64,7 +65,6 @@ from formationlab.groups import (
     _row_dtype,
     close_generators,
     exponent,
-    is_normal_mask,
 )
 from formationlab.lattice import Lattice, _class_of, chief_series
 from formationlab.perms import _cycles
@@ -171,9 +171,20 @@ def subgroup_from_mask(parent: GroupTable, mask) -> np.ndarray:
     return arr
 
 
+def is_normal_mask(g: GroupTable, member_arr: np.ndarray, conj_gen_indices) -> bool:
+    """True when the member set is stable under conjugation by the given
+    generators (equivalently, by the group they generate)."""
+    conjugators = _kernels.conjugation_maps(g.mul, g.inv, conj_gen_indices)
+    return all(member_arr[conj[member_arr]].all() for conj in conjugators)
+
+
 def centralizer_mod(g: GroupTable, h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The mask of C_G(H/K) = {x : [x, h] in K for all h in H}, for the
-    masks h and k; requires K normal in G and K <= H."""
+    masks h and k; K <= H and K normal in G are checked (InputError)."""
+    if (k > h).any():
+        raise InputError("the centralizer of H/K requires K <= H")
+    if not is_normal_mask(g, k, g.gen_indices):
+        raise InputError("the centralizer of H/K requires K normal in the group")
     return _centralizer_mod_mask(g, h, k, _greedy_generators(g.mul, h)[1])
 
 
@@ -694,7 +705,8 @@ def lower_central_series(g: GroupTable, start: np.ndarray | None = None) -> list
 
 def is_supersoluble_chief(lat: Lattice) -> bool:
     """Supersolubility of the top as: every chief factor has prime order."""
-    return all(is_prime(f.order) for f in chief_series(lat))
+    chain = chief_series(lat)
+    return all(is_prime(int(lat.orders[upper] // lat.orders[lower])) for lower, upper in zip(chain, chain[1:]))
 
 
 def sylow_tower_oracle(g: GroupTable) -> tuple[bool, str | None]:
@@ -716,12 +728,14 @@ def sylow_tower_oracle(g: GroupTable) -> tuple[bool, str | None]:
 def condition_lf_oracle(g: GroupTable, lat: Lattice) -> tuple[bool, str | None]:
     """cond_lf with the classify witness, every action group G / C_G(H/K)
     built as a quotient group table and tested by ``in_f_p``."""
-    for factor in chief_series(lat):
-        quotient = quotient_by(g, centralizer_mod(g, lat.matrix[factor.upper], lat.matrix[factor.lower])).group
-        for p in factor.primes:
+    chain = chief_series(lat)
+    for lower, upper in zip(chain, chain[1:]):
+        quotient = quotient_by(g, centralizer_mod(g, lat.matrix[upper], lat.matrix[lower])).group
+        order = int(lat.orders[upper] // lat.orders[lower])
+        for p in prime_divisors(order):
             if not in_f_p(quotient, p):
                 return False, (
-                    f"chief factor of order {factor.order}: the action group of order "
+                    f"chief factor of order {order}: the action group of order "
                     f"{quotient.order} is not soluble of exponent dividing {p} - 1"
                 )
     return True, None

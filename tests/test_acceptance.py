@@ -14,12 +14,13 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from formationlab.checkers import _condition_x_impl, condition_b_law, condition_x, word_trace
 from formationlab.cli import main
 from formationlab.corpus import build_group, standard_corpus, symmetric
-from formationlab.lattice import all_subgroups, frattini, normal_subgroups
+from formationlab.lattice import all_subgroups, frattini
 from formationlab.perms import format_cycles, parse_cycles
 from formationlab.predicates import is_nilpotent, is_supersoluble
 
@@ -131,7 +132,7 @@ def test_criterion_4_closure_laws(corpus_specs):
                 if not _condition_x_impl(restrict(lat, h))[0]:
                     violations.append(f"{spec.name}: subgroup of order {h.sum()} escapes")
                     break
-            for n in normal_subgroups(lat):
+            for n in np.flatnonzero(lat.normal_flags()):
                 if lat.orders[n] in (1, g.order):
                     continue
                 q = quotient_by(g, lat.matrix[n]).group

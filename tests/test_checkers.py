@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -193,6 +191,9 @@ class TestConditions:
 
 CENSUS_REPORTS = [(4, "standard.tsv"), (5, "standard.tsv"), (6, "s6.tsv")]
 
+D8_MATRICES = (((1, 0), (0, -1)), SWAP_MATRIX)
+Q8_MOD5_MATRICES = (((0, -1), (1, 0)), ((2, 0), (0, 3)))
+
 
 def _census_verdicts(n: int, report: str):
     """The lattice of S_n, its census row names (row S{n}-sub{i:03d}-o{order}
@@ -201,6 +202,31 @@ def _census_verdicts(n: int, report: str):
     lat = all_subgroups(build_group(symmetric(n)))
     names = [f"S{n}-sub{i:03d}-o{order}" for i, order in enumerate(lat.orders.tolist())]
     return lat, names, np.array([[verdicts[name][key] for key in PREDICATE_KEYS] for name in names])
+
+
+def _assert_extraspecial_saturated(name: str, matrices, expected: tuple[bool, bool]) -> None:
+    """G = 5^(1+2) : H, H given by its matrices mod 5, has Phi(G) of order
+    5, its six verdicts equal those of G/Phi(G) = C5^2 : H, and U and X are
+    as theory predicts from H's matrices (``expected`` is (in U, in X))."""
+    g = build_group(extraspecial_semidirect(5, *matrices))
+    lat = all_subgroups(g)
+    assert lat.orders[frattini(lat)] == 5, name
+    got = {
+        "supersoluble": is_supersoluble(g, lat),
+        "cond_x": condition_x(g, lat),
+        "cond_b_subgroups": condition_b_subgroups(g, lat),
+        "cond_b_law": condition_b_law(g),
+        "cond_lf": condition_lf_f(g, lat),
+        "sylow_tower": has_sylow_tower_sst(g),
+    }
+    quotient = affine_semidirect(5, *matrices)
+    assert got == classify(build_group(quotient), quotient.name).predicates, name
+    linear = GroupSpec(f"{name} linear part", quotient.degree, quotient.generators[2:])
+    h = classify(build_group(linear), linear.name).predicates
+    in_u, in_x = affine_verdicts_oracle(5, matrices, h["supersoluble"], h["cond_x"])
+    assert (in_u, in_x) == expected, name
+    want = {"supersoluble": in_u, "sylow_tower": True, **dict.fromkeys(THEOREM_KEYS, in_x)}
+    assert got == want, (name, {k: got[k] for k in want if got[k] != want[k]})
 
 
 class TestFormationClosure:
@@ -236,14 +262,22 @@ class TestFormationClosure:
         lefts = [symmetric(3), alternating(4), symmetric(4), order75_witness()]
         rights = [cyclic(2), cyclic(3), symmetric(3)]
         c294 = order294_candidate()
-        verdicts = {s.name: classify(build_group(s), s.name).predicates for s in [*lefts, *rights, c294]}
+        # both affine groups are named C5^2:L8 by their builder
+        c5d8, c5q8 = (
+            GroupSpec(name, spec.degree, spec.generators)
+            for name, spec in (("C5^2:D8", affine_semidirect(5, *D8_MATRICES)),
+                               ("C5^2:Q8", affine_semidirect(5, *Q8_MOD5_MATRICES)))
+        )
+        extra = [(c294, cyclic(2)), (c294, cyclic(3)), (c5d8, cyclic(2)), (c5q8, cyclic(3))]
+        verdicts = {s.name: classify(build_group(s), s.name).predicates for s in [*lefts, *rights, c294, c5d8, c5q8]}
         products = {}
-        for a, b in [*((a, b) for a in lefts for b in rights), (c294, cyclic(2)), (c294, cyclic(3))]:
+        for a, b in [*((a, b) for a in lefts for b in rights), *extra]:
             spec = direct_product(a, b)
             got = products[spec.name] = classify(build_group(spec), spec.name).predicates
             assert got == {k: verdicts[a.name][k] and verdicts[b.name][k] for k in PREDICATE_KEYS}, spec.name
         # in X but not U, and in D but not X
-        assert products["C7^2:S3xC2"]["cond_x"] and not products["C7^2:S3xC2"]["supersoluble"]
+        for name in ("C7^2:S3xC2", "C5^2:D8xC2", "C5^2:Q8xC3"):
+            assert products[name]["cond_x"] and not products[name]["supersoluble"], name
         assert products["C5^2:L3xC2"]["sylow_tower"] and not products["C5^2:L3xC2"]["cond_x"]
 
     def test_affine_verdicts_match_the_theory(self):
@@ -253,13 +287,12 @@ class TestFormationClosure:
         # not U; the control C5^2:S3 is in D but not X, as exp(S3) = 6 does
         # not divide 4.  p is the largest prime dividing |G| and H has a
         # Sylow tower, so G has one.
-        d8 = (((1, 0), (0, -1)), SWAP_MATRIX)
         families = [
-            ("C5^2:D8", 5, d8),
-            ("C5^2:Q8", 5, (((0, -1), (1, 0)), ((2, 0), (0, 3)))),
+            ("C5^2:D8", 5, D8_MATRICES),
+            ("C5^2:Q8", 5, Q8_MOD5_MATRICES),
             ("C11^2:D10", 11, (((3, 0), (0, 4)), SWAP_MATRIX)),
             ("C13^2:S3", 13, (ROTATION_MATRIX, SWAP_MATRIX)),
-            ("C13^2:D8", 13, d8),
+            ("C13^2:D8", 13, D8_MATRICES),
             ("C13^2:Q8", 13, (((0, -1), (1, 0)), ((0, 5), (5, 0)))),
             ("C5^2:S3", 5, (ROTATION_MATRIX, SWAP_MATRIX)),
         ]
@@ -286,25 +319,13 @@ class TestFormationClosure:
             "C4": ((((2, 0), (0, 1)),), (True, True)),
         }
         for name, (matrices, expected) in families.items():
-            g = build_group(extraspecial_semidirect(5, *matrices))
-            lat = all_subgroups(g)
-            assert lat.orders[frattini(lat)] == 5, name
-            got = {
-                "supersoluble": is_supersoluble(g, lat),
-                "cond_x": condition_x(g, lat),
-                "cond_b_subgroups": condition_b_subgroups(g, lat),
-                "cond_b_law": condition_b_law(g),
-                "cond_lf": condition_lf_f(g, lat),
-                "sylow_tower": has_sylow_tower_sst(g),
-            }
-            quotient = affine_semidirect(5, *matrices)
-            assert got == classify(build_group(quotient), quotient.name).predicates, name
-            linear = GroupSpec(f"{name} linear part", quotient.degree, quotient.generators[2:])
-            h = classify(build_group(linear), linear.name).predicates
-            in_u, in_x = affine_verdicts_oracle(5, matrices, h["supersoluble"], h["cond_x"])
-            assert (in_u, in_x) == expected, name
-            want = {"supersoluble": in_u, "sylow_tower": True, **dict.fromkeys(THEOREM_KEYS, in_x)}
-            assert got == want, (name, {k: got[k] for k in want if got[k] != want[k]})
+            _assert_extraspecial_saturated(name, matrices, expected)
+
+    @pytest.mark.slow
+    def test_extraspecial_central_product_is_saturated(self):
+        # H = C4oD8, D8's matrices with the scalar 2I, of order 16: G has
+        # order 2000, and is in X but not U (about 2 to 4 s)
+        _assert_extraspecial_saturated("C4oD8", (*D8_MATRICES, ((2, 0), (0, 2))), (False, True))
 
     @pytest.mark.parametrize("n, report", CENSUS_REPORTS)
     def test_census_reports_are_subgroup_closed(self, n, report):
@@ -480,14 +501,18 @@ class TestQuotientOracles:
             outcomes.add(got[0])
         assert outcomes == {True, False}
 
-    def test_condition_lf_solubility_branch(self, a5):
+    def test_condition_lf_solubility_branch(self, a5, monkeypatch):
         # Within the order bound no action group is insoluble with exponent
         # dividing p - 1 for a prime p of its chief factor (p >= 31 is
         # needed), so A5's one chief factor is relabelled with the prime 61:
         # A5's exponent 30 divides 60, and only the solubility test fails.
+        import formationlab.checkers as checkers
+
         lat = all_subgroups(a5)
-        (factor,) = chief_series(lat)
-        assert _condition_lf_impl(a5, lat, [replace(factor, primes=(61,))]) == (False, (
+        chain = chief_series(lat)
+        assert chain.tolist() == [0, len(lat) - 1]
+        monkeypatch.setattr(checkers, "prime_divisors", lambda order: (61,))
+        assert _condition_lf_impl(a5, lat, chain) == (False, (
             "chief factor of order 60: the action group of order 60 is not soluble "
             "of exponent dividing 61 - 1"
         ))

@@ -19,12 +19,14 @@ from conftest import group_of, sub_of, subgroup_generated, trivial_subgroup
 from oracles import (
     _greedy_generators,
     cayley_oracle,
+    centralizer_mod,
     commutator_subgroup,
     commutator_values_oracle,
     cyclic_subgroups_oracle,
     derived_series,
     identity,
     inverse,
+    is_normal_mask,
     lower_central_series,
     mask_int,
     order_of,
@@ -474,8 +476,6 @@ class TestCommutatorSubgroup:
         assert [s.sum() for s in lower_central_series(s3)] == [6, 3, 3]
 
     def test_series_terms_normal_in_group(self, s4):
-        from formationlab.groups import is_normal_mask
-
         for term in derived_series(s4):
             assert is_normal_mask(s4, term, s4.gen_indices)
 
@@ -510,10 +510,10 @@ class TestExponentCentralizer:
     def test_centralizer_mod_precondition(self, s3):
         c2 = sub_of(s3, "(1 2)")
         c3 = sub_of(s3, "(1 2 3)")
-        with pytest.raises(InputError):
-            _centralizer_mod_mask(s3, c2, c3, _greedy_generators(s3.mul, c2)[1])  # K not inside H
-        with pytest.raises(InputError):
-            _centralizer_mod_mask(s3, s3.full_subgroup(), c2, s3.gen_indices)  # K not normal
+        with pytest.raises(InputError, match="requires K <= H"):
+            centralizer_mod(s3, c2, c3)  # K not inside H
+        with pytest.raises(InputError, match="requires K normal in the group"):
+            centralizer_mod(s3, s3.full_subgroup(), c2)  # K not normal
 
     def test_centralizer_brute_force(self, s4):
         c4 = sub_of(s4, "(1 2 3 4)")

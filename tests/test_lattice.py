@@ -32,7 +32,6 @@ from formationlab.lattice import (
     derived_index,
     frattini,
     minimal_normal_subgroups,
-    normal_subgroups,
 )
 from formationlab.errors import InvariantError, ResourceLimitError, naming_group
 from formationlab.perms import parse_cycles
@@ -317,7 +316,7 @@ class TestNormalAndMaximal:
 
     def test_normal_subgroups_s4(self, s4):
         lat = all_subgroups(s4)
-        assert sorted(lat.orders[normal_subgroups(lat)].tolist()) == [1, 4, 12, 24]
+        assert sorted(lat.orders[np.flatnonzero(lat.normal_flags())].tolist()) == [1, 4, 12, 24]
 
     def test_is_normal_examples(self, s3):
         lat = all_subgroups(s3)
@@ -345,7 +344,7 @@ class TestBookkeeping:
             assert lat.maximal_indices() == ref["maximal"], name
             assert lat.normal_flags().tolist() == ref["normal"], name
             assert minimal_normal_subgroups(lat).tolist() == ref["minimal_normal"], name
-            assert [(f.lower, f.upper) for f in chief_series(lat)] == ref["chief"], name
+            assert _chief_pairs(lat) == ref["chief"], name
             assert [_huppert(lat, i) for i in range(len(lat))] == ref["supersoluble"], name
 
 
@@ -386,59 +385,80 @@ class TestFrattini:
             assert lat.normal_flags()[frattini(lat)]
 
 
+def _chief_pairs(lat: Lattice) -> list[tuple[int, int]]:
+    """The chief factors H/K as (K, H) member indices: consecutive members
+    of the chain."""
+    chain = chief_series(lat).tolist()
+    return list(zip(chain, chain[1:]))
+
+
+def _factor_orders(lat: Lattice) -> list[int]:
+    """The orders of the chief factors, |H| / |K| over consecutive members."""
+    return [int(lat.orders[upper] // lat.orders[lower]) for lower, upper in _chief_pairs(lat)]
+
+
 class TestChiefSeries:
     def test_prime_cyclic(self):
         c5 = group_of(5, "(1 2 3 4 5)")
-        factors = chief_series(all_subgroups(c5))
-        assert [f.order for f in factors] == [5]
+        assert _factor_orders(all_subgroups(c5)) == [5]
 
     def test_a4(self, a4):
-        assert [f.order for f in chief_series(all_subgroups(a4))] == [4, 3]
+        assert _factor_orders(all_subgroups(a4)) == [4, 3]
 
     def test_s3(self, s3):
-        assert [f.order for f in chief_series(all_subgroups(s3))] == [3, 2]
+        assert _factor_orders(all_subgroups(s3)) == [3, 2]
 
     def test_factors_chain_and_primes(self, s4):
         lat = all_subgroups(s4)
-        factors = chief_series(lat)
-        assert [f.order for f in factors] == [4, 3, 2]
-        assert factors[0].lower == 0
-        assert factors[-1].upper == len(lat) - 1
-        for f in factors:
-            assert lat.orders[f.upper] == lat.orders[f.lower] * f.order
-        for a, b in zip(factors, factors[1:]):
-            assert a.upper == b.lower
-        for f in factors:
-            assert f.primes == prime_divisors(f.order)
+        chain = chief_series(lat)
+        assert _factor_orders(lat) == [4, 3, 2]
+        assert chain[0] == 0
+        assert chain[-1] == len(lat) - 1
+        assert lat.normal_flags()[chain].all()
+        for lower, upper in _chief_pairs(lat):
+            assert lat.containment[lower, upper] and lat.orders[lower] < lat.orders[upper]
+        assert [prime_divisors(order) for order in _factor_orders(lat)] == [(2,), (3,), (2,)]
 
     def test_soluble_groups_have_prime_power_chief_factors(self, s4, q8, c6):
         for maker in (lambda: build_group(dihedral(12)), lambda: build_group(quaternion_generalized(6))):
             g = maker()
             assert is_soluble(g)
-            for f in chief_series(all_subgroups(g)):
-                assert len(f.primes) == 1
+            for order in _factor_orders(all_subgroups(g)):
+                assert len(prime_divisors(order)) == 1
         for g in (s4, q8, c6):
             assert is_soluble(g)
-            for f in chief_series(all_subgroups(g)):
-                assert len(f.primes) == 1
+            for order in _factor_orders(all_subgroups(g)):
+                assert len(prime_divisors(order)) == 1
 
     @pytest.mark.parametrize("name", ["s3", "s4"])
     def test_member_order_does_not_change_the_series(self, name, request):
         # Lattice sorts the members it is given, so a lattice listing its
-        # members largest first gives the same factors, and cond_lf, which
-        # reads them, the same verdict
+        # members largest first gives the same chain, and cond_lf, which
+        # reads it, the same verdict
         g = request.getfixturevalue(name)
         lat = all_subgroups(g)
         reversed_lat = Lattice(g, g.full_subgroup(), lat.subgroups[::-1])
-        orders = [f.order for f in chief_series(lat)]
+        orders = _factor_orders(lat)
         assert orders == {"s3": [3, 2], "s4": [4, 3, 2]}[name]
-        assert [f.order for f in chief_series(reversed_lat)] == orders
+        assert _factor_orders(reversed_lat) == orders
+        assert chief_series(reversed_lat).tolist() == chief_series(lat).tolist()
         assert condition_lf_f(g, reversed_lat) == condition_lf_f(g, lat)
 
     def test_insoluble_chief_factor_not_prime_power(self, a5):
-        factors = chief_series(all_subgroups(a5))
-        assert [f.order for f in factors] == [60]
-        assert len(factors[0].primes) == 3
+        (order,) = _factor_orders(all_subgroups(a5))
+        assert order == 60
+        assert len(prime_divisors(order)) == 3
+
+    def test_chain_matches_the_pairwise_oracle(self, s4, s5, a5):
+        # consecutive chain members are the oracle's chief factors, found by
+        # pairwise subset tests, and the factor orders multiply to |G|
+        groups = [build_group(spec) for spec in standard_corpus()]
+        groups = [g for g in groups if g.order <= 60]
+        groups += [s4, s5, a5, build_group(order294_candidate())]
+        for g in groups:
+            lat = all_subgroups(g)
+            assert _chief_pairs(lat) == lattice_bookkeeping_oracle(lat)["chief"], g
+            assert np.prod(_factor_orders(lat)) == g.order, g
 
 
 class TestDerivedSubgroups:
@@ -482,7 +502,7 @@ def _lattice_facts(g, lat: Lattice) -> tuple:
         [lat.generators(i) for i in range(len(lat))],
         lat.p_subnormal.tolist(),
         lat.normal_flags().tolist(),
-        chief_series(lat),
+        chief_series(lat).tolist(),
         _condition_x_impl(lat),
         _condition_b_subgroups_impl(lat),
         condition_lf_f(g, lat),

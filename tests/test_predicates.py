@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from formationlab.corpus import build_group, cyclic, dihedral, direct_product, symmetric
@@ -103,15 +104,13 @@ class TestSupersoluble:
         assert verdicts == {True, False}
 
     def test_inherited_by_subgroups_and_quotients(self, s3):
-        from formationlab.lattice import normal_subgroups
-
         g = build_group(dihedral(6))
         lat = all_subgroups(g)
         assert is_supersoluble(g, lat)
         for h in lat.subgroups:
             sub_lat = restrict(lat, h)
             assert _huppert(sub_lat, len(sub_lat) - 1)
-        for n in normal_subgroups(lat):
+        for n in np.flatnonzero(lat.normal_flags()):
             q = quotient_by(g, lat.matrix[n]).group
             assert is_supersoluble(q, all_subgroups(q))
 
